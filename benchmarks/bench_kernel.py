@@ -8,13 +8,21 @@ Python-interpreter cost per event in the oracle -- and runs the same
 * **python**: :class:`~repro.core.kernel.PredictorKernel` driving
   ``PasOps`` entries, one interpreted iteration per event;
 * **native**: :class:`~repro.core.kernel_native.NativeKernelBackend`, the
-  compiled (numba or C) loop over dense int32 key/block ids and flat
-  counter arrays, fused with the popcount scorer.
+  compiled C loop over dense int32 key/block ids and flat counter arrays,
+  fused with the popcount scorer.
+
+A second measure times the resumable native stream: the same PAs slice
+through :func:`~repro.core.plan.evaluate_plan` over a synthesized
+100k-store imported trace, fed as default-size
+(:data:`~repro.trace.source.DEFAULT_CHUNK_EVENTS`) chunks vs as one
+chunk, interleaved over :data:`STREAM_REPEATS` repeats; the artifact
+records each side's median and IQR and their median ratio.
 
 Every confusion quad is asserted bit-identical before any number is
 reported, so the emitted JSON can never describe a speedup bought with a
 semantics change.  Emits ``BENCH_kernel.json`` (the CI artifact) and, by
-default, fails if the compiled path is not at least 5x faster::
+default, fails if the compiled path is not at least 5x faster, or if the
+streamed run is more than 1.2x the one-chunk run::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py [--out PATH] [--no-strict]
 
@@ -32,14 +40,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-from repro.core.kernel_backends import get_kernel_backend
+from repro.core.kernel_backends import get_kernel_backend, set_kernel_backend
+from repro.core.plan import SweepPlan, evaluate_plan
 from repro.core.schemes import parse_scheme
 from repro.core.vectorized import compute_keys
 from repro.harness.runner import TraceSet
+from repro.trace.interchange import FileTraceSource, import_csv, synthesize_csv
+from repro.trace.source import DEFAULT_CHUNK_EVENTS, ResidentTraceSource
 
 #: 8 index groups x 4 history depths x 2 update modes = 64 PAs schemes
 SPECS = ("pid", "pc8", "add8", "pid+pc4", "pid+add6", "dir+add6", "pc4+add4", "dir")
@@ -48,6 +61,15 @@ MODES = ("direct", "forwarded")
 
 MIN_SPEEDUP = 5.0
 REPEATS = 3
+
+#: the streamed measure's trace: stores in the synthesized CSV (one event
+#: each), its machine width and block count
+STREAM_STORES = 100_000
+STREAM_NODES = 16
+STREAM_BLOCKS = 1024
+STREAM_REPEATS = 7
+#: streamed PAs must stay within this factor of the one-chunk run
+MAX_STREAM_RATIO = 1.2
 
 
 def build_schemes():
@@ -69,6 +91,58 @@ def best_of(repeats, run):
     return best, result
 
 
+def median_iqr(samples):
+    """``(median, interquartile range)`` of a list of seconds."""
+    first, median, third = statistics.quantiles(samples, n=4, method="inclusive")
+    return median, third - first
+
+
+def imported_trace():
+    """A synthesized access CSV imported as ``.rtrace``, then materialized."""
+    with tempfile.TemporaryDirectory() as directory:
+        csv_path = Path(directory) / "accesses.csv"
+        rtrace_path = Path(directory) / "accesses.rtrace"
+        synthesize_csv(
+            csv_path, events=STREAM_STORES, num_nodes=STREAM_NODES,
+            blocks=STREAM_BLOCKS,
+        )
+        import_csv(csv_path, rtrace_path, num_nodes=STREAM_NODES)
+        return FileTraceSource(rtrace_path).materialize()
+
+
+def streamed_measure(schemes):
+    """Time the native PAs slice chunked at the default size vs one chunk."""
+    trace = imported_trace()
+    chunked = ResidentTraceSource(trace, chunk_events=DEFAULT_CHUNK_EVENTS)
+    plan = SweepPlan(schemes)
+    samples = {"one_chunk": [], "streamed": []}
+    results = {}
+    previous = set_kernel_backend("native")
+    try:
+        for _ in range(STREAM_REPEATS):
+            for label, source in (("one_chunk", trace), ("streamed", chunked)):
+                started = time.perf_counter()
+                results[label] = evaluate_plan(plan, [source])
+                samples[label].append(time.perf_counter() - started)
+    finally:
+        set_kernel_backend(previous)
+    one_median, one_iqr = median_iqr(samples["one_chunk"])
+    streamed_median, streamed_iqr = median_iqr(samples["streamed"])
+    return {
+        "trace_events": len(trace),
+        "chunk_events": DEFAULT_CHUNK_EVENTS,
+        "num_chunks": len(list(chunked.chunks())),
+        "repeats": STREAM_REPEATS,
+        "one_chunk_median_seconds": round(one_median, 4),
+        "one_chunk_iqr_seconds": round(one_iqr, 4),
+        "streamed_median_seconds": round(streamed_median, 4),
+        "streamed_iqr_seconds": round(streamed_iqr, 4),
+        "ratio": round(streamed_median / one_median, 3),
+        "max_ratio": MAX_STREAM_RATIO,
+        "results_identical": results["streamed"] == results["one_chunk"],
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -77,7 +151,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-strict",
         action="store_true",
-        help=f"report the speedup without enforcing the {MIN_SPEEDUP}x floor",
+        help=f"report without enforcing the {MIN_SPEEDUP}x speedup floor "
+        f"and the {MAX_STREAM_RATIO}x streamed ceiling",
     )
     args = parser.parse_args(argv)
 
@@ -135,21 +210,34 @@ def main(argv=None) -> int:
         print("FATAL: native results differ from python results", file=sys.stderr)
         return 2
     speedup = python_seconds / native_seconds
+    streamed = streamed_measure(schemes)
+    if not streamed["results_identical"]:
+        print("FATAL: streamed results differ from one-chunk results", file=sys.stderr)
+        return 2
 
     artifact.update(
         {
-            "native_engine": native.engine_name,
             "native_seconds": round(native_seconds, 4),
             "speedup": round(speedup, 2),
             "results_identical": True,
+            "streamed_native": streamed,
         }
     )
     Path(args.out).write_text(json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(artifact, indent=2))
 
-    if speedup < MIN_SPEEDUP and not args.no_strict:
+    if args.no_strict:
+        return 0
+    if speedup < MIN_SPEEDUP:
         print(
             f"FAIL: kernel speedup {speedup:.2f}x below the {MIN_SPEEDUP}x floor",
+            file=sys.stderr,
+        )
+        return 1
+    if streamed["ratio"] > MAX_STREAM_RATIO:
+        print(
+            f"FAIL: streamed PAs at {streamed['ratio']:.2f}x the one-chunk run, "
+            f"above the {MAX_STREAM_RATIO}x ceiling",
             file=sys.stderr,
         )
         return 1

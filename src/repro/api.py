@@ -42,7 +42,6 @@ batch job.
 
 from __future__ import annotations
 
-import warnings
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.core.schemes import Scheme, parse_scheme
@@ -92,16 +91,6 @@ SchemeLike = Union[Scheme, str]
 #: trace input for :func:`submit`: live traces, a re-materializable suite
 #: description, or ``None`` for the paper-scale default suite
 TracesLike = Union[Sequence[SharingTrace], TraceSuiteSpec, TraceFileSpec, None]
-
-
-class _Unset:
-    """Sentinel distinguishing 'not passed' from an explicit default."""
-
-    def __repr__(self) -> str:
-        return "<unset>"
-
-
-_UNSET = _Unset()
 
 
 def _as_scheme(scheme: SchemeLike) -> Scheme:
@@ -263,8 +252,6 @@ def simulate_forwarding(
     trace: SharingTrace,
     *,
     config: Optional[ForwardingConfig] = None,
-    topology: Union[str, _Unset] = _UNSET,
-    model: Union[TrafficModel, None, _Unset] = _UNSET,
     engine: Optional[EvaluationEngine] = None,
 ) -> TrafficReport:
     """Simulate prediction-driven forwarding on one trace.
@@ -282,28 +269,8 @@ def simulate_forwarding(
         trace: the sharing trace to replay.
         config: interconnect topology plus message cost model (default:
             mesh topology, paper cost model).
-        topology: deprecated -- fold into ``config``.
-        model: deprecated -- fold into ``config``.
         engine: evaluation backend; default per environment configuration.
     """
-    if not isinstance(topology, _Unset) or not isinstance(model, _Unset):
-        warnings.warn(
-            "simulate_forwarding(topology=..., model=...) is deprecated; "
-            "pass config=ForwardingConfig(topology=..., model=...) instead "
-            "(one release of overlap)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if config is not None:
-            raise TypeError(
-                "pass either config= or the deprecated topology=/model=, not both"
-            )
-        config = ForwardingConfig(
-            topology="mesh" if isinstance(topology, _Unset) else topology,
-            model=TrafficModel()
-            if isinstance(model, _Unset) or model is None
-            else model,
-        )
     handle = submit("traffic", [scheme], [trace], config=config, engine=engine)
     return handle.result()[0][0]
 

@@ -12,7 +12,7 @@ Three orthogonal axes (paper Section 3):
 
 A full configuration of the three axes is a :class:`~repro.core.schemes.Scheme`,
 evaluated against a sharing trace by the reference evaluator
-(:mod:`repro.core.evaluator`) or the fast engine (:mod:`repro.core.vectorized`).
+(:mod:`repro.core.evaluator`) or the fast engine (:func:`repro.core.plan.evaluate_plan`).
 """
 
 from repro.core.indexing import IndexSpec
@@ -28,7 +28,7 @@ from repro.core.functions import (
 from repro.core.twolevel import PAsFunction
 from repro.core.evaluator import evaluate_scheme, predict_scheme
 from repro.core.kernel import PredictorKernel
-from repro.core.plan import KeyCache, SweepPlan, evaluate_plan
+from repro.core.plan import SweepPlan, evaluate_plan
 from repro.core.vectorized import compute_keys, evaluate_scheme_fast, predict_scheme_fast
 from repro.core.space import enumerate_schemes
 
@@ -50,7 +50,6 @@ __all__ = [
     "compute_keys",
     "PredictorKernel",
     "SweepPlan",
-    "KeyCache",
     "evaluate_plan",
     "enumerate_schemes",
 ]

@@ -161,24 +161,6 @@ class PredictorKernel:
             keys, blocks, has_inval, inval, truth
         )
 
-    def run_trace(self, trace, keys: Sequence[int]) -> Iterator[int]:
-        """:meth:`run` with the event columns pulled off a ``SharingTrace``.
-
-        Converts the numpy columns to plain Python lists first -- scalar
-        indexing of int64 arrays inside a per-event loop costs more than
-        the conversion.  The bitmap columns come through the trace's int
-        view (``truth_ints`` / ``inval_ints``), so packed wide-machine
-        traces feed the kernel the same arbitrary-precision Python ints as
-        scalar ones -- the kernel itself is width-agnostic.
-        """
-        return self.run(
-            keys,
-            trace.block.tolist(),
-            trace.has_inval.tolist(),
-            trace.inval_ints(),
-            trace.truth_ints(),
-        )
-
 
 class PasOps:
     """Flat-state PAs entry operations for the shared kernel.

@@ -2,17 +2,20 @@
 
 The per-event predictor loop has exactly one semantic definition --
 :class:`~repro.core.kernel.PredictorKernel` -- and, as of this module, more
-than one *implementation*.  A kernel backend is an object that can run a
-scheme's per-event loop over a trace and hand back the raw prediction
-stream (or its fused confusion quad); the registry decides which
-implementation a given evaluation uses, mirroring the evaluation-engine
-registry in :mod:`repro.engine`:
+than one *implementation*.  A kernel backend hands out resumable
+per-(scheme, trace) state via ``stream(scheme, num_nodes)``: an object
+whose ``feed(chunk, keys)`` returns the raw predictions for one chunk of
+events and whose ``evaluate(chunk, keys, exclude_writer)`` returns the
+chunk's fused confusion quad, carrying the predictor table across calls.
+A resident trace is simply one chunk, so ``predict`` / ``evaluate`` are
+one-chunk calls.  The registry decides which implementation a given
+evaluation uses, mirroring the evaluation-engine registry in
+:mod:`repro.engine`:
 
 * explicit :func:`set_kernel_backend` override (the CLI's ``--kernel``),
 * else the ``REPRO_KERNEL`` environment variable,
-* else ``auto``: the native backend when a compiler (numba or a C
-  toolchain) is present and its build passes the oracle self-check,
-  otherwise pure Python.
+* else ``auto``: the native backend when a C compiler is present and its
+  build passes the oracle self-check, otherwise pure Python.
 
 The contract every backend must honor -- and the conformance suite
 (``tests/core/test_kernel_conformance.py``) enforces over every
@@ -20,8 +23,9 @@ The contract every backend must honor -- and the conformance suite
 
 * **The pure-Python backend is normative.**  Its predictions define
   correctness; a fast backend must reproduce them bit for bit on every
-  trace, or decline the scheme via ``supports`` and let the registry fall
-  through to Python (counted under ``kernel.fallbacks``).
+  trace, cut into chunks anywhere, or decline the scheme via ``supports``
+  and let the registry fall through to Python (counted under
+  ``kernel.fallbacks``).
 * **Degradation is silent-safe.**  Requesting ``native`` on a machine with
   no compiler warns once and runs pure Python -- results cannot change,
   only speed.  Requesting an unregistered name is an error.
@@ -29,10 +33,11 @@ The contract every backend must honor -- and the conformance suite
   concern) and delivered in the trace's
   :class:`~repro.util.bitmaps.BitmapLayout` representation.
 
-Evaluations route through :func:`kernel_predict` / :func:`kernel_evaluate`,
-which also record the chosen backend under ``kernel.backend.<name>``
-telemetry -- including inside parallel-engine workers, whose counters merge
-home with the rest of the worker snapshot.
+Evaluations route through :func:`kernel_stream` (or its one-chunk
+conveniences :func:`kernel_predict` / :func:`kernel_evaluate`), which
+resolves the backend once per stream and records it under
+``kernel.backend.<name>`` telemetry -- including inside parallel-engine
+workers, whose counters merge home with the rest of the worker snapshot.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.kernel import PasOps, PredictorKernel
+from repro.core.kernel import KernelStream, PasOps
 from repro.core.schemes import Scheme, parse_scheme
 from repro.telemetry import get_telemetry
 from repro.trace.events import SharingTrace
@@ -87,14 +92,44 @@ def score_predictions(
     )
 
 
-class PythonKernelBackend:
-    """The normative backend: :class:`PredictorKernel` over entry objects.
+class PythonKernelStream:
+    """The oracle's resumable state: a :class:`KernelStream` fed by chunk.
 
     PAs schemes run on the flat-state :class:`~repro.core.kernel.PasOps`;
     everything else gets its real
-    :class:`~repro.core.functions.PredictionFunction` object.  Supports
-    every scheme by construction -- this is the implementation the others
-    are defined against.
+    :class:`~repro.core.functions.PredictionFunction` object.
+    """
+
+    __slots__ = ("_stream",)
+
+    def __init__(self, scheme: Scheme, num_nodes: int) -> None:
+        if scheme.function == "pas":
+            ops = PasOps(num_nodes, scheme.depth)
+        else:
+            ops = scheme.make_function(num_nodes)
+        self._stream = KernelStream(scheme.update, ops)
+
+    def feed(self, chunk, keys: np.ndarray) -> np.ndarray:
+        """Raw (unmasked) predictions for the chunk, in the trace's layout."""
+        # drain the generator with list() before packing: np.fromiter
+        # stops *at* the n-th yield, which would leave ORDERED mode's
+        # post-yield update of the chunk's last event unexecuted -- state
+        # the next chunk needs
+        values = list(self._stream.feed_chunk(chunk, np.asarray(keys).tolist()))
+        return chunk.layout.from_int_iter(values, count=len(chunk))
+
+    def evaluate(
+        self, chunk, keys: np.ndarray, exclude_writer: bool
+    ) -> Tuple[int, int, int, int]:
+        """Predict, then score on the shared numpy path."""
+        return score_predictions(self.feed(chunk, keys), chunk, exclude_writer)
+
+
+class PythonKernelBackend:
+    """The normative backend: :class:`PredictorKernel` over entry objects.
+
+    Supports every scheme by construction -- this is the implementation
+    the others are defined against.
     """
 
     name = "python"
@@ -105,20 +140,15 @@ class PythonKernelBackend:
     def supports(self, scheme: Scheme) -> bool:
         return True
 
+    def stream(self, scheme: Scheme, num_nodes: int) -> PythonKernelStream:
+        """Fresh resumable state for one (scheme, trace) run."""
+        return PythonKernelStream(scheme, num_nodes)
+
     def predict(
         self, scheme: Scheme, trace: SharingTrace, keys: np.ndarray
     ) -> np.ndarray:
-        """Raw (unmasked) per-event predictions in the trace's layout."""
-        if len(trace) == 0:
-            return trace.layout.zeros(0)
-        if scheme.function == "pas":
-            ops = PasOps(trace.num_nodes, scheme.depth)
-        else:
-            ops = scheme.make_function(trace.num_nodes)
-        kernel = PredictorKernel(scheme.update, ops)
-        return trace.layout.from_int_iter(
-            kernel.run_trace(trace, np.asarray(keys).tolist()), count=len(trace)
-        )
+        """Raw (unmasked) per-event predictions: one whole-trace chunk."""
+        return self.stream(scheme, trace.num_nodes).feed(trace, keys)
 
     def evaluate(
         self,
@@ -127,9 +157,9 @@ class PythonKernelBackend:
         keys: np.ndarray,
         exclude_writer: bool,
     ) -> Tuple[int, int, int, int]:
-        """Predict then score on the shared numpy path."""
-        return score_predictions(
-            self.predict(scheme, trace, keys), trace, exclude_writer
+        """The ``(tp, fp, fn, tn)`` quad: one whole-trace chunk."""
+        return self.stream(scheme, trace.num_nodes).evaluate(
+            trace, keys, exclude_writer
         )
 
 
@@ -240,11 +270,20 @@ def _backend_for(scheme: Scheme):
     return backend
 
 
+def kernel_stream(scheme: Scheme, num_nodes: int):
+    """Resumable per-event state for one (scheme, trace) run.
+
+    Routes once per stream: the active backend if it supports ``scheme``,
+    else the pure-Python oracle.  Feed the trace's chunks in order.
+    """
+    return _backend_for(scheme).stream(scheme, num_nodes)
+
+
 def kernel_predict(
     scheme: Scheme, trace: SharingTrace, keys: np.ndarray
 ) -> np.ndarray:
     """Raw per-event predictions via the active kernel backend."""
-    return _backend_for(scheme).predict(scheme, trace, keys)
+    return kernel_stream(scheme, trace.num_nodes).feed(trace, keys)
 
 
 def kernel_evaluate(
@@ -258,7 +297,7 @@ def kernel_evaluate(
     Returns the ``(tp, fp, fn, tn)`` quad; bit-identical across backends by
     the registry contract.
     """
-    return _backend_for(scheme).evaluate(scheme, trace, keys, exclude_writer)
+    return kernel_stream(scheme, trace.num_nodes).evaluate(trace, keys, exclude_writer)
 
 
 # ----------------------------------------------------------------------

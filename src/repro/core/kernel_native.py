@@ -4,33 +4,37 @@ The design-space sweeps of paper Section 5.4 evaluate thousands of schemes
 per trace, and after the planner removed the redundant *shared* work
 (PR 5), the remaining cost ceiling is the per-event Python interpreter loop
 of the PAs and sequential families -- :class:`~repro.core.kernel.PredictorKernel`
-driving entry ops one event at a time.  This module compiles that loop.
+driving entry ops one event at a time.  This module compiles that loop: the
+embedded C source below is built once with the system C compiler into a
+cached shared library and driven via ``ctypes``.
 
-Two compiled engines, tried in preference order:
+The compiled loop never sees Python objects: predictor keys and block ids
+are mapped to dense entry indices, bitmaps travel as bit-packed 64-bit word
+rows in the trace's :class:`~repro.util.bitmaps.BitmapLayout` sense, and
+confusion counting is fused ``popcount`` arithmetic over those words.
+Entry state is flat arrays (:class:`NativeState`): a ring buffer of
+feedback words per entry for the bitmap-history family, per-(entry, node)
+history registers and 2-bit saturating counters for PAs, and the
+FORWARDED pending-predictor slot per block.
 
-* **numba** -- when ``numba`` is importable, the loop is an ``@njit``
-  transcription over the same flat arrays (no C toolchain needed);
-* **cc** -- otherwise the embedded C source below is built once with the
-  system C compiler into a cached shared library and driven via ``ctypes``.
-
-Either way the compiled loop never sees Python objects: predictor keys and
-block ids are densified to contiguous entry indices with ``np.unique``
-(keys are known up front -- the whole trace is in hand), bitmaps travel as
-bit-packed 64-bit word rows in the trace's
-:class:`~repro.util.bitmaps.BitmapLayout` sense, and confusion counting is
-fused ``popcount`` arithmetic over those words.  Entry state is flat
-arrays: a ring buffer of feedback words per entry for the bitmap-history
-family, per-(entry, node) history registers and 2-bit saturating counters
-for PAs.
+The loop is resumable without any change to the C source, because every
+piece of cross-event state already lives in those caller-owned arrays.
+:class:`NativeKernelStream` keeps them alive between calls, assigns dense
+ids that stay stable across chunks (:class:`_DenseIds`: new keys and
+blocks get the next ids, kept in a sorted array for lookup), and grows the
+state arrays by appending when new ids appear.  Feeding a trace as N
+chunks therefore runs exactly the loop iterations one whole-trace call
+would, on the same entries.
 
 Semantics are *defined elsewhere*: the pure-Python
 :class:`~repro.core.kernel.PredictorKernel` remains the normative oracle,
 and this backend refuses to activate until it reproduces the oracle's
 prediction stream bit for bit on the probe battery
-(:func:`repro.core.kernel_backends.kernel_probe_fingerprint`) -- an engine
-that fails the self-check is skipped, falling through to the next engine
-and ultimately to the pure-Python backend.  The full proof is the kernel
-conformance suite (``tests/core/test_kernel_conformance.py``).
+(:func:`repro.core.kernel_backends.kernel_probe_fingerprint`) -- a build
+that fails the self-check leaves the pure-Python backend in charge.  The
+full proof is the kernel conformance suite
+(``tests/core/test_kernel_conformance.py``), which also feeds every
+backend's stream at random chunk cuts.
 
 Build artifacts land in ``REPRO_KERNEL_CACHE`` (default: a per-user
 directory under the system temp dir), keyed by a hash of the C source, so
@@ -54,14 +58,14 @@ import numpy as np
 from repro.core.schemes import Scheme
 from repro.core.update import UpdateMode
 from repro.trace.events import SharingTrace
-from repro.util.bitmaps import BitmapLayout
+from repro.util.bitmaps import BitmapLayout, bitmap_layout
 
 logger = logging.getLogger("repro.core.kernel_native")
 
-#: update-mode codes shared by the C and numba engines
+#: update-mode codes understood by the C loop
 _MODE_CODES = {UpdateMode.DIRECT: 0, UpdateMode.FORWARDED: 1, UpdateMode.ORDERED: 2}
 
-#: prediction-function codes shared by the C and numba engines
+#: prediction-function codes understood by the C loop
 _FUNC_CODES = {"last": 0, "union": 1, "inter": 2, "overlap": 3, "pas": 4}
 
 #: widest bitmap-history ring the native state layout supports (uint8 ring
@@ -340,8 +344,6 @@ def _compile_library() -> Path:
 class _CEngine:
     """ctypes bindings over the compiled library (one instance per process)."""
 
-    name = "cc"
-
     def __init__(self) -> None:
         self._lib = ctypes.CDLL(str(_compile_library()))
         self._lib.repro_kernel_run.restype = ctypes.c_int
@@ -412,184 +414,103 @@ class _CEngine:
         return int(out[0]), int(out[1]), int(out[2])
 
 
-def _build_numba_engine():  # pragma: no cover - requires numba in the environment
-    """The ``@njit`` transcription of the C loop, when numba is importable.
-
-    A direct line-for-line port of ``repro_kernel_run`` over the same flat
-    arrays; scoring stays on the shared numpy path (the njit loop is the
-    part that buys the speedup).  Gated -- like the C engine -- behind the
-    probe self-check in :meth:`NativeKernelBackend.available`, so a numba
-    miscompile falls through to the C engine rather than shipping wrong
-    predictions.
-    """
-    import numba
-
-    @numba.njit(cache=False)
-    def run(mode, function, window, depth, num_nodes, n_words,
-            entries, blocks, has_inval, inval, truth,
-            bitmap_hist, ring_len, ring_pos, pas_hist, pas_counters,
-            pending, pred):
-        is_pas = function == 4
-        counters_per_entry = num_nodes << depth
-        history_mask = (1 << depth) - 1
-        for i in range(entries.shape[0]):
-            entry = entries[i]
-            for phase in range(3):
-                # phase 0: pre-prediction update, phase 1: predict,
-                # phase 2: post-prediction (ordered) update
-                target = entry
-                feedback_row = i
-                source_inval = True
-                if phase == 0:
-                    if mode == 0:
-                        if not has_inval[i]:
-                            continue
-                        target = entry
-                        feedback_row = i
-                        source_inval = True
-                    elif mode == 1:
-                        block = blocks[i]
-                        if has_inval[i]:
-                            predictor = pending[block]
-                            if predictor < 0:
-                                return 1
-                            target = predictor
-                            feedback_row = i
-                            source_inval = True
-                            pending[block] = entry
-                        else:
-                            pending[block] = entry
-                            continue
-                    else:
-                        continue
-                elif phase == 2:
-                    if mode != 2:
-                        continue
-                    target = entry
-                    feedback_row = i
-                    source_inval = False
-                if phase == 1:
-                    # predict into pred[i]
-                    for w in range(n_words):
-                        pred[i, w] = 0
-                    if is_pas:
-                        for node in range(num_nodes):
-                            slot = (entry * counters_per_entry
-                                    + (node << depth) + pas_hist[entry * num_nodes + node])
-                            if pas_counters[slot] >= 2:
-                                pred[i, node >> 6] |= np.uint64(1) << np.uint64(node & 63)
-                    else:
-                        length = ring_len[entry]
-                        base = entry * window
-                        if function == 3:  # overlap
-                            if length >= 1:
-                                newest = (ring_pos[entry] + window - 1) % window
-                                if length == 1:
-                                    for w in range(n_words):
-                                        pred[i, w] = bitmap_hist[base + newest, w]
-                                else:
-                                    prev = (ring_pos[entry] + window - 2) % window
-                                    overlap = np.uint64(0)
-                                    for w in range(n_words):
-                                        overlap |= (bitmap_hist[base + newest, w]
-                                                    & bitmap_hist[base + prev, w])
-                                    if overlap != np.uint64(0):
-                                        for w in range(n_words):
-                                            pred[i, w] = bitmap_hist[base + newest, w]
-                        elif function == 2:  # inter
-                            if length >= 1:
-                                for w in range(n_words):
-                                    pred[i, w] = bitmap_hist[base, w]
-                                for slot in range(1, length):
-                                    for w in range(n_words):
-                                        pred[i, w] &= bitmap_hist[base + slot, w]
-                        else:  # last / union
-                            for slot in range(length):
-                                for w in range(n_words):
-                                    pred[i, w] |= bitmap_hist[base + slot, w]
-                    continue
-                # apply the update selected by phase 0 / phase 2
-                if is_pas:
-                    for node in range(num_nodes):
-                        history = pas_hist[target * num_nodes + node]
-                        slot = target * counters_per_entry + (node << depth) + history
-                        if source_inval:
-                            bit = (inval[feedback_row, node >> 6]
-                                   >> np.uint64(node & 63)) & np.uint64(1)
-                        else:
-                            bit = (truth[feedback_row, node >> 6]
-                                   >> np.uint64(node & 63)) & np.uint64(1)
-                        if bit != np.uint64(0):
-                            if pas_counters[slot] < 3:
-                                pas_counters[slot] += 1
-                            pas_hist[target * num_nodes + node] = (
-                                (history << 1) | 1
-                            ) & history_mask
-                        else:
-                            if pas_counters[slot] > 0:
-                                pas_counters[slot] -= 1
-                            pas_hist[target * num_nodes + node] = (history << 1) & history_mask
-                else:
-                    slot = target * window + ring_pos[target]
-                    for w in range(n_words):
-                        if source_inval:
-                            bitmap_hist[slot, w] = inval[feedback_row, w]
-                        else:
-                            bitmap_hist[slot, w] = truth[feedback_row, w]
-                    ring_pos[target] = (ring_pos[target] + 1) % window
-                    if ring_len[target] < window:
-                        ring_len[target] += 1
-        return 0
-
-    class _NumbaEngine:
-        name = "numba"
-
-        def run(self, mode, function, window, depth, num_nodes, n_words,
-                entries, blocks, has_inval, inval, truth, state, pred):
-            return run(
-                mode, function, window, depth, num_nodes, n_words,
-                entries, blocks, has_inval, inval, truth,
-                state.bitmap_hist.reshape(-1, n_words),
-                state.ring_len, state.ring_pos,
-                state.pas_hist, state.pas_counters, state.pending, pred,
-            )
-
-        score = None  # numba engine scores on the shared numpy path
-
-    return _NumbaEngine()
-
-
 class NativeState:
-    """Flat per-run predictor state, allocated numpy-side.
+    """Flat per-stream predictor state, allocated numpy-side.
 
-    One instance per (scheme, trace) run -- predictor tables never carry
-    over between traces.  Unused family arrays are zero-length (the C side
-    only dereferences the family it was asked to run).
+    One instance per (scheme, trace) stream -- predictor tables never carry
+    over between traces.  Arrays start empty and :meth:`grow` appends fresh
+    entries (and blocks) as a stream meets new ids, so existing state never
+    moves.  The family the stream does not run keeps zero-length arrays
+    (the C side only dereferences the family it was asked to run).
     """
 
     __slots__ = ("bitmap_hist", "ring_len", "ring_pos", "pas_hist",
-                 "pas_counters", "pending")
+                 "pas_counters", "pending", "_per_entry", "_entries")
 
     def __init__(
-        self, is_pas: bool, n_entries: int, n_blocks: int,
-        window: int, depth: int, num_nodes: int, n_words: int,
+        self, is_pas: bool, window: int, depth: int, num_nodes: int, n_words: int
     ) -> None:
+        # (attribute, dtype, values per entry, initial value); PAs counters
+        # start weakly-not-shared (twolevel._COUNTER_INIT)
         if is_pas:
-            self.bitmap_hist = np.zeros(0, dtype=np.uint64)
-            self.ring_len = np.zeros(0, dtype=np.uint8)
-            self.ring_pos = np.zeros(0, dtype=np.uint8)
-            self.pas_hist = np.zeros(n_entries * num_nodes, dtype=np.uint32)
-            # counters start weakly-not-shared (twolevel._COUNTER_INIT)
-            self.pas_counters = np.full(
-                n_entries * (num_nodes << depth), 1, dtype=np.uint8
+            self._per_entry = (
+                ("pas_hist", np.uint32, num_nodes, 0),
+                ("pas_counters", np.uint8, num_nodes << depth, 1),
             )
         else:
-            self.bitmap_hist = np.zeros(n_entries * window * n_words, dtype=np.uint64)
-            self.ring_len = np.zeros(n_entries, dtype=np.uint8)
-            self.ring_pos = np.zeros(n_entries, dtype=np.uint8)
-            self.pas_hist = np.zeros(0, dtype=np.uint32)
-            self.pas_counters = np.zeros(0, dtype=np.uint8)
-        self.pending = np.full(max(n_blocks, 1), -1, dtype=np.int32)
+            self._per_entry = (
+                ("bitmap_hist", np.uint64, window * n_words, 0),
+                ("ring_len", np.uint8, 1, 0),
+                ("ring_pos", np.uint8, 1, 0),
+            )
+        self.bitmap_hist = np.zeros(0, dtype=np.uint64)
+        self.ring_len = np.zeros(0, dtype=np.uint8)
+        self.ring_pos = np.zeros(0, dtype=np.uint8)
+        self.pas_hist = np.zeros(0, dtype=np.uint32)
+        self.pas_counters = np.zeros(0, dtype=np.uint8)
+        self.pending = np.zeros(0, dtype=np.int32)
+        self._entries = 0
+
+    def grow(self, n_entries: int, n_blocks: int) -> None:
+        """Append initial state for entries and blocks not yet allocated."""
+        added = n_entries - self._entries
+        if added > 0:
+            for attribute, dtype, size, initial in self._per_entry:
+                fresh = np.full(added * size, initial, dtype=dtype)
+                setattr(self, attribute, _append(getattr(self, attribute), fresh))
+            self._entries = n_entries
+        added = n_blocks - len(self.pending)
+        if added > 0:
+            # -1: no epoch of this block has predicted yet
+            self.pending = _append(self.pending, np.full(added, -1, dtype=np.int32))
+
+
+def _append(array: np.ndarray, fresh: np.ndarray) -> np.ndarray:
+    """``array`` extended by ``fresh`` (no copy when ``array`` is empty)."""
+    return np.concatenate([array, fresh]) if len(array) else fresh
+
+
+class _DenseIds:
+    """Dense int32 ids for int64 values, stable across chunks.
+
+    Ids are handed out in order of first appearance, per chunk in sorted
+    value order, so a one-chunk stream numbers values exactly as
+    ``np.unique(..., return_inverse=True)`` would.  Known values live in a
+    sorted array that each chunk's new values are merged into.
+    """
+
+    __slots__ = ("_values", "_ids")
+
+    def __init__(self) -> None:
+        self._values = np.zeros(0, dtype=np.int64)
+        self._ids = np.zeros(0, dtype=np.int32)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def lookup(self, values: np.ndarray) -> np.ndarray:
+        """The id of every value, assigning fresh ids to unseen ones."""
+        unique, inverse = np.unique(
+            np.asarray(values, dtype=np.int64), return_inverse=True
+        )
+        inverse = inverse.reshape(-1)
+        if not len(self):
+            # first chunk: the ids are the sorted ranks np.unique assigns
+            self._values = unique
+            self._ids = np.arange(len(unique), dtype=np.int32)
+            return inverse.astype(np.int32)
+        at = np.searchsorted(self._values, unique)
+        known = at < len(self._values)
+        known[known] = self._values[at[known]] == unique[known]
+        ids = np.empty(len(unique), dtype=np.int32)
+        ids[known] = self._ids[at[known]]
+        fresh = ~known
+        count = int(fresh.sum())
+        if count:
+            ids[fresh] = np.arange(len(self), len(self) + count, dtype=np.int32)
+            self._values = np.insert(self._values, at[fresh], unique[fresh])
+            self._ids = np.insert(self._ids, at[fresh], ids[fresh])
+        return ids[inverse]
 
 
 def _to_word_rows(column: np.ndarray, layout: BitmapLayout) -> np.ndarray:
@@ -608,6 +529,96 @@ def _from_word_rows(words: np.ndarray, layout: BitmapLayout) -> np.ndarray:
     return words.reshape(-1).astype(layout.dtype)
 
 
+def _window(scheme: Scheme) -> int:
+    return 2 if scheme.function == "overlap" else scheme.depth
+
+
+class NativeKernelStream:
+    """One scheme's compiled-loop state over one trace, fed chunk by chunk.
+
+    ``chunk`` is anything with the trace column surface (a
+    :class:`~repro.trace.source.TraceChunk` or a whole ``SharingTrace``);
+    ``keys`` is its :func:`~repro.core.vectorized.compute_keys` stream.
+    """
+
+    __slots__ = ("_engine", "_layout", "_num_nodes", "_mode", "_function",
+                 "_window", "_depth", "_keys", "_blocks", "_state")
+
+    def __init__(self, engine: _CEngine, scheme: Scheme, num_nodes: int) -> None:
+        self._engine = engine
+        self._layout = bitmap_layout(num_nodes)
+        self._num_nodes = num_nodes
+        self._mode = _MODE_CODES[scheme.update]
+        self._function = _FUNC_CODES[scheme.function]
+        self._window = _window(scheme)
+        self._depth = scheme.depth
+        self._keys = _DenseIds()
+        self._blocks = _DenseIds()
+        self._state = NativeState(
+            scheme.function == "pas", self._window, scheme.depth, num_nodes,
+            self._layout.n_words,
+        )
+
+    def _run(self, chunk, keys: np.ndarray) -> np.ndarray:
+        """Drive the compiled loop over one chunk; returns prediction word rows."""
+        layout = self._layout
+        entries = self._keys.lookup(keys)
+        blocks = self._blocks.lookup(chunk.block)
+        self._state.grow(len(self._keys), len(self._blocks))
+        pred = np.zeros((len(entries), layout.n_words), dtype=np.uint64)
+        status = self._engine.run(
+            self._mode,
+            self._function,
+            self._window,
+            self._depth,
+            self._num_nodes,
+            layout.n_words,
+            entries,
+            blocks,
+            np.ascontiguousarray(chunk.has_inval, dtype=np.uint8),
+            _to_word_rows(chunk.inval, layout),
+            _to_word_rows(chunk.truth, layout),
+            self._state,
+            pred,
+        )
+        if status != 0:
+            raise ValueError(
+                "native kernel: has_inval set on an event whose block has no "
+                "open epoch (inconsistent trace)"
+            )
+        return pred
+
+    def feed(self, chunk, keys: np.ndarray) -> np.ndarray:
+        """Raw (unmasked) predictions for the chunk, in the trace's layout."""
+        if len(chunk) == 0:
+            return self._layout.zeros(0)
+        return _from_word_rows(self._run(chunk, keys), self._layout)
+
+    def evaluate(
+        self, chunk, keys: np.ndarray, exclude_writer: bool
+    ) -> Tuple[int, int, int, int]:
+        """Fused predict + popcount confusion counting, all compiled.
+
+        Returns the chunk's ``(tp, fp, fn, tn)`` quad -- bit-identical to
+        masking :meth:`feed` and scoring it on the shared numpy path,
+        enforced by the conformance suite.
+        """
+        if len(chunk) == 0:
+            return 0, 0, 0, 0
+        layout = self._layout
+        pred = self._run(chunk, keys)
+        tp, fp, fn = self._engine.score(
+            pred,
+            _to_word_rows(chunk.truth, layout),
+            np.ascontiguousarray(layout.mask_words, dtype=np.uint64),
+            np.ascontiguousarray(chunk.writer, dtype=np.int64),
+            exclude_writer,
+            layout.n_words,
+        )
+        total = len(chunk) * self._num_nodes
+        return tp, fp, fn, total - tp - fp - fn
+
+
 class NativeKernelBackend:
     """The compiled kernel backend (registry name: ``native``).
 
@@ -621,146 +632,62 @@ class NativeKernelBackend:
     name = "native"
 
     def __init__(self) -> None:
-        self._engine = None
+        self._engine: Optional[_CEngine] = None
         self._checked = False
 
-    # -- availability ---------------------------------------------------
-
     def available(self) -> bool:
-        """Compile (or import) an engine and gate it behind the self-check.
+        """Build the C library and gate it behind the oracle self-check.
 
-        Engines are tried in preference order (numba, then the C build);
-        the first whose probe fingerprint matches the pure-Python oracle
-        wins.  The result is cached for the process lifetime.
+        The result is cached for the process lifetime.
         """
         if self._checked:
             return self._engine is not None
         self._checked = True
         from repro.core.kernel_backends import kernel_selfcheck
 
-        for build in (self._try_numba, self._try_cc):
-            engine = build()
-            if engine is None:
-                continue
-            self._engine = engine
-            try:
-                if kernel_selfcheck(self):
-                    logger.debug("native kernel engine %s passed self-check", engine.name)
-                    return True
-                logger.warning(
-                    "native kernel engine %s failed the oracle self-check; skipping",
-                    engine.name,
-                )
-            except Exception as error:  # noqa: BLE001 - any engine failure skips it
-                logger.warning(
-                    "native kernel engine %s raised during self-check (%s: %s); skipping",
-                    engine.name, type(error).__name__, error,
-                )
-            self._engine = None
-        return False
-
-    def _try_numba(self):
         try:
-            import numba  # noqa: F401
-        except ImportError:
-            return None
-        try:  # pragma: no cover - requires numba in the environment
-            return _build_numba_engine()
-        except Exception as error:  # noqa: BLE001  # pragma: no cover
-            logger.warning(
-                "numba kernel engine failed to build (%s: %s); trying the C engine",
-                type(error).__name__, error,
-            )
-            return None
-
-    def _try_cc(self):
-        try:
-            return _CEngine()
+            self._engine = _CEngine()
         except (OSError, RuntimeError) as error:
             logger.warning(
                 "C kernel engine unavailable (%s: %s)", type(error).__name__, error
             )
-            return None
-
-    @property
-    def engine_name(self) -> Optional[str]:
-        """Which compiled engine is active ("numba" or "cc"), or ``None``."""
-        return self._engine.name if self._engine is not None else None
-
-    # -- the backend contract -------------------------------------------
+            return False
+        try:
+            if kernel_selfcheck(self):
+                logger.debug("native kernel passed the oracle self-check")
+                return True
+            logger.warning("native kernel failed the oracle self-check; skipping")
+        except Exception as error:  # noqa: BLE001 - any engine failure skips it
+            logger.warning(
+                "native kernel raised during self-check (%s: %s); skipping",
+                type(error).__name__, error,
+            )
+        self._engine = None
+        return False
 
     def supports(self, scheme: Scheme) -> bool:
         function = scheme.function
         if function == "pas":
             return scheme.depth <= MAX_NATIVE_PAS_DEPTH
         if function in ("last", "union", "inter", "overlap"):
-            return self._window(scheme) <= MAX_NATIVE_WINDOW
+            return _window(scheme) <= MAX_NATIVE_WINDOW
         return False
 
-    @staticmethod
-    def _window(scheme: Scheme) -> int:
-        return 2 if scheme.function == "overlap" else scheme.depth
-
-    def _run(
-        self, scheme: Scheme, trace: SharingTrace, keys: np.ndarray
-    ) -> Tuple[np.ndarray, NativeState]:
-        """Drive the compiled loop; returns (prediction word rows, state)."""
+    def stream(self, scheme: Scheme, num_nodes: int) -> NativeKernelStream:
+        """Fresh resumable state for one (scheme, trace) run."""
         if self._engine is None and not self.available():
             raise RuntimeError(
                 "native kernel backend is unavailable on this machine; "
-                "route through repro.core.kernel_backends.kernel_predict, "
+                "route through repro.core.kernel_backends.kernel_stream, "
                 "which falls back to the pure-Python backend"
             )
-        layout = trace.layout
-        n_words = layout.n_words
-        is_pas = scheme.function == "pas"
-        _, entries = np.unique(np.asarray(keys, dtype=np.int64), return_inverse=True)
-        entries = np.ascontiguousarray(entries, dtype=np.int32)
-        blocks_unique, blocks = np.unique(trace.block, return_inverse=True)
-        blocks = np.ascontiguousarray(blocks, dtype=np.int32)
-        has_inval = np.ascontiguousarray(trace.has_inval, dtype=np.uint8)
-        inval = _to_word_rows(trace.inval, layout)
-        truth = _to_word_rows(trace.truth, layout)
-        state = NativeState(
-            is_pas=is_pas,
-            n_entries=int(entries.max()) + 1 if len(entries) else 0,
-            n_blocks=len(blocks_unique),
-            window=self._window(scheme),
-            depth=scheme.depth,
-            num_nodes=trace.num_nodes,
-            n_words=n_words,
-        )
-        pred = np.zeros((len(trace), n_words), dtype=np.uint64)
-        status = self._engine.run(
-            _MODE_CODES[scheme.update],
-            _FUNC_CODES[scheme.function],
-            self._window(scheme),
-            scheme.depth,
-            trace.num_nodes,
-            n_words,
-            entries,
-            blocks,
-            has_inval,
-            inval,
-            truth,
-            state,
-            pred,
-        )
-        if status != 0:
-            raise ValueError(
-                "native kernel: has_inval set on an event whose block has no "
-                "open epoch (inconsistent trace)"
-            )
-        return pred, state
+        return NativeKernelStream(self._engine, scheme, num_nodes)
 
     def predict(
         self, scheme: Scheme, trace: SharingTrace, keys: np.ndarray
     ) -> np.ndarray:
-        """Raw (unmasked) per-event predictions in the trace's layout."""
-        if len(trace) == 0:
-            return trace.layout.zeros(0)
-        pred, _state = self._run(scheme, trace, keys)
-        return _from_word_rows(pred, trace.layout)
+        """Raw (unmasked) per-event predictions: one whole-trace chunk."""
+        return self.stream(scheme, trace.num_nodes).feed(trace, keys)
 
     def evaluate(
         self,
@@ -769,27 +696,7 @@ class NativeKernelBackend:
         keys: np.ndarray,
         exclude_writer: bool,
     ) -> Tuple[int, int, int, int]:
-        """Fused predict + popcount confusion counting, all compiled.
-
-        Returns the ``(tp, fp, fn, tn)`` quad -- bit-identical to masking
-        :meth:`predict` and scoring it on the shared numpy path, enforced
-        by the conformance suite.
-        """
-        layout = trace.layout
-        if len(trace) == 0:
-            return 0, 0, 0, 0
-        pred, _state = self._run(scheme, trace, keys)
-        if self._engine.score is None:  # pragma: no cover - numba engine only
-            from repro.core.kernel_backends import score_predictions
-
-            return score_predictions(
-                _from_word_rows(pred, layout), scheme, trace, exclude_writer
-            )
-        mask_words = np.ascontiguousarray(layout.mask_words, dtype=np.uint64)
-        truth = _to_word_rows(trace.truth, layout)
-        writers = np.ascontiguousarray(trace.writer, dtype=np.int64)
-        tp, fp, fn = self._engine.score(
-            pred, truth, mask_words, writers, exclude_writer, layout.n_words
+        """The fused ``(tp, fp, fn, tn)`` quad: one whole-trace chunk."""
+        return self.stream(scheme, trace.num_nodes).evaluate(
+            trace, keys, exclude_writer
         )
-        total = len(trace) * trace.num_nodes
-        return tp, fp, fn, total - tp - fp - fn

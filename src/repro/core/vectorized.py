@@ -24,15 +24,20 @@ Delivery times are unique within a mode (an event closes at most one epoch),
 so one ``searchsorted`` over a composite ``(key, time)`` ordering recovers
 each prediction's history window exactly.
 
-The expensive parts of a sweep are *shared*, not per-scheme, and the module
-is factored accordingly so :mod:`repro.core.plan` can reuse them:
+The pass that turns this labelling into predictions -- the feedback sort,
+``searchsorted`` and history gather -- is
+:class:`repro.core.windowed.StreamedBitmapGroup`, which runs it chunk by
+chunk with each key's recent history carried between chunks; a resident
+trace is simply one chunk.  This module keeps the pieces of math around it
+that every evaluation shares:
 
 * :func:`compute_keys` depends only on the :class:`IndexSpec`, so every
   scheme in an index group reads the same key stream;
-* :class:`_BitmapPass` -- the feedback sort + ``searchsorted`` + history
-  gather -- depends only on ``(keys, update mode, max window)``, so all
-  depths and functions of a bitmap batch reduce over one pass via
-  :func:`_reduce_bitmap`.
+* :func:`_reduce_bitmap` folds one prediction function over a gathered
+  history window; one gather at a batch's maximum window serves every
+  depth and function in the batch;
+* :func:`_score` is the scorer every bitmap prediction column goes
+  through.
 
 PAs entries carry counter state that depends on the full feedback sequence,
 not a window, so they (and arbitrary
@@ -44,23 +49,26 @@ backend registry (:mod:`repro.core.kernel_backends`): the compiled
 registry contract.  Either way the update-timing state machine is shared
 with the reference evaluator by construction.
 
-``evaluate_scheme_fast`` is property-tested against the reference evaluator
-in ``tests/core/test_vectorized_equivalence.py``.
+:func:`predict_scheme_fast` and :func:`evaluate_scheme_fast` are the
+one-scheme, one-trace entry points into the single evaluation path
+(:func:`repro.core.windowed.predict_stream` and
+:func:`repro.core.plan.evaluate_plan`); ``evaluate_scheme_fast`` is
+property-tested against the reference evaluator in
+``tests/core/test_vectorized_equivalence.py``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.indexing import IndexSpec
-from repro.core.kernel_backends import kernel_evaluate, kernel_predict, score_predictions
+from repro.core.kernel_backends import score_predictions
 from repro.core.schemes import Scheme
-from repro.core.update import UpdateMode
 from repro.metrics.confusion import ConfusionCounts
 from repro.trace.events import SharingTrace
-from repro.util.bitmaps import POPCOUNT16
+from repro.trace.source import TraceSource
 
 _BITMAP_FUNCTIONS = ("last", "union", "inter", "overlap")
 
@@ -69,7 +77,6 @@ def predict_scheme_fast(
     scheme: Scheme,
     trace: SharingTrace,
     exclude_writer: bool = True,
-    keys: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The per-event prediction bitmaps ``scheme`` emits over ``trace``.
 
@@ -77,52 +84,39 @@ def predict_scheme_fast(
     :class:`~repro.util.bitmaps.BitmapLayout` representation (``uint32``
     for paper-sized machines) -- the fast-path counterpart of
     :func:`repro.core.evaluator.predict_scheme`, and the array
-    :func:`repro.forwarding.replay_traffic` consumes.
-
-    ``keys`` optionally supplies a precomputed :func:`compute_keys` stream
-    for ``scheme.index`` (the sweep planner's key cache); omitted, the keys
-    are computed here.  Passing cached keys is bit-identical by definition
-    -- the same function produced them.
+    :func:`repro.forwarding.replay_traffic` consumes.  The resident trace
+    is the one chunk of :func:`repro.core.windowed.predict_stream`.
     """
+    # imported here: windowed builds on this module's math
+    from repro.core.windowed import predict_stream
+
     if len(trace) == 0:
         return trace.layout.zeros(0)
-    if keys is None:
-        keys = compute_keys(scheme.index, trace)
-    if scheme.function in _BITMAP_FUNCTIONS:
-        window = _bitmap_window(scheme)
-        shared = _BitmapPass(trace, keys, scheme.update, window)
-        predictions = _reduce_bitmap(scheme.function, window, shared, trace.num_nodes)
-    else:
-        # Per-event families (PAs counters, confidence-gated extensions):
-        # the kernel backend registry picks the compiled loop when one is
-        # available, the pure-Python PredictorKernel otherwise.
-        predictions = _predict_kernel(scheme, trace, keys)
-
-    if exclude_writer:
-        predictions = predictions & ~trace.layout.writer_bits(trace.writer)
+    [(_, predictions)] = predict_stream(scheme, trace, exclude_writer)
     return predictions
 
 
 def evaluate_scheme_fast(
     scheme: Scheme,
-    trace: SharingTrace,
+    trace: Union[SharingTrace, TraceSource],
     exclude_writer: bool = True,
     counts: Optional[ConfusionCounts] = None,
 ) -> ConfusionCounts:
-    """Drop-in fast replacement for :func:`repro.core.evaluator.evaluate_scheme`."""
+    """Drop-in fast replacement for :func:`repro.core.evaluator.evaluate_scheme`.
+
+    A one-scheme :func:`repro.core.plan.evaluate_plan`, so ``trace`` may
+    also be a streamed source; the counts are merged into ``counts`` when
+    one is given.
+    """
+    # imported here: the planner builds on this module's math
+    from repro.core.plan import SweepPlan, evaluate_plan
+
+    [[result]] = evaluate_plan(
+        SweepPlan([scheme]), [trace], exclude_writer=exclude_writer
+    )
     if counts is None:
-        counts = ConfusionCounts()
-    if len(trace) == 0:
-        return counts
-    if scheme.function in _BITMAP_FUNCTIONS:
-        predictions = predict_scheme_fast(scheme, trace, exclude_writer=exclude_writer)
-        _score(predictions, trace, counts)
-    else:
-        # Per-event families go through the registry's fused path, so a
-        # native backend predicts *and* scores without materializing the
-        # prediction column in Python (popcount confusion counting in C).
-        keys = compute_keys(scheme.index, trace)
-        _merge_quad(counts, kernel_evaluate(scheme, trace, keys, exclude_writer))
+        return result
+    counts.merge(result)
     return counts
 
 
@@ -166,73 +160,13 @@ def _bitmap_window(scheme: Scheme) -> int:
     return 2 if scheme.function == "overlap" else scheme.depth
 
 
-def _feedback_stream(
-    mode: UpdateMode, trace: SharingTrace, keys: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
-    """Return (feedback keys, values, delivery times, searchsorted side)."""
-    length = len(trace)
-    if mode is UpdateMode.DIRECT:
-        selector = trace.has_inval
-        return keys[selector], trace.inval[selector], np.nonzero(selector)[0], "right"
-    if mode is UpdateMode.FORWARDED:
-        selector = trace.close < length
-        return keys[selector], trace.truth[selector], trace.close[selector], "right"
-    if mode is UpdateMode.ORDERED:
-        return keys, trace.truth, np.arange(length, dtype=np.int64), "left"
-    raise AssertionError(f"unhandled update mode {mode}")  # pragma: no cover
-
-
-class _BitmapPass:
-    """The shared per-(key stream, update mode) trace pass.
-
-    Sorts the mode's feedback stream into composite ``(key, time)`` order,
-    locates every prediction's history window with two ``searchsorted``
-    calls, and gathers up to ``window`` most-recent feedback bitmaps per
-    event.  Everything here is independent of the prediction function and
-    of any depth ``<= window``: slot *s* of :attr:`gathered` is the
-    *(s+1)*-th most recent feedback (zero-filled outside the window), so a
-    scheme of depth ``d`` simply reduces over the first ``d`` slots.  That
-    is the whole shared-pass trick -- one sort and one gather score an
-    entire batch of bitmap schemes.
-    """
-
-    __slots__ = ("length", "layout", "available", "gathered")
-
-    def __init__(
-        self, trace: SharingTrace, keys: np.ndarray, mode: UpdateMode, window: int
-    ) -> None:
-        length = len(trace)
-        layout = trace.layout
-        fb_keys, fb_values, fb_times, side = _feedback_stream(mode, trace, keys)
-
-        # Composite (key, time) ordering.  time <= length, so (length + 1)
-        # keeps keys in distinct, non-overlapping ranges.
-        stride = np.int64(length + 1)
-        fb_composite = fb_keys * stride + fb_times
-        order = np.argsort(fb_composite, kind="stable")
-        fb_composite = fb_composite[order]
-        fb_values = fb_values[order].astype(layout.dtype)
-
-        use_composite = keys * stride + np.arange(length, dtype=np.int64)
-        positions = np.searchsorted(fb_composite, use_composite, side=side)
-        group_starts = np.searchsorted(fb_composite, keys * stride, side="left")
-
-        self.length = length
-        self.layout = layout
-        #: feedback values already delivered to each event's entry
-        self.available = positions - group_starts
-        self.gathered = layout.gather_zeros(window, length)
-        for slot in range(1, window + 1):
-            indices = positions - slot
-            in_window = indices >= group_starts
-            self.gathered[slot - 1, in_window] = fb_values[indices[in_window]]
-
-
-def _reduce_bitmap(
-    function: str, window: int, shared: _BitmapPass, num_nodes: int
-) -> np.ndarray:
+def _reduce_bitmap(function: str, window: int, shared, num_nodes: int) -> np.ndarray:
     """Fold one scheme's prediction function over a shared bitmap pass.
 
+    ``shared`` is a :class:`repro.core.windowed.StreamedBitmapGroup` pass
+    over one chunk: slot *s* of ``shared.gathered`` is each event's
+    *(s+1)*-th most recent feedback (zero outside the window) and
+    ``shared.available`` the feedback count its entry has seen.
     ``window`` is the scheme's own slot count and may be smaller than the
     pass's gather width (the planner gathers once at the batch maximum).
     """
@@ -263,32 +197,8 @@ def _reduce_bitmap(
 
 
 # ----------------------------------------------------------------------
-# Per-event families (PAs and arbitrary prediction functions)
-# ----------------------------------------------------------------------
-
-
-def _predict_kernel(scheme: Scheme, trace: SharingTrace, keys: np.ndarray) -> np.ndarray:
-    """Per-event evaluation via the active kernel backend.
-
-    Same update timing as the reference evaluator by construction (every
-    backend is held to :class:`~repro.core.kernel.PredictorKernel` by the
-    conformance suite), but keyed by the vectorized key stream and
-    producing the raw prediction array so scoring/masking stay shared with
-    the fast paths.
-    """
-    return kernel_predict(scheme, trace, keys)
-
-
-# ----------------------------------------------------------------------
 # Scoring
 # ----------------------------------------------------------------------
-
-
-def _popcount_array(values: np.ndarray) -> np.ndarray:
-    """Population count of a uint32 array via the 16-bit lookup table."""
-    low = POPCOUNT16[values & np.uint32(0xFFFF)]
-    high = POPCOUNT16[values >> np.uint32(16)]
-    return low.astype(np.int64) + high.astype(np.int64)
 
 
 def _merge_quad(counts: ConfusionCounts, quad: Tuple[int, int, int, int]) -> None:
@@ -303,13 +213,3 @@ def _score(predictions: np.ndarray, trace: SharingTrace, counts: ConfusionCounts
     """Score an already-masked prediction column (delegates to the one
     normative scorer in :mod:`repro.core.kernel_backends`)."""
     _merge_quad(counts, score_predictions(predictions, trace, exclude_writer=False))
-
-
-def evaluate_scheme_fast_multi(
-    scheme: Scheme, traces, exclude_writer: bool = True
-) -> ConfusionCounts:
-    """Evaluate one scheme across several traces (fresh state per trace)."""
-    counts = ConfusionCounts()
-    for trace in traces:
-        evaluate_scheme_fast(scheme, trace, exclude_writer=exclude_writer, counts=counts)
-    return counts

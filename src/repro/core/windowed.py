@@ -1,13 +1,15 @@
-"""Streamed scheme evaluation: the vectorized passes over event windows.
+"""Chunked scheme evaluation: the bitmap-history pass over event windows.
 
-:mod:`repro.core.vectorized` assumes resident traces -- one global sort
-of the feedback stream, one ``searchsorted`` over all events.  This
-module runs the *same* math per :class:`~repro.trace.source.TraceChunk`,
-carrying exactly the state a bitmap-history predictor actually needs
-between windows, so a multi-gigabyte ``.rtrace`` evaluates at
-O(chunk + carried state) memory while staying **bit-identical** to the
-resident path (asserted over the golden fixtures by
-``tests/trace/test_stream_equivalence.py``).
+Every evaluation reads a trace as a sequence of
+:class:`~repro.trace.source.TraceChunk` windows
+(:func:`~repro.trace.source.trace_chunks`): a streamed ``.rtrace`` in its
+own chunks, a resident trace as exactly one zero-copy chunk.  This module
+runs the bitmap-history math of :mod:`repro.core.vectorized` per chunk,
+carrying exactly the state a bitmap-history predictor needs between
+windows, so a multi-gigabyte ``.rtrace`` evaluates at O(chunk + carried
+state) memory and every chunking of a trace yields **bit-identical**
+results (asserted over the golden fixtures by
+``tests/engine/test_stream_equivalence.py``).
 
 Carried-history construction
 ----------------------------
@@ -18,9 +20,8 @@ prediction times are expressed as ``absolute - s + W``, which leaves the
 band ``[0, W)`` free *below* every real event.  Into that band we inject
 each key's carried history -- its up-to-``W`` most recent feedback
 values from previous chunks, the *k*-th most recent at time ``W-1-k``.
-Then one :class:`~repro.core.vectorized._BitmapPass`-shaped sort +
-``searchsorted`` + gather over (carried + local) feedback reproduces the
-resident pass exactly, because
+Then one sort + ``searchsorted`` + gather over (carried + local) feedback
+recovers each prediction's history window exactly, because
 
 * slot *k* of the gather is the *(k+1)*-th most recent feedback, and the
   most recent ``min(W, true count)`` values are all present;
@@ -29,32 +30,33 @@ resident pass exactly, because
   (``> slot`` for ``slot < W``, ``== 0``, ``>= 2``): if the true count
   exceeds ``W``, both sides exceed every threshold; below ``W`` they are
   equal.  (Chunk-size invariance is property-tested in
-  ``tests/trace/test_source.py``.)
+  ``tests/core/test_plan.py``.)
 
 After the pass, each key's new carried history is read off the sorted
 feedback (the per-key tail of carried + locally delivered values), so
 the state is self-renewing.  FORWARDED deliveries whose closing event
 falls beyond the chunk wait in a pending queue keyed by absolute
 delivery time; entries whose epoch never closes (``close == len``) are
-simply never released -- the same ``close < length`` selector as the
-resident pass.
+simply never released.  On the source's final chunk there is no next
+chunk to carry state into, so the renewal and the queueing are skipped --
+a one-chunk resident trace costs one pass and nothing more.
 
 Per-event families (PAs counters, confidence-gated functions) carry
-their state in a :class:`~repro.core.kernel.KernelStream` -- the
-pure-Python oracle's table fed window by window.  The compiled native
-backend has no resumable entry points, so streamed evaluation always
-uses the oracle loop for these families; the backend registry's
-conformance contract (native == python bit-for-bit) is what keeps
-streamed results identical under either ``REPRO_KERNEL`` setting.
+their state in a kernel-backend stream
+(:func:`repro.core.kernel_backends.kernel_stream`) -- the compiled native
+loop's flat arrays or the pure-Python oracle's table -- fed chunk by
+chunk; the registry's conformance contract (native == python bit for bit,
+at any chunking) is what keeps results identical under either
+``REPRO_KERNEL`` setting.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Tuple, Union
 
 import numpy as np
 
-from repro.core.kernel import KernelStream, PasOps
+from repro.core.kernel_backends import PythonKernelStream, kernel_stream
 from repro.core.schemes import Scheme
 from repro.core.update import UpdateMode
 from repro.core.vectorized import (
@@ -63,21 +65,18 @@ from repro.core.vectorized import (
     _reduce_bitmap,
     compute_keys,
 )
-from repro.core.kernel_backends import score_predictions
-from repro.metrics.confusion import ConfusionCounts
 from repro.trace.events import SharingTrace
-from repro.trace.source import TraceChunk, TraceSource, as_source
+from repro.trace.source import TraceChunk, TraceSource, trace_chunks
 from repro.util.bitmaps import BitmapLayout
+
+#: the pure-Python backend's per-event stream, under the name the
+#: benchmark's traced runs wrap (``perfbench/tracing.py``); evaluation
+#: reaches it through :func:`repro.core.kernel_backends.kernel_stream`
+_KernelSchemeState = PythonKernelStream
 
 
 class _WindowView:
-    """Duck-typed stand-in for ``_BitmapPass`` over one chunk's gather.
-
-    Carries exactly the four attributes
-    :func:`repro.core.vectorized._reduce_bitmap` reads, so the streamed
-    path folds prediction functions through the *same* reduction code as
-    the resident planner.
-    """
+    """One chunk's gathered history, as :func:`_reduce_bitmap` reads it."""
 
     __slots__ = ("length", "layout", "available", "gathered")
 
@@ -91,12 +90,11 @@ class _WindowView:
 class StreamedBitmapGroup:
     """Carried state for all bitmap schemes sharing one (index, mode).
 
-    The streamed counterpart of the planner's shared pass: one feedback
-    sort + gather per chunk at the group's maximum window serves every
-    depth in the group (smaller windows reduce over a slot prefix).
-    State between chunks is ``(keys, counts, values)`` -- for each key
-    with history, its up-to-``window`` most recent feedback bitmaps --
-    plus, for FORWARDED, the pending not-yet-closed deliveries.
+    One feedback sort + gather per chunk at the group's maximum window
+    serves every depth in the group (smaller windows reduce over a slot
+    prefix).  State between chunks is ``(keys, counts, values)`` -- for
+    each key with history, its up-to-``window`` most recent feedback
+    bitmaps -- plus, for FORWARDED, the pending not-yet-closed deliveries.
     """
 
     def __init__(self, mode: UpdateMode, layout: BitmapLayout, window: int):
@@ -111,31 +109,30 @@ class StreamedBitmapGroup:
         self._values = layout.gather_zeros(window, 0)
         # FORWARDED deliveries waiting for their closing event (absolute
         # delivery times); epochs that never close (time == len) simply
-        # stay queued, matching the resident `close < length` selector
+        # stay queued
         self._pending_keys = np.zeros(0, dtype=np.int64)
         self._pending_times = np.zeros(0, dtype=np.int64)
         self._pending_values = layout.zeros(0)
 
     def _local_feedback(
-        self, chunk: TraceChunk, keys: np.ndarray
+        self, chunk: TraceChunk, keys: np.ndarray, final: bool
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, str]:
         """This chunk's feedback stream in local time (absolute - s + W)."""
         window = self.window
-        start = chunk.start
         end = chunk.end
         if self.mode is UpdateMode.DIRECT:
             selector = chunk.has_inval
             return (
                 keys[selector],
                 chunk.inval[selector],
-                np.nonzero(selector)[0].astype(np.int64) + window,
+                np.nonzero(selector)[0] + window,
                 "right",
             )
         if self.mode is UpdateMode.ORDERED:
             return (
                 keys,
                 chunk.truth,
-                np.arange(len(chunk), dtype=np.int64) + window,
+                np.arange(window, window + len(chunk), dtype=np.int64),
                 "left",
             )
         if self.mode is not UpdateMode.FORWARDED:  # pragma: no cover
@@ -144,22 +141,23 @@ class StreamedBitmapGroup:
         # deliver locally; ones closing later queue as pending.  Queued
         # epochs from earlier chunks whose close falls in [start, end)
         # are released now.
+        shift = window - chunk.start
         closes = chunk.close
         local = closes < end
         parts_keys = [keys[local]]
         parts_values = [chunk.truth[local]]
-        parts_times = [closes[local] - start + window]
+        parts_times = [closes[local] + shift]
         due = self._pending_times < end
         if due.any():
             parts_keys.append(self._pending_keys[due])
             parts_values.append(self._pending_values[due])
-            parts_times.append(self._pending_times[due] - start + window)
+            parts_times.append(self._pending_times[due] + shift)
             keep = ~due
             self._pending_keys = self._pending_keys[keep]
             self._pending_times = self._pending_times[keep]
             self._pending_values = self._pending_values[keep]
         queued = ~local
-        if queued.any():
+        if not final and queued.any():
             self._pending_keys = np.concatenate(
                 [self._pending_keys, keys[queued]]
             )
@@ -169,6 +167,8 @@ class StreamedBitmapGroup:
             self._pending_values = np.concatenate(
                 [self._pending_values, chunk.truth[queued]]
             )
+        if len(parts_keys) == 1:
+            return parts_keys[0], parts_values[0], parts_times[0], "right"
         return (
             np.concatenate(parts_keys),
             np.concatenate(parts_values),
@@ -176,13 +176,17 @@ class StreamedBitmapGroup:
             "right",
         )
 
-    def feed(self, chunk: TraceChunk, keys: np.ndarray) -> _WindowView:
-        """One windowed pass: gather each event's history, renew the carry."""
+    def feed(
+        self, chunk: TraceChunk, keys: np.ndarray, final: bool = False
+    ) -> _WindowView:
+        """One windowed pass: gather each event's history, renew the carry.
+
+        ``final`` marks the source's last chunk: nothing is carried past it.
+        """
         layout = self.layout
         window = self.window
         length = len(chunk)
-        fb_keys, fb_values, fb_times, side = self._local_feedback(chunk, keys)
-        fb_values = layout.asarray(fb_values).astype(layout.dtype)
+        fb_keys, fb_values, fb_times, side = self._local_feedback(chunk, keys, final)
 
         # inject carried history below the chunk's time band: the k-th
         # most recent carried value for a key sits at time window-1-k,
@@ -204,17 +208,15 @@ class StreamedBitmapGroup:
             fb_values = np.concatenate(inject_values)
             fb_times = np.concatenate(inject_times)
 
-        # the _BitmapPass math in local time: times span [0, L + W), so
-        # L + W + 1 separates keys into disjoint composite ranges
+        # composite (key, time) order: times span [0, L + W), so L + W + 1
+        # separates keys into disjoint composite ranges
         stride = np.int64(length + window + 1)
         fb_composite = fb_keys * stride + fb_times
         order = np.argsort(fb_composite, kind="stable")
         fb_composite = fb_composite[order]
-        fb_sorted_keys = fb_keys[order]
-        fb_values = fb_values[order]
+        fb_values = fb_values[order].astype(layout.dtype, copy=False)
 
-        use_times = np.arange(length, dtype=np.int64) + window
-        use_composite = keys * stride + use_times
+        use_composite = keys * stride + np.arange(window, window + length, dtype=np.int64)
         positions = np.searchsorted(fb_composite, use_composite, side=side)
         group_starts = np.searchsorted(fb_composite, keys * stride, side="left")
 
@@ -225,196 +227,56 @@ class StreamedBitmapGroup:
             in_window = indices >= group_starts
             gathered[slot - 1, in_window] = fb_values[indices[in_window]]
 
-        # renew the carry: each key's tail (newest `window` values) of the
-        # sorted carried+delivered stream becomes the next chunk's history
-        unique_keys, starts = np.unique(fb_sorted_keys, return_index=True)
+        if not final:
+            self._renew(fb_keys[order], fb_values)
+        return _WindowView(length, layout, available, gathered)
+
+    def _renew(self, sorted_keys: np.ndarray, sorted_values: np.ndarray) -> None:
+        """Carry each key's newest ``window`` values of the sorted stream."""
+        window = self.window
+        unique_keys, starts = np.unique(sorted_keys, return_index=True)
         ends = np.concatenate(
-            [starts[1:], np.asarray([len(fb_sorted_keys)], dtype=starts.dtype)]
+            [starts[1:], np.asarray([len(sorted_keys)], dtype=starts.dtype)]
         ) if len(starts) else starts
-        new_values = layout.gather_zeros(window, len(unique_keys))
+        new_values = self.layout.gather_zeros(window, len(unique_keys))
         for slot in range(window):
             tail = ends - 1 - slot
             held = tail >= starts
             if not held.any():
                 break
-            new_values[slot, held] = fb_values[tail[held]]
+            new_values[slot, held] = sorted_values[tail[held]]
         self._keys = unique_keys
         self._counts = np.minimum(ends - starts, window)
         self._values = new_values
-
-        return _WindowView(length, layout, available, gathered)
-
-
-class _KernelSchemeState:
-    """Carried per-event-family state: the oracle kernel's table."""
-
-    def __init__(self, scheme: Scheme, num_nodes: int, layout: BitmapLayout):
-        if scheme.function == "pas":
-            ops = PasOps(num_nodes, scheme.depth)
-        else:
-            ops = scheme.make_function(num_nodes)
-        self.stream = KernelStream(scheme.update, ops)
-        self.layout = layout
-
-    def feed(self, chunk: TraceChunk, keys: np.ndarray) -> np.ndarray:
-        # drain the generator with list() before packing: np.fromiter
-        # stops *at* the n-th yield, which would leave ORDERED mode's
-        # post-yield update of the chunk's last event unexecuted -- lost
-        # state the resident path only ever "loses" at end-of-trace
-        values = list(self.stream.feed_chunk(chunk, np.asarray(keys).tolist()))
-        return self.layout.from_int_iter(values, count=len(chunk))
-
-
-class StreamedSweep:
-    """Evaluate a batch of schemes over one chunk stream in a single pass.
-
-    The streamed analogue of the sweep planner's per-trace batch: keys
-    are computed once per index group per chunk (the chunk-local
-    ``KeyCache``), bitmap schemes share one windowed pass per
-    (index, mode) group at the batch-max window, and per-event schemes
-    carry their kernel tables -- so adding schemes to a streamed sweep
-    costs reductions, not passes.  Feed every chunk in order, then
-    :meth:`finish`.
-    """
-
-    def __init__(
-        self,
-        schemes: Sequence[Scheme],
-        num_nodes: int,
-        layout: BitmapLayout,
-        exclude_writer: bool = True,
-    ):
-        self.schemes = list(schemes)
-        self.num_nodes = num_nodes
-        self.layout = layout
-        self.exclude_writer = exclude_writer
-        self.counts = [ConfusionCounts() for _ in self.schemes]
-        self._index_by_label: Dict[str, object] = {}
-        self._bitmap_groups: Dict[Tuple[str, UpdateMode], StreamedBitmapGroup] = {}
-        self._kernel_states: Dict[int, _KernelSchemeState] = {}
-        group_windows: Dict[Tuple[str, UpdateMode], int] = {}
-        for position, scheme in enumerate(self.schemes):
-            self._index_by_label.setdefault(scheme.index.label, scheme.index)
-            if scheme.function in _BITMAP_FUNCTIONS:
-                group = (scheme.index.label, scheme.update)
-                window = _bitmap_window(scheme)
-                group_windows[group] = max(group_windows.get(group, 0), window)
-            else:
-                self._kernel_states[position] = _KernelSchemeState(
-                    scheme, num_nodes, layout
-                )
-        for group, window in group_windows.items():
-            self._bitmap_groups[group] = StreamedBitmapGroup(
-                group[1], layout, window
-            )
-
-    def feed(self, chunk: TraceChunk) -> None:
-        if len(chunk) == 0:
-            return
-        keys_by_label = {
-            label: compute_keys(spec, chunk)
-            for label, spec in self._index_by_label.items()
-        }
-        views: Dict[Tuple[str, UpdateMode], _WindowView] = {}
-        for group, state in self._bitmap_groups.items():
-            views[group] = state.feed(chunk, keys_by_label[group[0]])
-        writer_mask = (
-            ~self.layout.writer_bits(chunk.writer) if self.exclude_writer else None
-        )
-        for position, scheme in enumerate(self.schemes):
-            if scheme.function in _BITMAP_FUNCTIONS:
-                view = views[(scheme.index.label, scheme.update)]
-                predictions = _reduce_bitmap(
-                    scheme.function, _bitmap_window(scheme), view, self.num_nodes
-                )
-            else:
-                predictions = self._kernel_states[position].feed(
-                    chunk, keys_by_label[scheme.index.label]
-                )
-            if writer_mask is not None:
-                predictions = predictions & writer_mask
-            quad = score_predictions(predictions, chunk, exclude_writer=False)
-            counts = self.counts[position]
-            counts.true_positive += quad[0]
-            counts.false_positive += quad[1]
-            counts.false_negative += quad[2]
-            counts.true_negative += quad[3]
-
-    def finish(self) -> List[ConfusionCounts]:
-        return self.counts
-
-
-def evaluate_batch_streamed(
-    schemes: Sequence[Scheme],
-    source: Union[SharingTrace, TraceSource],
-    exclude_writer: bool = True,
-    chunk_events: Optional[int] = None,
-) -> List[ConfusionCounts]:
-    """Confusion counts for each scheme over one source, single chunk pass."""
-    source = as_source(source)
-    sweep = StreamedSweep(
-        schemes, source.num_nodes, source.layout, exclude_writer=exclude_writer
-    )
-    for chunk in source.chunks(chunk_events):
-        sweep.feed(chunk)
-    return sweep.finish()
-
-
-def evaluate_scheme_streamed(
-    scheme: Scheme,
-    source: Union[SharingTrace, TraceSource],
-    exclude_writer: bool = True,
-    counts: Optional[ConfusionCounts] = None,
-    chunk_events: Optional[int] = None,
-) -> ConfusionCounts:
-    """Streamed drop-in for :func:`repro.core.vectorized.evaluate_scheme_fast`."""
-    result = evaluate_batch_streamed(
-        [scheme], source, exclude_writer=exclude_writer, chunk_events=chunk_events
-    )[0]
-    if counts is None:
-        return result
-    counts.true_positive += result.true_positive
-    counts.false_positive += result.false_positive
-    counts.false_negative += result.false_negative
-    counts.true_negative += result.true_negative
-    return counts
 
 
 def predict_stream(
     scheme: Scheme,
     source: Union[SharingTrace, TraceSource],
     exclude_writer: bool = True,
-    chunk_events: Optional[int] = None,
 ) -> Iterator[Tuple[TraceChunk, np.ndarray]]:
-    """Yield ``(chunk, predictions)`` pairs for one scheme over a source.
+    """Yield ``(chunk, predictions)`` pairs for one scheme over a trace.
 
-    The streamed counterpart of
-    :func:`repro.core.vectorized.predict_scheme_fast`: concatenating the
-    prediction windows is bit-identical to the resident column.  This is
-    what the traffic replayer consumes -- predictions never exist at full
-    trace length.
+    Concatenating the prediction windows is bit-identical to any other
+    chunking's; a resident trace yields one window.  This is what the
+    traffic replayer consumes -- on a streamed source, predictions never
+    exist at full trace length.
     """
-    source = as_source(source)
     layout = source.layout
     num_nodes = source.num_nodes
+    total = len(source)
     if scheme.function in _BITMAP_FUNCTIONS:
         window = _bitmap_window(scheme)
         group = StreamedBitmapGroup(scheme.update, layout, window)
-        kernel_state = None
+
+        def predict(chunk, keys):
+            view = group.feed(chunk, keys, final=chunk.end == total)
+            return _reduce_bitmap(scheme.function, window, view, num_nodes)
+
     else:
-        group = None
-        kernel_state = _KernelSchemeState(scheme, num_nodes, layout)
-    for chunk in source.chunks(chunk_events):
-        if len(chunk) == 0:
-            continue
-        keys = compute_keys(scheme.index, chunk)
-        if group is not None:
-            view = group.feed(chunk, keys)
-            predictions = _reduce_bitmap(
-                scheme.function, _bitmap_window(scheme), view, num_nodes
-            )
-        else:
-            predictions = kernel_state.feed(chunk, keys)
+        predict = kernel_stream(scheme, num_nodes).feed
+    for chunk in trace_chunks(source):
+        predictions = predict(chunk, compute_keys(scheme.index, chunk))
         if exclude_writer:
             predictions = predictions & ~layout.writer_bits(chunk.writer)
         yield chunk, predictions

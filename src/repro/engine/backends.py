@@ -13,12 +13,12 @@ from repro.core.evaluator import evaluate_scheme, predict_scheme
 from repro.core.plan import SweepPlan, evaluate_plan
 from repro.core.schemes import Scheme
 from repro.core.vectorized import evaluate_scheme_fast
-from repro.core.windowed import evaluate_batch_streamed, evaluate_scheme_streamed
 from repro.engine.base import EvaluationEngine, ResultCallback, TraceLike
+from repro.forwarding.simulator import ForwardingConfig, replay_traffic
 from repro.metrics.confusion import ConfusionCounts
+from repro.metrics.traffic import TrafficReport
 from repro.telemetry import get_telemetry
 from repro.trace.events import SharingTrace
-from repro.trace.source import TraceSource
 
 
 class ReferenceEngine(EvaluationEngine):
@@ -42,11 +42,19 @@ class ReferenceEngine(EvaluationEngine):
     ) -> ConfusionCounts:
         return evaluate_scheme(scheme, trace, exclude_writer=exclude_writer)
 
-    def _predict_one(self, scheme: Scheme, trace: SharingTrace) -> Sequence[int]:
+    def _simulate_one(
+        self, scheme: Scheme, trace: SharingTrace, config: ForwardingConfig
+    ) -> TrafficReport:
         # The reference engine's traffic reports are derived from its own
         # prediction path, so the differential tests cross-check the two
         # predictor implementations end to end, not just their scoring.
-        return predict_scheme(scheme, trace)
+        return replay_traffic(
+            trace,
+            predict_scheme(scheme, trace),
+            scheme=scheme.full_name,
+            topology=config.topology,
+            model=config.model,
+        )
 
 
 class VectorizedEngine(EvaluationEngine):
@@ -58,10 +66,10 @@ class VectorizedEngine(EvaluationEngine):
     scheme.  Planning is pure scheduling -- results are bit-identical to
     per-scheme evaluation and ``on_result`` still fires once per scheme.
 
-    This is the streaming backend: a :class:`~repro.trace.source.TraceSource`
-    is evaluated chunk by chunk through :mod:`repro.core.windowed` (never
-    materialized), with the same group-sharing the planner does and
-    bit-identical results.  Resident traces keep the planner fast path.
+    This is the streaming backend: the planner reads a
+    :class:`~repro.trace.source.TraceSource` chunk by chunk (never
+    materialized) and a resident trace as one chunk, with bit-identical
+    results either way.
     """
 
     name = "vectorized"
@@ -70,10 +78,6 @@ class VectorizedEngine(EvaluationEngine):
     def _evaluate_one(
         self, scheme: Scheme, trace: TraceLike, exclude_writer: bool
     ) -> ConfusionCounts:
-        if isinstance(trace, TraceSource):
-            return evaluate_scheme_streamed(
-                scheme, trace, exclude_writer=exclude_writer
-            )
         return evaluate_scheme_fast(scheme, trace, exclude_writer=exclude_writer)
 
     def _evaluate_batch(
@@ -84,40 +88,10 @@ class VectorizedEngine(EvaluationEngine):
         exclude_writer: bool,
         on_result: Optional[ResultCallback],
     ) -> List[List[ConfusionCounts]]:
-        traces = list(traces)
+        plan = SweepPlan(schemes)
         telemetry = get_telemetry()
-        if not any(isinstance(trace, TraceSource) for trace in traces):
-            plan = SweepPlan(schemes)
-            if telemetry.enabled:
-                plan.record_telemetry(telemetry)
-            return evaluate_plan(
-                plan, traces, exclude_writer=exclude_writer, on_result=on_result
-            )
-        # Streamed suite: one single-pass sweep per trace (sources chunked,
-        # residents planned), transposed back to scheme-major.  The streamed
-        # sweep shares key streams and bitmap passes across schemes exactly
-        # like the planner, so the batch stays one pass over each trace.
-        columns: List[List[ConfusionCounts]] = []
-        for trace in traces:
-            if isinstance(trace, TraceSource):
-                columns.append(
-                    evaluate_batch_streamed(
-                        schemes, trace, exclude_writer=exclude_writer
-                    )
-                )
-            else:
-                plan = SweepPlan(schemes)
-                if telemetry.enabled:
-                    plan.record_telemetry(telemetry)
-                rows = evaluate_plan(
-                    plan, [trace], exclude_writer=exclude_writer, on_result=None
-                )
-                columns.append([row[0] for row in rows])
-        results = [
-            [columns[t][s] for t in range(len(traces))]
-            for s in range(len(schemes))
-        ]
-        if on_result is not None:
-            for index, per_trace in enumerate(results):
-                on_result(index, per_trace)
-        return results
+        if telemetry.enabled:
+            plan.record_telemetry(telemetry)
+        return evaluate_plan(
+            plan, traces, exclude_writer=exclude_writer, on_result=on_result
+        )

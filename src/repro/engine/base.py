@@ -59,7 +59,6 @@ from repro.core.schemes import Scheme
 from repro.forwarding.simulator import (
     DEFAULT_FORWARDING_CONFIG,
     ForwardingConfig,
-    replay_traffic,
     simulate_traffic_streamed,
 )
 from repro.metrics.confusion import ConfusionCounts
@@ -229,17 +228,20 @@ class EvaluationEngine(ABC):
     # Traffic simulation
     # ------------------------------------------------------------------
 
-    def _predict_one(self, scheme: Scheme, trace: SharingTrace) -> Sequence[int]:
-        """Backend hook: the per-event prediction bitmaps for one trace.
+    def _simulate_one(
+        self, scheme: Scheme, trace: TraceLike, config: ForwardingConfig
+    ) -> TrafficReport:
+        """Backend hook: predict over one trace and replay it.
 
-        The default routes through the vectorized predictor -- correct for
+        The default streams the vectorized predictions window by window
+        into the replay (a resident trace is one window) -- correct for
         every scheme -- so backends only override it to exercise their own
         prediction path (the reference engine does, keeping the traffic
         simulation as independently-derived as its confusion counts).
         """
-        from repro.core.vectorized import predict_scheme_fast
-
-        return predict_scheme_fast(scheme, trace)
+        return simulate_traffic_streamed(
+            scheme, trace, topology=config.topology, model=config.model
+        )
 
     def simulate_traffic(
         self,
@@ -260,19 +262,7 @@ class EvaluationEngine(ABC):
         """
         if config is None:
             config = DEFAULT_FORWARDING_CONFIG
-        trace = self._resolve_trace(trace)
-        if isinstance(trace, TraceSource):
-            return simulate_traffic_streamed(
-                scheme, trace, topology=config.topology, model=config.model
-            )
-        predictions = self._predict_one(scheme, trace)
-        return replay_traffic(
-            trace,
-            predictions,
-            scheme=scheme.full_name,
-            topology=config.topology,
-            model=config.model,
-        )
+        return self._simulate_one(scheme, self._resolve_trace(trace), config)
 
     def evaluate_traffic(
         self,

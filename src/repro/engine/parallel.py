@@ -18,9 +18,8 @@ processes on other machines.  The control plane is transport-agnostic:
   :class:`~repro.core.plan.SweepPlan` order and chunks are cut inside plan
   batch boundaries, so every chunk a worker steals shares one
   (IndexSpec, function family): the worker evaluates it through
-  :func:`~repro.core.plan.evaluate_plan` with a worker-lifetime key cache,
-  keeping the planner's shared key streams and bitmap passes effective
-  across the process boundary.  Dispatch stays demand-driven: the parent
+  :func:`~repro.core.plan.evaluate_plan`, keeping the planner's shared
+  key streams and bitmap passes effective across the process boundary.  Dispatch stays demand-driven: the parent
   keeps a small number of chunks in flight and cuts the next chunk when a
   worker finishes one ("stealing" from the shared remainder).  Chunk size
   starts small and is continuously resized from the observed schemes/sec

@@ -11,9 +11,9 @@ choice, not a scheduling choice.  This module owns that seam:
   (and kernel backend) in the executing process, and :func:`run_chunk`
   scores one chunk against it.  Both the ``multiprocessing`` pool workers
   and the remote ``repro-worker`` loop call exactly these functions, so
-  the per-chunk semantics -- plan-grouped evaluation through a
-  worker-lifetime key cache, flat JSON-able result payloads, per-chunk
-  telemetry snapshots -- cannot drift between transports;
+  the per-chunk semantics -- plan-grouped evaluation, flat JSON-able
+  result payloads, per-chunk telemetry snapshots -- cannot drift between
+  transports;
 * the **coordinator side**: :class:`WorkTransport` is the interface the
   engine's stealing loop drives (``submit`` / ``next_completed`` /
   ``capacity``), with :class:`MultiprocessingTransport` wrapping the
@@ -40,11 +40,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.kernel_backends import resolve_kernel_backend, set_kernel_backend
-from repro.core.plan import KeyCache, SweepPlan, evaluate_plan
+from repro.core.plan import SweepPlan, evaluate_plan
 from repro.core.schemes import Scheme
-from repro.core.vectorized import predict_scheme_fast
-from repro.core.windowed import evaluate_batch_streamed
-from repro.forwarding.simulator import replay_traffic, simulate_traffic_streamed
+from repro.forwarding.simulator import simulate_traffic_streamed
 from repro.metrics.traffic import TrafficModel
 from repro.telemetry import Telemetry, get_telemetry, set_telemetry
 from repro.trace.events import SharingTrace
@@ -73,14 +71,9 @@ CHUNK_KINDS = ("evaluate", "traffic")
 
 # Worker-process state, installed once per trace suite by install_traces.
 # Entries are resident SharingTraces or TraceSources (installed by the
-# "files" mode); chunk evaluation dispatches per entry.
+# "files" mode); the planner reads either kind.
 _WORKER_TRACES: List = []
 _WORKER_SEGMENTS: Dict[str, object] = {}
-#: worker-lifetime key-stream cache: chunks are cut inside plan-batch
-#: boundaries, so consecutive chunks frequently share an IndexSpec and the
-#: keys survive across chunk submissions (fingerprint-keyed, so every
-#: transport hits identically).
-_WORKER_KEY_CACHE = KeyCache()
 
 
 def install_traces(payload: dict) -> None:
@@ -110,7 +103,6 @@ def install_traces(payload: dict) -> None:
     """
     global _WORKER_TRACES
     _WORKER_SEGMENTS.clear()
-    _WORKER_KEY_CACHE.clear()
     kernel = payload.get("kernel")
     if kernel is not None:
         set_kernel_backend(kernel)
@@ -199,40 +191,10 @@ def run_chunk(
 def _evaluate_payloads(schemes: List[Scheme], exclude_writer: bool) -> List[list]:
     # Chunks are cut inside plan-batch boundaries, so this mini plan is
     # normally a single (IndexSpec, family) batch sharing one key stream
-    # and its bitmap passes; the worker-global KeyCache extends the sharing
-    # across consecutive chunks of the same group.
-    if not any(isinstance(trace, TraceSource) for trace in _WORKER_TRACES):
-        per_scheme = evaluate_plan(
-            SweepPlan(schemes),
-            _WORKER_TRACES,
-            exclude_writer=exclude_writer,
-            key_cache=_WORKER_KEY_CACHE,
-        )
-    else:
-        # File-installed suites stream chunk by chunk: one single-pass
-        # StreamedSweep per source (sharing key streams and bitmap passes
-        # across the chunk's schemes exactly like the planner), residents
-        # through the plan as usual, transposed back to scheme-major.
-        columns = []
-        for trace in _WORKER_TRACES:
-            if isinstance(trace, TraceSource):
-                columns.append(
-                    evaluate_batch_streamed(
-                        schemes, trace, exclude_writer=exclude_writer
-                    )
-                )
-            else:
-                rows = evaluate_plan(
-                    SweepPlan(schemes),
-                    [trace],
-                    exclude_writer=exclude_writer,
-                    key_cache=_WORKER_KEY_CACHE,
-                )
-                columns.append([row[0] for row in rows])
-        per_scheme = [
-            [columns[t][s] for t in range(len(_WORKER_TRACES))]
-            for s in range(len(schemes))
-        ]
+    # and its bitmap passes.
+    per_scheme = evaluate_plan(
+        SweepPlan(schemes), _WORKER_TRACES, exclude_writer=exclude_writer
+    )
     return [
         [
             [
@@ -251,27 +213,15 @@ def _traffic_payloads(
     schemes: List[Scheme], topology: str, model: List[float]
 ) -> List[list]:
     traffic_model = TrafficModel(*model)
-    payloads = []
-    for scheme in schemes:
-        per_trace = []
-        for trace in _WORKER_TRACES:
-            if isinstance(trace, TraceSource):
-                report = simulate_traffic_streamed(
-                    scheme, trace, topology=topology, model=traffic_model
-                )
-            else:
-                keys = _WORKER_KEY_CACHE.key_stream(trace, scheme.index)
-                predictions = predict_scheme_fast(scheme, trace, keys=keys)
-                report = replay_traffic(
-                    trace,
-                    predictions,
-                    scheme=scheme.full_name,
-                    topology=topology,
-                    model=traffic_model,
-                )
-            per_trace.append(report.to_json())
-        payloads.append(per_trace)
-    return payloads
+    return [
+        [
+            simulate_traffic_streamed(
+                scheme, trace, topology=topology, model=traffic_model
+            ).to_json()
+            for trace in _WORKER_TRACES
+        ]
+        for scheme in schemes
+    ]
 
 
 # ----------------------------------------------------------------------

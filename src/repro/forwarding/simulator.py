@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
@@ -109,9 +109,10 @@ class TrafficReplayState:
     :class:`TrafficReport`.  Feeding a trace as N chunks is *bit-identical*
     (floats included) to feeding it whole, because the loop body and its
     accumulation order are unchanged -- chunking only moves where the
-    columns are sliced.  :func:`replay_traffic` is now this state fed one
-    whole-trace window; :func:`simulate_traffic_streamed` feeds it the
-    prediction windows of :func:`repro.core.windowed.predict_stream`.
+    columns are sliced.  :func:`replay_traffic` is this state fed one
+    whole-trace window of precomputed predictions;
+    :func:`simulate_traffic_streamed` feeds it the prediction windows of
+    :func:`repro.core.windowed.predict_stream`.
     """
 
     def __init__(self, num_nodes: int, topology: Topology, model: TrafficModel):
@@ -327,13 +328,13 @@ def simulate_traffic_streamed(
     source: "Union[SharingTrace, TraceSource]",
     topology: Union[str, Topology] = "mesh",
     model: TrafficModel = TrafficModel(),
-    chunk_events: Optional[int] = None,
 ) -> TrafficReport:
-    """Predict and replay one scheme over a source at O(chunk) memory.
+    """Predict and replay one scheme over a trace, window by window.
 
-    Couples :func:`repro.core.windowed.predict_stream` (prediction windows,
-    never a full-length column) to :class:`TrafficReplayState`.  Both halves
-    are chunk-order-invariant, so the report is bit-identical to
+    Couples :func:`repro.core.windowed.predict_stream` (a resident trace is
+    one window; a streamed source never has a full-length prediction
+    column) to :class:`TrafficReplayState`.  Both halves are
+    chunk-order-invariant, so the report is bit-identical to
     ``replay_traffic(trace, predict_scheme_fast(...))`` on the materialized
     trace.
     """
@@ -346,9 +347,7 @@ def simulate_traffic_streamed(
     if not isinstance(topology, Topology):
         topology = make_topology(topology, source.num_nodes)
     state = TrafficReplayState(source.num_nodes, topology, model)
-    for chunk, predictions in predict_stream(
-        scheme, source, exclude_writer=True, chunk_events=chunk_events
-    ):
+    for chunk, predictions in predict_stream(scheme, source, exclude_writer=True):
         state.feed(chunk, predictions)
     report = state.finish(scheme=scheme.full_name, trace_name=source.name)
     _report_telemetry(report, state.events, started)

@@ -13,10 +13,11 @@ iterator of fixed-size :class:`TraceChunk` column windows.  The resident
 trace is one implementation (:class:`ResidentTraceSource`, zero-copy
 views); the ``.rtrace`` interchange file is another
 (:mod:`repro.trace.interchange`).  Consumers that can work a window at a
-time (the windowed evaluator in :mod:`repro.core.windowed`, the streaming
-stats accumulator, the traffic replayer) accept either via
-:func:`as_source`; consumers that genuinely need residency call
-:func:`as_trace` and pay for it explicitly.
+time (the evaluator in :mod:`repro.core.plan`, the streaming stats
+accumulator, the traffic replayer) accept either via :func:`as_source` or
+:func:`trace_chunks`, which reads a resident trace as one chunk; consumers
+that genuinely need residency call :func:`as_trace` and pay for it
+explicitly.
 
 **Chunks duck-type as miniature traces.**  A :class:`TraceChunk` exposes
 the same column attributes (``writer`` ... ``close``), ``num_nodes``,
@@ -248,6 +249,14 @@ def as_source(trace: Union[SharingTrace, TraceSource]) -> TraceSource:
     if isinstance(trace, TraceSource):
         return trace
     return ResidentTraceSource(trace)
+
+
+def trace_chunks(trace: Union[SharingTrace, TraceSource]) -> Iterator[TraceChunk]:
+    """The windows evaluation reads: a source's own chunks, or a resident
+    trace as exactly one zero-copy chunk."""
+    if isinstance(trace, TraceSource):
+        return trace.chunks()
+    return ResidentTraceSource(trace, chunk_events=max(1, len(trace))).chunks()
 
 
 def as_trace(trace: Union[SharingTrace, TraceSource]) -> SharingTrace:

@@ -86,30 +86,15 @@ class TestSimulateForwarding:
         )
         assert report.topology == "ring"
 
-    def test_deprecated_topology_model_still_work_with_warning(self, traces):
-        with pytest.warns(DeprecationWarning, match="config=ForwardingConfig"):
-            legacy = api.simulate_forwarding("last()1", traces[0], topology="ring")
-        modern = api.simulate_forwarding(
-            "last()1", traces[0], config=api.ForwardingConfig(topology="ring")
-        )
-        assert legacy == modern  # the shim folds into the same computation
-
-    def test_deprecated_model_kwarg_folds_in(self, traces):
-        model = api.TrafficModel(data_cost=5.0)
-        with pytest.warns(DeprecationWarning):
-            legacy = api.simulate_forwarding("last()1", traces[0], model=model)
-        modern = api.simulate_forwarding(
-            "last()1", traces[0], config=api.ForwardingConfig(model=model)
-        )
-        assert legacy == modern
-
-    def test_mixing_config_and_deprecated_kwargs_is_an_error(self, traces):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError, match="not both"):
-                api.simulate_forwarding(
-                    "last()1", traces[0],
-                    config=api.ForwardingConfig(), topology="ring",
-                )
+    def test_legacy_topology_model_kwargs_are_a_type_error(self, traces):
+        # the one-release topology=/model= shim is gone: config= is the
+        # only spelling
+        with pytest.raises(TypeError):
+            api.simulate_forwarding("last()1", traces[0], topology="ring")
+        with pytest.raises(TypeError):
+            api.simulate_forwarding(
+                "last()1", traces[0], model=api.TrafficModel(data_cost=5.0)
+            )
 
 
 class TestJobPath:

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.kernel import PasOps, PredictorKernel
+from repro.core.kernel import KernelStream, PasOps, PredictorKernel
 from repro.core.schemes import parse_scheme
 from repro.core.update import UpdateMode
 from repro.core.vectorized import compute_keys
@@ -287,12 +287,12 @@ class TestPasOps:
         trace = make_random_trace(num_nodes=16, num_events=300, seed="pasops")
         keys = list(compute_keys(scheme.index, trace))
         flat = list(
-            PredictorKernel(mode, PasOps(trace.num_nodes, scheme.depth)).run_trace(
+            KernelStream(mode, PasOps(trace.num_nodes, scheme.depth)).feed_chunk(
                 trace, keys
             )
         )
         oracle = list(
-            PredictorKernel(mode, scheme.make_function(trace.num_nodes)).run_trace(
+            KernelStream(mode, scheme.make_function(trace.num_nodes)).feed_chunk(
                 trace, keys
             )
         )

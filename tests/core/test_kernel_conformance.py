@@ -17,7 +17,11 @@ Coverage axes:
 * bitmap widths 8 / 16 / 32 / 64 (scalar-word layouts and both word-size
   boundaries) and 256 / 1024 (packed multi-word layouts);
 * arbitrary Hypothesis-generated traces and schemes on top of the
-  structured deterministic ones.
+  structured deterministic ones;
+* chunked feeds: each backend's resumable ``stream`` fed the same trace
+  cut at Hypothesis-drawn points (always with a one-event first chunk and
+  a cut inside an open FORWARDED epoch) must reproduce the oracle's
+  one-chunk predictions and confusion quad.
 
 Registry *behavior* (resolution precedence, degradation, telemetry
 attribution) is tested at the bottom; pure kernel-loop edge semantics live
@@ -50,6 +54,7 @@ from repro.core.update import UpdateMode
 from repro.core.vectorized import compute_keys
 from repro.telemetry import Telemetry, set_telemetry
 from repro.trace.events import SharingTrace
+from repro.trace.source import TraceChunk
 from tests.conftest import make_random_trace
 
 #: the scalar-word layouts, both word-size boundaries, and two packed widths
@@ -104,6 +109,68 @@ def assert_backend_conforms(backend, trace, scheme_texts=CONFORMANCE_SCHEMES):
             assert chosen.evaluate(scheme, trace, keys, exclude_writer) == (
                 oracle.evaluate(scheme, trace, keys, exclude_writer)
             ), f"{backend.name!r} quad mismatch on {text} ({trace.name})"
+
+
+def _chunks_at(trace, cuts):
+    """``trace`` as zero-copy chunks split at the sorted positions ``cuts``."""
+    bounds = [0, *cuts, len(trace)]
+    return [
+        TraceChunk(
+            num_nodes=trace.num_nodes,
+            start=start,
+            writer=trace.writer[start:stop],
+            pc=trace.pc[start:stop],
+            home=trace.home[start:stop],
+            block=trace.block[start:stop],
+            truth=trace.truth[start:stop],
+            inval=trace.inval[start:stop],
+            has_inval=trace.has_inval[start:stop],
+            close=trace.close[start:stop],
+            name=trace.name,
+        )
+        for start, stop in zip(bounds, bounds[1:])
+    ]
+
+
+def _open_epoch_cut(trace):
+    """A cut with an epoch open across it: opened before, closed after."""
+    for event, close in enumerate(trace.close.tolist()):
+        if event + 1 < close < len(trace):
+            return event + 1
+    raise AssertionError(f"{trace.name} has no epoch spanning two events")
+
+
+def assert_stream_conforms(backend, trace, cuts, scheme_texts=CONFORMANCE_SCHEMES):
+    """Assert ``backend``'s stream, fed ``trace`` cut at ``cuts``, matches the
+    oracle's one-chunk run: the concatenated predictions and the summed
+    confusion quad, with and without writer exclusion.  Declined schemes
+    run the oracle's own stream, exactly as the routed path would."""
+    oracle = get_kernel_backend("python")
+    layout = trace.layout
+    chunks = _chunks_at(trace, cuts)
+    for text in scheme_texts:
+        scheme = parse_scheme(text)
+        keys = compute_keys(scheme.index, trace)
+        chosen = backend if backend.supports(scheme) else oracle
+        stream = chosen.stream(scheme, trace.num_nodes)
+        got = []
+        for chunk in chunks:
+            got += layout.to_int_list(stream.feed(chunk, keys[chunk.start:chunk.end]))
+        want = layout.to_int_list(oracle.predict(scheme, trace, keys))
+        assert got == want, (
+            f"backend {backend.name!r} stream diverged from the python oracle on "
+            f"{text} over {trace.name} cut at {cuts}"
+        )
+        for exclude_writer in (False, True):
+            stream = chosen.stream(scheme, trace.num_nodes)
+            quads = [
+                stream.evaluate(chunk, keys[chunk.start:chunk.end], exclude_writer)
+                for chunk in chunks
+            ]
+            summed = tuple(sum(column) for column in zip(*quads))
+            assert summed == oracle.evaluate(scheme, trace, keys, exclude_writer), (
+                f"{backend.name!r} chunked quad mismatch on {text} cut at {cuts}"
+            )
 
 
 @pytest.fixture(scope="module", params=kernel_backend_names())
@@ -222,6 +289,29 @@ class TestHypothesisConformance:
         )
 
 
+#: one trace per layout kind for the chunked feeds: scalar words and packed
+_CHUNKED_TRACES = {
+    16: make_random_trace(
+        num_nodes=16, num_events=64, num_blocks=6, seed="kernel-chunked-16"
+    ),
+    80: make_random_trace(
+        num_nodes=80, num_events=24, num_blocks=4, seed="kernel-chunked-80"
+    ),
+}
+
+
+class TestChunkedConformance:
+    @pytest.mark.parametrize("num_nodes", sorted(_CHUNKED_TRACES))
+    @given(data=st.data())
+    def test_chunked_stream_matches_one_chunk(self, backend, num_nodes, data):
+        trace = _CHUNKED_TRACES[num_nodes]
+        drawn = data.draw(
+            st.sets(st.integers(1, len(trace) - 1), max_size=6), label="cuts"
+        )
+        cuts = sorted({1, _open_epoch_cut(trace), *drawn})
+        assert_stream_conforms(backend, trace, cuts)
+
+
 # ----------------------------------------------------------------------
 # Registration alone brings a backend under test
 # ----------------------------------------------------------------------
@@ -254,6 +344,26 @@ class _BitFlippingBackend:
         return kb.score_predictions(
             self.predict(scheme, trace, keys), trace, exclude_writer
         )
+
+    def stream(self, scheme, num_nodes):
+        return _BitFlippingStream(get_kernel_backend("python").stream(scheme, num_nodes))
+
+
+class _BitFlippingStream:
+    """The bit-flipping backend's resumable state: the oracle's, corrupted."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def feed(self, chunk, keys):
+        layout = chunk.layout
+        return layout.from_int_iter(
+            (value ^ 1 for value in layout.to_int_list(self.inner.feed(chunk, keys))),
+            count=len(chunk),
+        )
+
+    def evaluate(self, chunk, keys, exclude_writer):
+        return kb.score_predictions(self.feed(chunk, keys), chunk, exclude_writer)
 
 
 @pytest.fixture
@@ -288,6 +398,13 @@ class TestHarnessCatchesNonconformance:
     def test_probe_fingerprint_flags_bit_divergence(self, scratch_registration):
         backend = scratch_registration(_BitFlippingBackend())
         assert not kb.kernel_selfcheck(backend)
+
+    def test_chunked_harness_flags_bit_divergence(self, scratch_registration):
+        backend = scratch_registration(_BitFlippingBackend())
+        trace = make_random_trace(num_nodes=8, num_events=60, seed="bitflip")
+        cuts = sorted({1, _open_epoch_cut(trace), 30})
+        with pytest.raises(AssertionError, match="diverged from the python oracle"):
+            assert_stream_conforms(backend, trace, cuts)
 
 
 # ----------------------------------------------------------------------

@@ -1,24 +1,27 @@
-"""The sweep planner: grouping, key-cache sharing, and bit-identicality.
+"""The sweep planner: grouping, key-stream sharing, and bit-identicality.
 
 The planner's load-bearing promises, each pinned here:
 
 * grouping is deterministic bookkeeping -- same schemes in, same plan out,
   results always in caller order;
-* key streams are computed exactly once per (trace, index group), which is
-  observable from the ``plan.key_cache.*`` counters (the acceptance probe);
+* key streams are computed exactly once per (trace chunk, index group),
+  counted at the planner's ``compute_keys`` (the acceptance probe);
 * shared bitmap passes change wall-clock only: :func:`evaluate_plan` is
   bit-identical to per-scheme :func:`evaluate_scheme_fast` across every
-  function family and update mode.
+  function family and update mode, and to itself at any chunking of the
+  traces.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.core.plan as plan_module
 from repro.core.indexing import IndexSpec
 from repro.core.plan import (
     FAMILY_BITMAP,
     FAMILY_PAS,
     FAMILY_SEQUENTIAL,
-    KeyCache,
     SweepPlan,
     evaluate_plan,
     scheme_family,
@@ -26,6 +29,7 @@ from repro.core.plan import (
 from repro.core.schemes import parse_scheme
 from repro.core.vectorized import evaluate_scheme_fast
 from repro.telemetry import Telemetry, set_telemetry
+from repro.trace.source import ResidentTraceSource
 from tests.conftest import make_random_trace
 
 #: every function family and every update mode, spread over three specs
@@ -146,47 +150,24 @@ class TestSweepPlanGrouping:
         )
 
 
-class TestKeyCache:
-    def test_exactly_one_key_computation_per_trace_and_group(self, traces, sink):
-        """The acceptance probe: misses == traces x index groups, no more."""
+class TestKeyStreams:
+    def test_exactly_one_key_computation_per_trace_and_group(
+        self, traces, monkeypatch
+    ):
+        """The acceptance probe: a resident trace is one chunk, so the
+        planner computes keys exactly traces x index groups times."""
+        calls = []
+        original = plan_module.compute_keys
+
+        def counting(spec, chunk):
+            calls.append(spec)
+            return original(spec, chunk)
+
+        monkeypatch.setattr(plan_module, "compute_keys", counting)
         schemes = [parse_scheme(text) for text in ALL_FAMILY_SCHEMES]
         plan = SweepPlan(schemes)
         evaluate_plan(plan, traces)
-        assert sink.counters["plan.key_cache.misses"] == len(traces) * plan.num_groups
-        # every further lookup in the run was served from the cache
-        lookups = sink.counters["plan.key_cache.misses"] + sink.counters.get(
-            "plan.key_cache.hits", 0
-        )
-        assert lookups >= len(traces) * plan.num_groups
-
-    def test_long_lived_cache_reuses_streams_across_calls(self, traces, sink):
-        schemes = [parse_scheme(text) for text in ALL_FAMILY_SCHEMES]
-        cache = KeyCache()
-        evaluate_plan(SweepPlan(schemes), traces, key_cache=cache)
-        misses_first = sink.counters["plan.key_cache.misses"]
-        evaluate_plan(SweepPlan(schemes), traces, key_cache=cache)
-        # the second sweep computed nothing new
-        assert sink.counters["plan.key_cache.misses"] == misses_first
-
-    def test_fingerprint_keying_shares_equal_content_traces(self, sink):
-        # two distinct objects with byte-identical arrays hash to one entry
-        first = make_random_trace(num_nodes=8, num_events=80, num_blocks=8, seed="fp")
-        second = make_random_trace(num_nodes=8, num_events=80, num_blocks=8, seed="fp")
-        assert first is not second
-        cache = KeyCache()
-        spec = IndexSpec(use_pid=True)
-        stream = cache.key_stream(first, spec)
-        assert (cache.key_stream(second, spec) == stream).all()
-        assert sink.counters["plan.key_cache.misses"] == 1
-        assert sink.counters["plan.key_cache.hits"] == 1
-
-    def test_clear_forgets_everything(self, traces, sink):
-        cache = KeyCache()
-        spec = IndexSpec(addr_bits=4)
-        cache.key_stream(traces[0], spec)
-        cache.clear()
-        cache.key_stream(traces[0], spec)
-        assert sink.counters["plan.key_cache.misses"] == 2
+        assert len(calls) == len(traces) * plan.num_groups
 
 
 class TestEvaluatePlanBitIdentical:
@@ -235,6 +216,18 @@ class TestEvaluatePlanBitIdentical:
 
     def test_empty_plan(self, traces):
         assert evaluate_plan(SweepPlan([]), traces) == []
+
+    @settings(max_examples=25)
+    @given(chunk_events=st.integers(1, 48))
+    def test_any_chunking_matches_one_chunk(self, traces, chunk_events):
+        """Carried bitmap history, still-open FORWARDED epochs and kernel
+        tables cross chunk boundaries exactly: sources cut into windows of
+        any size score like the resident traces read as one chunk each."""
+        plan = SweepPlan([parse_scheme(text) for text in ALL_FAMILY_SCHEMES])
+        sources = [
+            ResidentTraceSource(trace, chunk_events=chunk_events) for trace in traces
+        ]
+        assert evaluate_plan(plan, sources) == evaluate_plan(plan, traces)
 
 
 class TestSharedPasses:

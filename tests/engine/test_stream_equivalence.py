@@ -19,6 +19,7 @@ from repro.metrics.confusion import ConfusionCounts
 from repro.telemetry import Telemetry, set_telemetry
 from repro.trace.interchange import FileTraceSource, write_source
 
+from tests.conftest import make_random_trace
 from tests.golden import GOLDEN_SCHEMES, load_fixture
 
 
@@ -122,3 +123,34 @@ def test_streaming_engines_never_materialize(sources):
         assert sink.counters.get("engine.stream.materializations", 0) == 1
     finally:
         set_telemetry(previous)
+
+
+def test_streamed_pas_runs_native(tmp_path):
+    """Streamed PAs schemes run the resumable compiled loop; only the
+    confidence-gated schemes the native backend declines fall back."""
+    from repro.core.kernel_backends import get_kernel_backend, set_kernel_backend
+
+    if not get_kernel_backend("native").available():
+        pytest.skip("native kernel backend unavailable here")
+    trace = make_random_trace(num_nodes=16, num_events=1200, num_blocks=40, seed="pas")
+    path = tmp_path / "pas.rtrace"
+    write_source(trace, path, chunk_events=128)
+    source = FileTraceSource(path)
+    assert len(list(source.chunks())) > 1
+    pas = ["pas(pid+add4)2[direct]", "pas(dir+add6)1[forwarded]", "pas(pc4)3[ordered]"]
+    confidence = ["cunion(pid+add4)2[forwarded]", "cinter(dir+add6)2[direct]"]
+    schemes = [parse_scheme(text) for text in pas + confidence]
+    sink = Telemetry()
+    previous_telemetry = set_telemetry(sink)
+    previous_kernel = set_kernel_backend("native")
+    try:
+        streamed = VectorizedEngine().evaluate_batch(schemes, [source])
+    finally:
+        set_kernel_backend(previous_kernel)
+        set_telemetry(previous_telemetry)
+    # one routed stream per (scheme, trace), plus the engine's one
+    # selection record per batch
+    assert sink.counters["kernel.backend.native"] == len(pas) + 1
+    assert sink.counters["kernel.fallbacks"] == len(confidence)
+    assert sink.counters["kernel.backend.python"] == len(confidence)
+    assert streamed == ReferenceEngine().evaluate_batch(schemes, [trace])
