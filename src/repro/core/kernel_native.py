@@ -514,12 +514,11 @@ class _DenseIds:
 
 
 def _to_word_rows(column: np.ndarray, layout: BitmapLayout) -> np.ndarray:
-    """A bitmap column as a C-contiguous ``(events, n_words)`` uint64 array."""
-    if layout.packed:
-        return np.ascontiguousarray(column, dtype=np.uint64)
-    return np.ascontiguousarray(
-        column.astype(np.uint64, copy=False).reshape(-1, 1)
-    )
+    """A bitmap column as an aligned, C-contiguous ``(events, n_words)``
+    uint64 array (columns read from an ``.rtrace`` image may be unaligned)."""
+    if not layout.packed:
+        column = column.reshape(-1, 1)
+    return np.require(column, dtype=np.uint64, requirements="CA")
 
 
 def _from_word_rows(words: np.ndarray, layout: BitmapLayout) -> np.ndarray:
@@ -611,7 +610,7 @@ class NativeKernelStream:
             pred,
             _to_word_rows(chunk.truth, layout),
             np.ascontiguousarray(layout.mask_words, dtype=np.uint64),
-            np.ascontiguousarray(chunk.writer, dtype=np.int64),
+            np.require(chunk.writer, dtype=np.int64, requirements="CA"),
             exclude_writer,
             layout.n_words,
         )

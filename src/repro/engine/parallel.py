@@ -8,12 +8,14 @@ backend cuts the batch into plan-ordered chunks and drives them through a
 :mod:`repro.engine.remote` when ``hosts=`` names ``repro-worker``
 processes on other machines.  The control plane is transport-agnostic:
 
-* **Fingerprint-verified trace transport** -- the multiprocessing
-  transport publishes traces once over :mod:`repro.trace.shm` (workers
-  attach zero-copy, fingerprint-verified views; ``REPRO_SHM=0`` forces
-  the pickle path) and the socket transport ships fingerprint-verified
-  bulk bytes (or shm descriptors for same-machine workers).  Every
-  transport is bit-identical and frozen against the golden fixtures.
+* **Fingerprint-verified trace transport** -- every trace reaches a
+  worker as one ``.rtrace`` image: a file-backed source as its path,
+  anything else as image bytes, which the multiprocessing transport
+  publishes once over :mod:`repro.trace.shm` (``REPRO_SHM=0`` sends the
+  bytes instead) and the socket transport ships in its install message.
+  Workers refuse any trace whose content fingerprint is not the
+  coordinator's.  Every transport is bit-identical and frozen against the
+  golden fixtures.
 * **Plan-group work stealing** -- the batch is first permuted into
   :class:`~repro.core.plan.SweepPlan` order and chunks are cut inside plan
   batch boundaries, so every chunk a worker steals shares one
@@ -233,9 +235,6 @@ class ParallelEngine(EvaluationEngine):
             then however many hosts answer.
         chunk_size: pin the scheme-chunk size instead of adapting it from
             observed throughput (mainly for tests and A/B baselines).
-        use_shm: force the shared-memory trace transport on or off;
-            ``None`` follows ``REPRO_SHM`` and platform availability (and,
-            for the socket transport, ``REPRO_REMOTE_SHM``).
         persistent: keep the transport (worker pool or socket
             connections, plus any published shared-memory trace set) alive
             between batch calls.  Consecutive batches over the same traces
@@ -255,17 +254,15 @@ class ParallelEngine(EvaluationEngine):
     """
 
     name = "parallel"
-    # Sources pass through to the transports: file-backed suites ship as
-    # path+fingerprint records (workers stream them), anything else is
-    # materialized at the transport seam, and the serial fallback streams
-    # in-process.
+    # Sources pass through to the transports: file-backed ones travel as
+    # their paths (workers stream them), any other as its .rtrace image,
+    # and the serial fallback streams in-process.
     supports_streams = True
 
     def __init__(
         self,
         jobs: Optional[int] = None,
         chunk_size: Optional[int] = None,
-        use_shm: Optional[bool] = None,
         persistent: bool = False,
         hosts: Optional[Sequence[str]] = None,
         chunk_timeout: Optional[float] = None,
@@ -274,7 +271,6 @@ class ParallelEngine(EvaluationEngine):
 
         self.jobs = max(1, int(jobs)) if jobs is not None else default_jobs()
         self.chunk_size = chunk_size
-        self.use_shm = use_shm
         self.persistent = persistent
         self.hosts = parse_hosts(hosts)
         self.chunk_timeout = chunk_timeout
@@ -366,17 +362,13 @@ class ParallelEngine(EvaluationEngine):
             from repro.engine.remote import SocketTransport
 
             return SocketTransport(
-                traces,
-                key,
-                self.hosts,
-                chunk_timeout=self.chunk_timeout,
-                use_shm=self.use_shm,
+                traces, key, self.hosts, chunk_timeout=self.chunk_timeout
             )
         # ProcessPoolExecutor is looked up through this module so tests can
         # monkeypatch repro.engine.parallel.ProcessPoolExecutor to simulate
         # pools that cannot spawn or die mid-batch.
         return MultiprocessingTransport(
-            traces, key, workers, use_shm=self.use_shm, executor=ProcessPoolExecutor
+            traces, key, workers, executor=ProcessPoolExecutor
         )
 
     def _acquire_transport(

@@ -12,7 +12,8 @@ math cannot differ between transports.
 
 Wire protocol (version :data:`WIRE_SCHEMA`): newline-delimited JSON
 messages over TCP, with one binary extension -- an ``install`` message in
-``bulk`` mode is followed by exactly ``nbytes`` of raw array data.  Ops:
+``refs`` mode is followed by exactly ``nbytes`` of ``.rtrace`` image data.
+Ops:
 
 ``hello``     handshake; the worker reports its schema and pid.
 ``install``   pin a trace suite (and kernel backend) in the worker.
@@ -20,19 +21,17 @@ messages over TCP, with one binary extension -- an ``install`` message in
               last few installed suites keyed by the transport's
               fingerprint tuple, and a coordinator whose suite matches
               re-pins them without shipping anything (coordinator-side
-              counter ``engine.remote.trace_cache.hits``).  Mode ``shm``
-              ships :class:`~repro.trace.shm.TraceDescriptor`
-              records for a same-machine worker to attach zero-copy
-              (fingerprint-verified, exactly the pool path); mode
-              ``files`` ships ``.rtrace`` path+fingerprint records the
-              worker opens and streams itself (shared-filesystem
-              assumption, fingerprint-refused on mismatch).  A worker
-              that cannot serve any of those answers ``ok: false`` and
-              the coordinator falls back to mode ``bulk``: flat
-              per-field layouts plus the concatenated array bytes,
-              rebuilt and then verified against the same content
-              fingerprints.  Every successful install also populates the
-              worker's suite cache.
+              counter ``engine.remote.trace_cache.hits``).  Mode ``refs``
+              carries one ref per trace: a file-backed trace as its
+              ``.rtrace`` path (shared-filesystem assumption), any other
+              as the byte length of its image in the trailing blob.  The
+              worker installs them through
+              :func:`repro.engine.transport.install_traces`, which refuses
+              any trace whose content fingerprint is not the ref's.  A
+              worker that refuses answers ``ok: false``, and the
+              coordinator resends every trace as image bytes (a file's
+              image is its bytes).  Every successful install also
+              populates the worker's suite cache.
 ``chunk``     score one chunk (``kind`` evaluate/traffic, scheme full
               names, JSON args) and reply with the payload quadruple.
 ``shutdown``  acknowledge and exit the worker process.
@@ -71,59 +70,28 @@ import queue
 import socket
 import threading
 import time
-from dataclasses import asdict
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
-
 from collections import OrderedDict
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.kernel_backends import resolve_kernel_backend
 from repro.core.schemes import parse_scheme
 from repro.engine.transport import (
     ChunkResult,
     WorkTransport,
-    file_trace_specs,
     install_traces,
-    installed_traces,
-    resolve_worker_traces,
     run_chunk,
+    trace_refs,
 )
-from repro.machine import MachineSpec
 from repro.telemetry import Telemetry
 from repro.trace.events import SharingTrace
-from repro.trace.shm import (
-    TRACE_FIELDS,
-    TraceDescriptor,
-    _FieldLayout,
-    publish_traces,
-    shm_available,
-    trace_fingerprint,
-)
 
 logger = logging.getLogger("repro.engine.remote")
 
 #: wire protocol version; both sides refuse a mismatch at hello time
-WIRE_SCHEMA = 1
+WIRE_SCHEMA = 2
 
 #: seconds a chunk may stay unanswered before its worker counts as hung
 DEFAULT_CHUNK_TIMEOUT = 300.0
-
-
-def _truthy(raw: Optional[str]) -> bool:
-    return (raw or "").strip().lower() not in ("", "0", "false", "off", "no")
-
-
-def remote_shm_enabled() -> bool:
-    """Whether the coordinator offers shm descriptors to socket workers.
-
-    Off by default: a worker on another machine can never attach, and on
-    CPython < 3.13 a same-machine worker's resource tracker unlinks
-    attached segments when that worker exits, which the fault-injection
-    tests exercise on purpose.  Set ``REPRO_REMOTE_SHM=1`` when the
-    workers share the machine and outlive the coordinator's batches.
-    """
-    return _truthy(os.environ.get("REPRO_REMOTE_SHM"))
 
 
 def parse_hosts(raw) -> Tuple[str, ...]:
@@ -185,100 +153,6 @@ def _read_exact(rfile, nbytes: int) -> bytes:
 
 
 # ----------------------------------------------------------------------
-# Trace encoding: shm descriptors (JSON-ified) or verified bulk bytes
-# ----------------------------------------------------------------------
-
-
-def _descriptors_to_json(descriptors: Sequence[TraceDescriptor]) -> List[dict]:
-    return [asdict(descriptor) for descriptor in descriptors]
-
-
-def _descriptors_from_json(payload: Sequence[dict]) -> List[TraceDescriptor]:
-    descriptors = []
-    for entry in payload:
-        fields = {
-            name: _FieldLayout(**layout) for name, layout in entry["fields"].items()
-        }
-        descriptors.append(TraceDescriptor(**{**entry, "fields": fields}))
-    return descriptors
-
-
-def encode_bulk_traces(traces: Sequence[SharingTrace]) -> Tuple[List[dict], bytes]:
-    """Flatten traces for the wire: JSON headers + concatenated array bytes.
-
-    Every field array is shipped C-contiguous in :data:`TRACE_FIELDS`
-    order; the header carries dtype/shape per field plus the trace's
-    content fingerprint, which the receiving worker re-derives from the
-    rebuilt trace -- a truncated or reordered transfer can never install.
-    """
-    headers = []
-    blobs = []
-    for trace in traces:
-        fields = []
-        for field in TRACE_FIELDS:
-            array = np.ascontiguousarray(getattr(trace, field))
-            fields.append(
-                {
-                    "name": field,
-                    "dtype": str(array.dtype),
-                    "length": len(array),
-                    "words": array.shape[1] if array.ndim == 2 else 0,
-                    "nbytes": array.nbytes,
-                }
-            )
-            blobs.append(array.tobytes())
-        headers.append(
-            {
-                "trace_name": trace.name,
-                "num_nodes": trace.num_nodes,
-                "fingerprint": trace_fingerprint(trace),
-                "machine": trace.machine.to_json() if trace.machine is not None else "",
-                "fields": fields,
-            }
-        )
-    return headers, b"".join(blobs)
-
-
-def decode_bulk_traces(headers: Sequence[dict], blob: bytes) -> List[SharingTrace]:
-    """Rebuild and fingerprint-verify traces from a bulk transfer."""
-    traces = []
-    offset = 0
-    for header in headers:
-        arrays = {}
-        for field in header["fields"]:
-            nbytes = int(field["nbytes"])
-            elements = int(field["length"]) * (int(field["words"]) or 1)
-            # copy out of the receive buffer into an owned, writable array
-            flat = np.frombuffer(
-                blob, dtype=np.dtype(field["dtype"]), count=elements, offset=offset
-            ).copy()
-            if field["words"]:
-                flat = flat.reshape(int(field["length"]), int(field["words"]))
-            arrays[field["name"]] = flat
-            offset += nbytes
-        trace = SharingTrace(
-            num_nodes=int(header["num_nodes"]),
-            name=header["trace_name"],
-            machine=(
-                MachineSpec.from_json(header["machine"]) if header["machine"] else None
-            ),
-            **arrays,
-        )
-        actual = trace_fingerprint(trace)
-        if actual != header["fingerprint"]:
-            raise ValueError(
-                f"bulk trace {header['trace_name']!r} fingerprint mismatch: "
-                f"{actual} != {header['fingerprint']}"
-            )
-        traces.append(trace)
-    if offset != len(blob):
-        raise ValueError(
-            f"bulk transfer size mismatch: decoded {offset} of {len(blob)} bytes"
-        )
-    return traces
-
-
-# ----------------------------------------------------------------------
 # Worker side: the repro-worker process
 # ----------------------------------------------------------------------
 
@@ -287,21 +161,44 @@ def decode_bulk_traces(headers: Sequence[dict], blob: bytes) -> List[SharingTrac
 #: scenario cells without re-shipping, small enough to bound memory
 TRACE_CACHE_CAPACITY = 4
 
-#: worker-lifetime suite cache: transport fingerprint tuple -> installed
-#: trace list.  Survives coordinator reconnects, which is the whole point:
-#: a restarted sweep re-pins its traces with a zero-byte ``cached`` probe.
-_TRACE_CACHE: "OrderedDict[Tuple[str, ...], list]" = OrderedDict()
+#: worker-lifetime suite cache: transport fingerprint tuple -> the install
+#: refs received for it (image bytes included).  Survives coordinator
+#: reconnects, which is the whole point: a restarted sweep re-pins its
+#: traces with a zero-byte ``cached`` probe.
+_TRACE_CACHE: "OrderedDict[Tuple[str, ...], List[dict]]" = OrderedDict()
 
 
-def _trace_cache_store(key: Optional[Sequence[str]]) -> None:
+def _trace_cache_store(key: Tuple[str, ...], refs: List[dict]) -> None:
     """Retain the just-installed suite under the coordinator's key (LRU)."""
     if not key:
         return
-    cache_key = tuple(key)
-    _TRACE_CACHE[cache_key] = list(installed_traces())
-    _TRACE_CACHE.move_to_end(cache_key)
+    _TRACE_CACHE[key] = refs
+    _TRACE_CACHE.move_to_end(key)
     while len(_TRACE_CACHE) > TRACE_CACHE_CAPACITY:
         _TRACE_CACHE.popitem(last=False)
+
+
+def _receive_refs(rfile, message: dict) -> List[dict]:
+    """A ``refs`` install's refs, each image a zero-copy slice of the blob.
+
+    Reads the blob before anything can fail, so a refused install never
+    leaves image bytes unread on the connection.
+    """
+    blob = memoryview(_read_exact(rfile, int(message["nbytes"])))
+    refs = []
+    offset = 0
+    for entry in message["traces"]:
+        if "path" in entry:
+            refs.append({"fingerprint": entry["fingerprint"], "path": entry["path"]})
+            continue
+        size = int(entry["nbytes"])
+        refs.append(
+            {"fingerprint": entry["fingerprint"], "image": blob[offset : offset + size]}
+        )
+        offset += size
+    if offset != len(blob):
+        raise ValueError(f"install blob holds {len(blob)} bytes, refs claim {offset}")
+    return refs
 
 
 class _WorkerSession:
@@ -338,14 +235,7 @@ class _WorkerSession:
     def _dispatch(self, message: dict) -> bool:
         op = message.get("op")
         if op == "hello":
-            self._reply(
-                {
-                    "ok": True,
-                    "schema": WIRE_SCHEMA,
-                    "pid": os.getpid(),
-                    "shm": shm_available(),
-                }
-            )
+            self._reply({"ok": True, "schema": WIRE_SCHEMA, "pid": os.getpid()})
             if int(message.get("schema", -1)) != WIRE_SCHEMA:
                 logger.warning(
                     "coordinator %s speaks schema %s, worker speaks %s",
@@ -366,49 +256,19 @@ class _WorkerSession:
 
     def _handle_install(self, message: dict) -> bool:
         mode = message.get("mode")
+        key = tuple(message.get("key") or ())
         try:
             if mode == "cached":
-                cached = _TRACE_CACHE.get(tuple(message.get("key") or ()))
-                if cached is None:
+                refs = _TRACE_CACHE.get(key)
+                if refs is None:
                     self._reply({"ok": False, "error": "trace cache miss"})
                     return False
-                _TRACE_CACHE.move_to_end(tuple(message["key"]))
-                install_traces(
-                    {
-                        "mode": "objects",
-                        "traces": cached,
-                        "kernel": message.get("kernel"),
-                    }
-                )
-            elif mode == "shm":
-                descriptors = _descriptors_from_json(message["descriptors"])
-                install_traces(
-                    {
-                        "mode": "shm",
-                        "descriptors": descriptors,
-                        "kernel": message.get("kernel"),
-                    }
-                )
-            elif mode == "files":
-                install_traces(
-                    {
-                        "mode": "files",
-                        "files": message["files"],
-                        "kernel": message.get("kernel"),
-                    }
-                )
-            elif mode == "bulk":
-                blob = _read_exact(self.rfile, int(message["nbytes"]))
-                traces = decode_bulk_traces(message["traces"], blob)
-                install_traces(
-                    {
-                        "mode": "objects",
-                        "traces": traces,
-                        "kernel": message.get("kernel"),
-                    }
-                )
+                _TRACE_CACHE.move_to_end(key)
+            elif mode == "refs":
+                refs = _receive_refs(self.rfile, message)
             else:
                 raise ValueError(f"unknown install mode {mode!r}")
+            install_traces({"traces": refs, "kernel": message.get("kernel")})
         except ConnectionError:
             raise
         except Exception as error:  # noqa: BLE001 - reported to the coordinator
@@ -418,7 +278,7 @@ class _WorkerSession:
             )
             return False
         if mode != "cached":
-            _trace_cache_store(message.get("key"))
+            _trace_cache_store(key, refs)
         self._reply({"ok": True, "mode": mode})
         return False
 
@@ -584,10 +444,9 @@ class SocketTransport(WorkTransport):
     """Drive repro-worker processes over TCP with re-steal fault tolerance.
 
     Connects to every host up front, installs the batch's trace suite
-    (shm descriptors first when :func:`remote_shm_enabled`, verified bulk
-    bytes otherwise), then serves the engine's stealing loop.  One reader
-    thread per worker funnels replies into a single completion queue; all
-    scheduling state -- outstanding chunks, re-steals, telemetry -- is
+    (after a cache probe: file paths and ``.rtrace`` image bytes), then
+    serves the engine's stealing loop.  One reader thread per worker
+    funnels replies into a single completion queue; all scheduling state -- outstanding chunks, re-steals, telemetry -- is
     mutated only on the engine thread, inside :meth:`submit` and
     :meth:`next_completed`.
     """
@@ -600,7 +459,6 @@ class SocketTransport(WorkTransport):
         key: Tuple[str, ...],
         hosts: Sequence[str],
         chunk_timeout: Optional[float] = None,
-        use_shm: Optional[bool] = None,
     ):
         self.key = key
         self.hosts = parse_hosts(hosts)
@@ -614,32 +472,15 @@ class SocketTransport(WorkTransport):
         self._telemetry = Telemetry()
         self._workers: List[_RemoteWorker] = []
         self._readers: List[threading.Thread] = []
-        self.published = None
+        # install refs, encoded on the first cache miss and shared by
+        # every worker after it
+        self._refs: Optional[List[dict]] = None
         kernel = resolve_kernel_backend().name
-        # A fully file-backed suite prefers the zero-copy ``files`` install
-        # (workers stream the .rtrace paths themselves), so skip the shm
-        # publish; mixed/resident suites publish as before, with any
-        # streamed members filling their segments chunk-wise.
-        offer_shm = (
-            (use_shm if use_shm is not None else remote_shm_enabled())
-            and shm_available()
-            and file_trace_specs(traces) is None
-        )
-        if offer_shm:
-            try:
-                self.published = publish_traces(traces)
-            except (OSError, RuntimeError, ValueError) as error:
-                logger.warning(
-                    "cannot publish shm traces for remote workers (%s); "
-                    "using bulk transfer only",
-                    error,
-                )
-        bulk: Optional[Tuple[List[dict], bytes]] = None
         try:
             for address in self.hosts:
                 try:
                     worker = self._connect(address)
-                    bulk = self._install(worker, kernel, traces, bulk)
+                    self._install(worker, kernel, traces)
                 except (OSError, ConnectionError, ValueError, RuntimeError) as error:
                     logger.warning("worker %s unavailable: %s", address, error)
                     self._telemetry.count("engine.remote.connect_failures")
@@ -678,14 +519,14 @@ class SocketTransport(WorkTransport):
         worker.pid = reply.get("pid")
         return worker
 
-    def _install(self, worker, kernel, traces, bulk):
-        """Install the trace suite in one worker; returns the cached bulk.
+    def _install(self, worker, kernel, traces) -> None:
+        """Install the trace suite in one worker, cheapest form first.
 
-        Escalating negotiation, cheapest first: a zero-byte ``cached``
-        probe against the worker's fingerprint-keyed suite cache, then shm
-        descriptors, then ``.rtrace`` path records for file-backed suites,
-        then verified bulk bytes.  Every data-bearing message carries the
-        transport key so the worker caches what it installed.
+        A zero-byte ``cached`` probe against the worker's fingerprint-keyed
+        suite cache; then file-backed traces by path and every other
+        trace's image in the blob; and, if the worker refuses (it cannot
+        open a path, say), every trace as image bytes -- a file's image is
+        its bytes, so nothing is materialized.
         """
         key = list(self.key)
         if key:
@@ -696,71 +537,58 @@ class SocketTransport(WorkTransport):
             if reply.get("ok"):
                 self._telemetry.count("engine.remote.trace_cache.hits")
                 self._telemetry.count("engine.remote.bytes_shipped", sent)
-                return bulk
+                return
             self._telemetry.count("engine.remote.trace_cache.misses")
-        if self.published is not None:
-            sent = worker.send(
-                {
-                    "op": "install",
-                    "mode": "shm",
-                    "kernel": kernel,
-                    "key": key,
-                    "descriptors": _descriptors_to_json(self.published.descriptors),
-                }
-            )
-            reply = self._read_reply(worker)
-            if reply.get("ok"):
-                self._telemetry.count("engine.remote.shm_installs")
-                self._telemetry.count("engine.remote.bytes_shipped", sent)
-                return bulk
+        if self._refs is None:
+            self._refs = list(trace_refs(traces, self.key))
+        refs = self._refs
+        reply = self._send_refs(worker, kernel, key, refs)
+        if not reply.get("ok") and any("path" in ref for ref in refs):
+            from repro.trace.interchange import trace_image
+
             logger.info(
-                "worker %s cannot attach shm (%s); shipping bulk traces",
+                "worker %s cannot open trace files (%s); shipping images",
                 worker.address,
                 reply.get("error"),
             )
-        specs = file_trace_specs(traces)
-        if specs is not None:
-            sent = worker.send(
-                {
-                    "op": "install",
-                    "mode": "files",
-                    "kernel": kernel,
-                    "key": key,
-                    "files": specs,
-                }
-            )
-            reply = self._read_reply(worker)
-            if reply.get("ok"):
-                self._telemetry.count("engine.remote.file_installs")
-                self._telemetry.count("engine.remote.bytes_shipped", sent)
-                return bulk
-            logger.info(
-                "worker %s cannot open trace files (%s); shipping bulk traces",
-                worker.address,
-                reply.get("error"),
-            )
-        if bulk is None:
-            bulk = encode_bulk_traces(resolve_worker_traces(traces))
-        headers, blob = bulk
-        sent = worker.send(
-            {
-                "op": "install",
-                "mode": "bulk",
-                "kernel": kernel,
-                "key": key,
-                "traces": headers,
-                "nbytes": len(blob),
-            },
-            blob,
-        )
-        reply = self._read_reply(worker)
+            refs = [
+                {"fingerprint": ref["fingerprint"], "image": trace_image(trace)}
+                if "path" in ref
+                else ref
+                for ref, trace in zip(refs, traces)
+            ]
+            reply = self._send_refs(worker, kernel, key, refs)
         if not reply.get("ok"):
             raise RuntimeError(
                 f"worker {worker.address} rejected traces: {reply.get('error')}"
             )
-        self._telemetry.count("engine.remote.bulk_installs")
+        if any("path" in ref for ref in refs):
+            self._telemetry.count("engine.remote.file_installs")
+        if any("image" in ref for ref in refs):
+            self._telemetry.count("engine.remote.bulk_installs")
+
+    def _send_refs(self, worker, kernel, key, refs: List[dict]) -> dict:
+        """Send one ``refs`` install (paths inline, images in the blob)."""
+        entries = [
+            {"fingerprint": ref["fingerprint"], "path": ref["path"]}
+            if "path" in ref
+            else {"fingerprint": ref["fingerprint"], "nbytes": len(ref["image"])}
+            for ref in refs
+        ]
+        blob = b"".join(ref["image"] for ref in refs if "image" in ref)
+        sent = worker.send(
+            {
+                "op": "install",
+                "mode": "refs",
+                "kernel": kernel,
+                "key": key,
+                "traces": entries,
+                "nbytes": len(blob),
+            },
+            blob,
+        )
         self._telemetry.count("engine.remote.bytes_shipped", sent)
-        return bulk
+        return self._read_reply(worker)
 
     def _read_reply(self, worker: _RemoteWorker, timeout: float = 60.0) -> dict:
         """Synchronous reply read, used only before the reader threads start."""
@@ -955,9 +783,6 @@ class SocketTransport(WorkTransport):
             worker.release_rfile()
         self._readers = []
         self._workers = []
-        if self.published is not None:
-            self.published.close()
-            self.published = None
 
 
 def shutdown_workers(hosts: Sequence[str], timeout: float = 10.0) -> int:
@@ -987,9 +812,6 @@ __all__ = [
     "worker_main",
     "shutdown_workers",
     "parse_hosts",
-    "encode_bulk_traces",
-    "decode_bulk_traces",
-    "remote_shm_enabled",
     "WIRE_SCHEMA",
     "DEFAULT_CHUNK_TIMEOUT",
 ]

@@ -37,23 +37,22 @@ import time
 from abc import ABC, abstractmethod
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.kernel_backends import resolve_kernel_backend, set_kernel_backend
 from repro.core.plan import SweepPlan, evaluate_plan
 from repro.core.schemes import Scheme
 from repro.forwarding.simulator import simulate_traffic_streamed
 from repro.metrics.traffic import TrafficModel
-from repro.telemetry import Telemetry, get_telemetry, set_telemetry
-from repro.trace.events import SharingTrace
-from repro.trace.shm import (
-    attach_trace,
-    publish_traces,
-    shm_available,
-    shm_enabled,
-    trace_fingerprint,
+from repro.telemetry import (
+    Telemetry,
+    get_telemetry,
+    set_telemetry,
+    set_thread_telemetry,
 )
-from repro.trace.source import TraceSource
+from repro.trace.events import SharingTrace
+from repro.trace.shm import attach_trace, publish_traces, shm_available, shm_enabled
+from repro.trace.source import as_source
 
 logger = logging.getLogger("repro.engine.transport")
 
@@ -69,72 +68,66 @@ CHUNK_KINDS = ("evaluate", "traffic")
 # Worker side: installed traces + chunk execution
 # ----------------------------------------------------------------------
 
-# Worker-process state, installed once per trace suite by install_traces.
-# Entries are resident SharingTraces or TraceSources (installed by the
-# "files" mode); the planner reads either kind.
+# Worker-process state, installed once per trace suite by install_traces:
+# the trace sources, and the shared-memory mappings backing any of them.
 _WORKER_TRACES: List = []
-_WORKER_SEGMENTS: Dict[str, object] = {}
+_WORKER_SEGMENTS: List = []
 
 
 def install_traces(payload: dict) -> None:
     """Install a batch's traces (and kernel choice) in this process.
 
-    ``payload`` is one of::
+    Every worker, pooled or remote, installs through this function.
+    ``payload["traces"]`` holds one ref per trace, in one of three forms::
 
-        {"mode": "pickle", "traces": [SharingTrace, ...]}
-        {"mode": "shm",    "descriptors": [TraceDescriptor, ...]}
-        {"mode": "objects", "traces": [SharingTrace, ...]}
-        {"mode": "files",  "files": [{"path": ..., "fingerprint": ...}, ...]}
+        {"fingerprint": ..., "path": ...}                    an .rtrace file
+        {"fingerprint": ..., "segment": ..., "nbytes": ...}  a shared-memory image
+        {"fingerprint": ..., "image": <bytes>}               the image itself
 
-    ``pickle`` is the multiprocessing initializer path (the arrays arrived
-    pickled), ``shm`` attaches fingerprint-verified zero-copy views,
-    ``objects`` is the remote worker handing over traces it already
-    rebuilt (from a bulk transfer or a local shm attach), and ``files``
-    installs each trace as a chunk-streaming
-    :class:`~repro.trace.interchange.FileTraceSource` -- only a path and a
-    fingerprint cross the process boundary, the worker opens the
-    ``.rtrace`` itself (shared-filesystem assumption) and refuses a
-    fingerprint mismatch, so a swapped or stale file can never install.
+    A file installs as a :class:`~repro.trace.interchange.FileTraceSource`
+    that streams and CRC-checks the file on every pass (shared-filesystem
+    assumption); an image is parsed and checked once, here, and then served
+    as zero-copy chunk views.  Every form is refused unless the trace's
+    content fingerprint is the ref's -- for a file that is its footer, for
+    an image the footer after recomputing it from the content -- so a
+    swapped, stale or damaged trace can never install.
     ``payload["kernel"]`` pins the kernel backend the *coordinator*
     resolved, so every worker evaluates on the same per-event loop and a
     heterogeneous pool can never change results (an unavailable pinned
     backend degrades to pure Python bit-identically, by the registry
     contract).
+
+    As the pool initializer this runs in a worker forked from whichever
+    thread first submitted; that thread's telemetry override (a served
+    job's sink) is cleared here, so chunk code records into the per-chunk
+    sink :func:`run_chunk` installs.
     """
-    global _WORKER_TRACES
-    _WORKER_SEGMENTS.clear()
+    global _WORKER_TRACES, _WORKER_SEGMENTS
+    from repro.trace.interchange import FileTraceSource, ImageTraceSource
+
+    set_thread_telemetry(None)
     kernel = payload.get("kernel")
     if kernel is not None:
         set_kernel_backend(kernel)
-    if payload["mode"] == "shm":
-        traces = []
-        for descriptor in payload["descriptors"]:
-            attached = attach_trace(descriptor)
-            # pin the mapping for the worker's lifetime, keyed by fingerprint
-            _WORKER_SEGMENTS[descriptor.fingerprint] = attached
-            traces.append(attached.trace)
-        _WORKER_TRACES = traces
-    elif payload["mode"] == "files":
-        from repro.trace.interchange import FileTraceSource
-
-        sources = []
-        for spec in payload["files"]:
-            source = FileTraceSource(spec["path"])
-            expected = spec.get("fingerprint")
-            if expected and source.fingerprint() != expected:
-                raise ValueError(
-                    f"trace file {spec['path']} fingerprint mismatch: "
-                    f"{source.fingerprint()} != {expected}"
-                )
-            sources.append(source)
-        _WORKER_TRACES = sources
-    else:
-        _WORKER_TRACES = list(payload["traces"])
-
-
-def installed_traces() -> List[SharingTrace]:
-    """The traces currently installed in this process (worker-side)."""
-    return _WORKER_TRACES
+    sources = []
+    segments = []
+    for ref in payload["traces"]:
+        if "segment" in ref:
+            attached = attach_trace(ref)
+            segments.append(attached)
+            source = attached.source
+        elif "path" in ref:
+            source = FileTraceSource(ref["path"])
+        else:
+            source = ImageTraceSource(ref["image"])
+        if source.fingerprint() != ref["fingerprint"]:
+            raise ValueError(
+                f"trace {source.name!r} fingerprint mismatch: "
+                f"{source.fingerprint()} != {ref['fingerprint']}"
+            )
+        sources.append(source)
+    _WORKER_TRACES = sources
+    _WORKER_SEGMENTS = segments
 
 
 def run_chunk(
@@ -304,88 +297,55 @@ class WorkTransport(ABC):
         """Tear the transport down (idempotent)."""
 
 
-def file_trace_specs(traces: Sequence) -> Optional[List[dict]]:
-    """``files``-mode install specs, when every trace is file-backed.
+def trace_refs(traces: Sequence, key: Tuple[str, ...]) -> Iterator[dict]:
+    """One :func:`install_traces` ref per trace: a file-backed source by
+    path, anything else as its ``.rtrace`` image bytes.
 
-    Returns one ``{"path", "fingerprint"}`` record per trace if the whole
-    suite consists of :class:`~repro.trace.interchange.FileTraceSource`
-    entries (so workers can open the ``.rtrace`` files themselves and
-    stream), else ``None``.
+    ``key`` is the suite's :func:`transport_key`, whose entries are the
+    refs' fingerprints.  A generator: each image is encoded when its ref
+    is taken.
     """
-    specs = []
-    for trace in traces:
-        path = getattr(trace, "path", None)
-        if not (isinstance(trace, TraceSource) and path):
-            return None
-        specs.append({"path": path, "fingerprint": trace.fingerprint()})
-    return specs if specs else None
+    from repro.trace.interchange import FileTraceSource, trace_image
+
+    for trace, fingerprint in zip(traces, key):
+        if isinstance(trace, FileTraceSource):
+            yield {"fingerprint": fingerprint, "path": trace.path}
+        else:
+            yield {"fingerprint": fingerprint, "image": trace_image(trace)}
 
 
-def resolve_worker_traces(traces: Sequence) -> List[SharingTrace]:
-    """Materialize any sources for transports that must ship arrays."""
-    telemetry = get_telemetry()
-    resolved = []
-    for trace in traces:
-        if isinstance(trace, TraceSource):
-            if telemetry.enabled:
-                telemetry.count("engine.stream.materializations")
-            trace = trace.materialize()
-        resolved.append(trace)
-    return resolved
+def prepare_mp_payload(traces: Sequence, key: Tuple[str, ...]):
+    """Choose how the pool's traces travel: paths, shm images, or bytes.
 
-
-def prepare_mp_payload(
-    traces: Sequence[SharingTrace], use_shm: Optional[bool]
-):
-    """Choose the process-pool trace transport: files, SHM, or pickles.
-
-    Returns ``(published_or_None, initializer_payload)``.  A suite of
-    file-backed sources ships as path+fingerprint records (workers stream
-    the ``.rtrace`` files; nothing resident crosses the fork).  Otherwise
-    sources are materialized and the resident paths apply; publication
-    failures (quota, missing /dev/shm) degrade to pickling with a counter,
-    never an error.
+    Returns ``(published_or_None, initializer_payload)``.  File-backed
+    sources travel as their paths.  Every other trace's image goes into a
+    shared-memory segment when ``REPRO_SHM`` allows it -- published before
+    the next is encoded, so one image is resident at a time; when it does
+    not, or publishing fails (quota, missing /dev/shm -- counted under
+    ``shm.fallbacks``, never an error), the image bytes ride in the
+    initializer arguments instead.
     """
-    telemetry = get_telemetry()
     # Resolve the kernel backend in the coordinator (compiling/self-checking
     # the native library here, once) and pin the choice in every worker.
     kernel = resolve_kernel_backend().name
-    specs = file_trace_specs(traces)
-    if specs is not None:
-        return None, {"mode": "files", "files": specs, "kernel": kernel}
-    shm_wanted = (
-        (use_shm and shm_available())
-        if use_shm is not None
-        else (shm_enabled() and shm_available())
-    )
-    if shm_wanted:
+    if shm_enabled() and shm_available():
         try:
-            # publish_traces fills source segments chunk-wise, so mixed
-            # suites publish without materializing their streamed members
-            published = publish_traces(traces)
-        except (OSError, RuntimeError, ValueError) as error:
+            published = publish_traces(trace_refs(traces, key))
+        except (OSError, RuntimeError) as error:
             logger.warning(
                 "shared-memory trace transport unavailable (%s: %s); "
-                "falling back to pickled traces",
+                "sending trace images as bytes",
                 type(error).__name__,
                 error,
             )
-            telemetry.count("shm.fallbacks")
+            get_telemetry().count("shm.fallbacks")
         else:
-            return published, {
-                "mode": "shm",
-                "descriptors": published.descriptors,
-                "kernel": kernel,
-            }
-    return None, {
-        "mode": "pickle",
-        "traces": resolve_worker_traces(traces),
-        "kernel": kernel,
-    }
+            return published, {"traces": published.descriptors, "kernel": kernel}
+    return None, {"traces": list(trace_refs(traces, key)), "kernel": kernel}
 
 
 class MultiprocessingTransport(WorkTransport):
-    """The historical in-machine transport: a process pool plus shm traces.
+    """The in-machine transport: a process pool plus shm trace images.
 
     Owns the :class:`ProcessPoolExecutor` (whose workers were initialized
     with the transport payload via :func:`install_traces`) and the
@@ -402,12 +362,11 @@ class MultiprocessingTransport(WorkTransport):
         traces: Sequence[SharingTrace],
         key: Tuple[str, ...],
         workers: int,
-        use_shm: Optional[bool] = None,
         executor=None,
     ):
         self.key = key
         self.workers = workers
-        self.published, payload = prepare_mp_payload(traces, use_shm)
+        self.published, payload = prepare_mp_payload(traces, key)
         make_pool = executor if executor is not None else ProcessPoolExecutor
         self.pool = make_pool(
             max_workers=workers,
@@ -418,7 +377,9 @@ class MultiprocessingTransport(WorkTransport):
 
     @property
     def shm_active(self) -> bool:
-        return self.published is not None
+        return self.published is not None and any(
+            "segment" in ref for ref in self.published.descriptors
+        )
 
     def submit(self, chunk_id, kind, schemes, args, with_telemetry) -> None:
         future = self.pool.submit(
@@ -442,7 +403,7 @@ class MultiprocessingTransport(WorkTransport):
 
     def on_reuse(self, telemetry, num_traces: int) -> None:
         telemetry.count("engine.parallel.pool_reuses")
-        if self.published is not None:
+        if self.shm_active:
             telemetry.count("shm.republish_avoided", num_traces)
 
     def record_telemetry(self, telemetry) -> None:
@@ -461,16 +422,6 @@ class MultiprocessingTransport(WorkTransport):
 
 
 def transport_key(traces: Sequence) -> Tuple[str, ...]:
-    """The trace-content identity a transport is bound to.
-
-    Sources key on their streaming fingerprint (prefixed so the two
-    fingerprint algebras can never collide), residents on the historical
-    resident fingerprint -- so every existing transport-reuse key stays
-    exactly what it was.
-    """
-    return tuple(
-        f"stream:{trace.fingerprint()}"
-        if isinstance(trace, TraceSource)
-        else trace_fingerprint(trace)
-        for trace in traces
-    )
+    """The trace-content identity a transport is bound to: each trace's
+    :func:`~repro.trace.source.stream_fingerprint` (a file's footer)."""
+    return tuple(as_source(trace).fingerprint() for trace in traces)

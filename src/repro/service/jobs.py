@@ -213,10 +213,11 @@ class InlineTraces:
     """Traces the submitter holds in memory, identified purely by content.
 
     Only meaningful in-process: the actual trace objects travel alongside
-    the spec at submission time, and the content fingerprints (from
-    :func:`repro.trace.shm.trace_fingerprint`) make dedup and coalescing
-    work for ad-hoc traces exactly as for named suites.  A server rejects
-    inline jobs -- it has no way to re-materialize them after a restart.
+    the spec at submission time, and the content fingerprints (each
+    trace's :func:`~repro.trace.source.stream_fingerprint`) make dedup and
+    coalescing work for ad-hoc traces exactly as for named suites.  A
+    server rejects inline jobs -- it has no way to re-materialize them
+    after a restart.
     """
 
     fingerprints: Tuple[str, ...]
@@ -242,10 +243,10 @@ class InlineTraces:
 
 def inline_traces(traces: Sequence) -> InlineTraces:
     """An :class:`InlineTraces` reference for in-memory trace objects."""
-    from repro.trace.shm import trace_fingerprint
+    from repro.trace.source import as_source
 
     return InlineTraces(
-        fingerprints=tuple(trace_fingerprint(trace) for trace in traces),
+        fingerprints=tuple(as_source(trace).fingerprint() for trace in traces),
         names=tuple(trace.name for trace in traces),
     )
 

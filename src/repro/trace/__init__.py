@@ -24,12 +24,10 @@ from repro.trace.source import (
     stream_fingerprint,
 )
 from repro.trace.shm import (
-    TraceDescriptor,
     attach_trace,
     publish_traces,
     shm_available,
     shm_enabled,
-    trace_fingerprint,
 )
 from repro.trace.stats import TraceStats, compute_trace_stats
 
@@ -68,10 +66,8 @@ __all__ = [
     "save_trace",
     "TraceStats",
     "compute_trace_stats",
-    "TraceDescriptor",
     "attach_trace",
     "publish_traces",
     "shm_available",
     "shm_enabled",
-    "trace_fingerprint",
 ]

@@ -143,6 +143,10 @@ class StreamingTraceBuilder:
         self.machine = machine
         self.sink = sink
         self.flush_events = flush_events
+        # buffered length at which add_event next tries a flush: a flush
+        # that open epochs leave at flush_events or more waits another
+        # flush_events events before retrying, not one
+        self._next_flush = flush_events
         self._base = 0  # absolute index of the first buffered event
         self._writer: List[int] = []
         self._pc: List[int] = []
@@ -179,8 +183,14 @@ class StreamingTraceBuilder:
         self._has_inval.append(has_inval)
         self._close.append(-1)
         self._open_event_by_block[block] = index
-        if len(self._writer) >= self.flush_events:
+        if len(self._writer) >= self._next_flush:
             self._flush()
+            buffered = len(self._writer)
+            self._next_flush = (
+                buffered + self.flush_events
+                if buffered >= self.flush_events
+                else self.flush_events
+            )
         return index
 
     def add_reader(self, block: int, node: int) -> None:

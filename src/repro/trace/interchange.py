@@ -8,6 +8,12 @@ without ever holding more than one chunk, and :class:`FileTraceSource`
 plugs the file straight into the :class:`~repro.trace.source.TraceSource`
 pipeline (engines, stats, traffic replay).
 
+It is also the only form in which a trace leaves its process: a worker
+receives a file-backed trace as its path and any other trace as the
+in-memory image :func:`trace_image` encodes (the same bytes
+:func:`write_source` would write), read back by
+:class:`ImageTraceSource`.
+
 File layout (all JSON lines are UTF-8, ``\\n``-terminated)::
 
     #rtrace1\\n                                      magic (9 bytes)
@@ -43,6 +49,7 @@ external CSV column contract.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import struct
@@ -93,18 +100,22 @@ class TraceWriter:
 
     Each :meth:`write_columns` / :meth:`write_chunk` call becomes one
     self-describing chunk segment; the content fingerprint accumulates
-    incrementally, so closing is O(1) regardless of trace size.  The
-    file appears at ``path`` only on a successful :meth:`close`.
+    incrementally, so closing is O(1) regardless of trace size.
+
+    ``path`` is a file path or an open binary handle.  A file appears at
+    its path only on a successful :meth:`close` (written to a temporary
+    file, fsynced, then moved into place); a handle -- typically an
+    :class:`io.BytesIO` building an in-memory image -- receives the same
+    bytes in place and stays open, owned by the caller.
     """
 
     def __init__(
         self,
-        path: PathLike,
+        path: Union[PathLike, IO[bytes]],
         num_nodes: int,
         name: str = "trace",
         machine: Optional[MachineSpec] = None,
     ):
-        self.path = os.fspath(path)
         self.num_nodes = num_nodes
         self.name = name
         self.machine = machine
@@ -113,11 +124,17 @@ class TraceWriter:
         self._events = 0
         self._chunks = 0
         self._closed = False
-        directory = os.path.dirname(self.path) or "."
-        fd, self._tmp_path = tempfile.mkstemp(
-            dir=directory, prefix=os.path.basename(self.path) + ".", suffix=".tmp"
-        )
-        self._handle: Optional[IO[bytes]] = os.fdopen(fd, "wb")
+        self._tmp_path: Optional[str] = None
+        if hasattr(path, "write"):
+            self.path: Optional[str] = None
+            self._handle: Optional[IO[bytes]] = path
+        else:
+            self.path = os.fspath(path)
+            directory = os.path.dirname(self.path) or "."
+            fd, self._tmp_path = tempfile.mkstemp(
+                dir=directory, prefix=os.path.basename(self.path) + ".", suffix=".tmp"
+            )
+            self._handle = os.fdopen(fd, "wb")
         header = {
             "schema": RTRACE_SCHEMA,
             "nodes": num_nodes,
@@ -212,7 +229,7 @@ class TraceWriter:
         )
 
     def close(self) -> str:
-        """Seal the file (footer + trailer), move it into place atomically.
+        """Seal the image (footer + trailer); a file moves into place atomically.
 
         Returns the content's streaming fingerprint.
         """
@@ -229,26 +246,27 @@ class TraceWriter:
         self._handle.write(footer_line)
         self._handle.write(struct.pack("<Q", len(footer_line)))
         self._handle.write(MAGIC)
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-        self._handle.close()
+        if self._tmp_path is not None:
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
+            self._handle.close()
+            os.replace(self._tmp_path, self.path)
+            telemetry = get_telemetry()
+            telemetry.count("trace.interchange.writes")
+            telemetry.count("trace.interchange.events_written", self._events)
         self._handle = None
-        os.replace(self._tmp_path, self.path)
         self._closed = True
-        telemetry = get_telemetry()
-        telemetry.count("trace.interchange.writes")
-        telemetry.count("trace.interchange.events_written", self._events)
         return fingerprint
 
     def abort(self) -> None:
         """Discard the partial file (nothing ever appears at ``path``)."""
-        if self._handle is not None:
+        if self._handle is not None and self._tmp_path is not None:
             self._handle.close()
-            self._handle = None
             try:
                 os.unlink(self._tmp_path)
             except OSError:
                 pass
+        self._handle = None
 
     def __enter__(self) -> "TraceWriter":
         return self
@@ -264,29 +282,81 @@ def _json_line(payload: dict) -> bytes:
     return (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
 
 
-class TraceReader:
-    """Streaming ``.rtrace`` reader.
+class _ImageHandle:
+    """The part of the binary-file interface :class:`TraceReader` uses,
+    over an in-memory image.  ``read`` returns zero-copy ``memoryview``
+    slices, so decoded chunk columns alias the image's buffer."""
 
-    Construction reads only the header and footer (two seeks), so event
-    count, machine header, and fingerprint are O(1) regardless of file
-    size; :meth:`chunks` then walks the segments, verifying each CRC.
-    Any structural damage -- bad magic, stale schema, torn tail, short
-    or corrupt payload, totals that disagree with the footer -- raises
+    def __init__(self, image: memoryview):
+        self._image = image
+        self._pos = 0
+
+    def __enter__(self) -> "_ImageHandle":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+    def tell(self) -> int:
+        return self._pos
+
+    def seek(self, offset: int, whence: int = os.SEEK_SET) -> int:
+        self._pos = offset + (len(self._image) if whence == os.SEEK_END else 0)
+        return self._pos
+
+    def read(self, size: int) -> memoryview:
+        start = self._pos
+        self._pos = min(start + size, len(self._image))
+        return self._image[start : self._pos]
+
+    def readline(self) -> bytes:
+        start = end = self._pos
+        while end < len(self._image):
+            window = bytes(self._image[end : end + 4096])
+            newline = window.find(b"\n")
+            if newline >= 0:
+                end += newline + 1
+                break
+            end += len(window)
+        self._pos = end
+        return bytes(self._image[start:end])
+
+
+class TraceReader:
+    """Streaming ``.rtrace`` reader over a file or an in-memory image.
+
+    ``path`` is a file path, or a ``memoryview`` of an image (over
+    ``bytes``, a shared-memory segment) that is read in place.  Construction reads
+    only the header and footer (two seeks), so event count, machine
+    header, and fingerprint are O(1) regardless of size; :meth:`chunks`
+    then walks the segments, verifying each CRC.  Any structural damage
+    -- bad magic, stale schema, torn tail, short or corrupt payload,
+    totals that disagree with the footer -- raises
     :class:`TraceFormatError`.
     """
 
-    def __init__(self, path: PathLike):
-        self.path = os.fspath(path)
+    def __init__(self, path: Union[PathLike, memoryview]):
+        if isinstance(path, memoryview):
+            self._image: Optional[memoryview] = path.cast("B")
+            self.path = "<image>"
+        else:
+            self._image = None
+            self.path = os.fspath(path)
         try:
             self._read_meta()
         except TraceFormatError:
             get_telemetry().count("trace.interchange.read_failures")
             raise
 
+    def _open(self):
+        if self._image is not None:
+            return _ImageHandle(self._image)
+        return open(self.path, "rb")
+
     def _read_meta(self) -> None:
         try:
-            with open(self.path, "rb") as handle:
-                magic = handle.read(len(MAGIC))
+            with self._open() as handle:
+                magic = bytes(handle.read(len(MAGIC)))
                 if magic != MAGIC:
                     raise TraceFormatError(
                         f"{self.path} is not an .rtrace file (bad magic)"
@@ -295,12 +365,12 @@ class TraceReader:
                 if not header_line.endswith(b"\n"):
                     raise TraceFormatError(f"{self.path}: truncated header")
                 header = json.loads(header_line)
-                size = os.fstat(handle.fileno()).st_size
                 data_start = handle.tell()
+                size = handle.seek(0, os.SEEK_END)
                 if size < data_start + _TRAILER_SIZE:
                     raise TraceFormatError(f"{self.path}: torn tail (no trailer)")
                 handle.seek(size - _TRAILER_SIZE)
-                trailer = handle.read(_TRAILER_SIZE)
+                trailer = bytes(handle.read(_TRAILER_SIZE))
                 if trailer[8:] != MAGIC:
                     raise TraceFormatError(
                         f"{self.path}: torn tail (trailer magic missing)"
@@ -310,7 +380,7 @@ class TraceReader:
                 if footer_start < data_start:
                     raise TraceFormatError(f"{self.path}: torn tail (bad footer size)")
                 handle.seek(footer_start)
-                footer = json.loads(handle.read(footer_len))
+                footer = json.loads(bytes(handle.read(footer_len)))
         except TraceFormatError:
             raise
         except (OSError, ValueError, struct.error, UnicodeDecodeError) as error:
@@ -355,13 +425,13 @@ class TraceReader:
         return self.num_events
 
     def chunks(self) -> Iterator[TraceChunk]:
-        """Iterate the file's chunk segments in order (restartable)."""
+        """Iterate the segments in order (restartable)."""
         layout = self.layout
         itemsize = np.dtype(layout.dtype).itemsize
         events_seen = 0
         chunks_seen = 0
         telemetry = get_telemetry()
-        with open(self.path, "rb") as handle:
+        with self._open() as handle:
             handle.seek(self._data_start)
             while handle.tell() < self._data_end:
                 record_line = handle.readline()
@@ -408,7 +478,7 @@ class TraceReader:
         telemetry.count("trace.interchange.chunks_read", chunks_seen)
         telemetry.count("trace.interchange.events_read", events_seen)
 
-    def _decode_chunk(self, payload: bytes, events: int, start: int) -> TraceChunk:
+    def _decode_chunk(self, payload, events: int, start: int) -> TraceChunk:
         layout = self.layout
         itemsize = np.dtype(layout.dtype).itemsize
         bitmap_count = events * layout.n_words
@@ -447,20 +517,27 @@ class TraceReader:
             machine=self.machine,
         )
 
-    def verify(self) -> str:
-        """Recompute the content fingerprint over all chunks and check it."""
+    def verified_chunks(self) -> Iterator[TraceChunk]:
+        """:meth:`chunks`, ending in a :class:`TraceFormatError` unless the
+        content fingerprint recomputed over them matches the footer's."""
         fingerprinter = StreamFingerprinter(
             self.num_nodes, name=self.name, machine=self.machine
         )
         for chunk in self.chunks():
             fingerprinter.update(chunk)
+            yield chunk
         actual = fingerprinter.finish()
         if actual != self.fingerprint:
             raise TraceFormatError(
                 f"{self.path}: content fingerprint {actual} does not match "
                 f"footer fingerprint {self.fingerprint}"
             )
-        return actual
+
+    def verify(self) -> str:
+        """Recompute the content fingerprint over all chunks and check it."""
+        for _chunk in self.verified_chunks():
+            pass
+        return self.fingerprint
 
 
 class FileTraceSource(TraceSource):
@@ -495,12 +572,48 @@ class FileTraceSource(TraceSource):
         return self._reader.verify()
 
 
+class ImageTraceSource(TraceSource):
+    """A :class:`TraceSource` over an in-memory ``.rtrace`` image.
+
+    ``buffer`` is any bytes-like image: ``bytes`` that arrived over a
+    pipe or socket, or a shared-memory segment's buffer, which may be
+    longer than the image it holds -- ``nbytes`` bounds it.  The image is
+    parsed and checked once, here (every segment's CRC, the footer
+    totals, and the recomputed content fingerprint), so damage raises
+    :class:`TraceFormatError` from the constructor.  Chunks are then
+    zero-copy views of the buffer, and passes over them check nothing
+    again.
+    """
+
+    def __init__(self, buffer, nbytes: Optional[int] = None):
+        image = memoryview(buffer).cast("B")
+        reader = TraceReader(image if nbytes is None else image[:nbytes])
+        self._chunks = list(reader.verified_chunks())
+        self._fingerprint = reader.fingerprint
+        self._events = reader.num_events
+        self.name = reader.name
+        self.num_nodes = reader.num_nodes
+        self.machine = reader.machine
+
+    def __len__(self) -> int:
+        return self._events
+
+    def chunks(self, chunk_events: Optional[int] = None) -> Iterator[TraceChunk]:
+        if chunk_events is None:
+            return iter(self._chunks)
+        return rechunk(iter(self._chunks), chunk_events)
+
+    def fingerprint(self) -> str:
+        return self._fingerprint
+
+
 def write_source(
     source: Union[SharingTrace, TraceSource],
-    path: PathLike,
+    path: Union[PathLike, IO[bytes]],
     chunk_events: Optional[int] = None,
 ) -> str:
-    """Stream any trace/source into an ``.rtrace`` file; returns fingerprint."""
+    """Stream any trace/source into an ``.rtrace`` file or binary handle;
+    returns the fingerprint."""
     source = as_source(source)
     writer = TraceWriter(
         path, source.num_nodes, name=source.name, machine=source.machine
@@ -512,6 +625,23 @@ def write_source(
         writer.abort()
         raise
     return writer.close()
+
+
+def trace_image(trace: Union[SharingTrace, TraceSource]) -> bytes:
+    """The ``.rtrace`` image a trace crosses a process boundary as.
+
+    A file-backed source's image is its file's bytes.  Anything else is
+    encoded once: a source in its own chunks, a resident trace as a
+    single segment, so a worker reads it as one chunk -- exactly how it
+    evaluates in process.
+    """
+    if isinstance(trace, FileTraceSource):
+        with open(trace.path, "rb") as handle:
+            return handle.read()
+    image = io.BytesIO()
+    one_segment = None if isinstance(trace, TraceSource) else max(1, len(trace))
+    write_source(trace, image, one_segment)
+    return image.getvalue()
 
 
 # ----------------------------------------------------------------------

@@ -1,30 +1,29 @@
-"""Shared-memory trace transport: publish once, map everywhere.
+"""Shared-memory trace transport: publish an image once, map it everywhere.
 
 The parallel engine's unit of work is tiny (a scheme description) but its
-working set is not: every worker needs the full benchmark trace suite.  The
-original transport pickled each :class:`~repro.trace.events.SharingTrace`
-into every worker's initializer, copying tens of megabytes per worker per
-batch.  This module moves the *metadata* instead, the way directory-based
-predictors move sharing bitmaps rather than cache lines:
+working set is not: every worker needs the full benchmark trace suite.
+Rather than copy the suite into every worker, the coordinator publishes
+each trace's ``.rtrace`` image (:func:`repro.trace.interchange.trace_image`)
+once and hands workers a few dozen bytes per trace:
 
-* :func:`publish_traces` copies each trace's numpy arrays once into a
+* :func:`publish_traces` copies each image into a
   ``multiprocessing.shared_memory`` segment and returns pickle-flat
-  :class:`TraceDescriptor` records (segment name, per-field offsets/dtypes,
-  and a content fingerprint);
-* :func:`attach_trace` maps the segment in a worker and rebuilds the trace
-  as **zero-copy** numpy views over the shared buffer -- no per-worker
-  copies, no deserialization, attachment keyed and verified by the trace
-  fingerprint;
+  descriptors, ``{"fingerprint", "segment", "nbytes"}`` dicts;
+* :func:`attach_trace` maps a segment in a worker and reads it as an
+  :class:`~repro.trace.interchange.ImageTraceSource` -- checked once
+  (segment CRCs, the recomputed content fingerprint, the descriptor's
+  fingerprint), then served as **zero-copy** chunk views of the shared
+  buffer;
 * the publisher owns the segment's lifetime: :meth:`PublishedTraces.close`
   unlinks every segment after the worker pool has drained.
 
 Shared memory is an optimization, never a requirement.  :func:`shm_enabled`
-gates the transport behind the ``REPRO_SHM`` environment variable (set
-``REPRO_SHM=0`` to force the pickle path), and any ``OSError`` while
+gates it behind the ``REPRO_SHM`` environment variable (``REPRO_SHM=0``
+sends workers the image bytes themselves), and any ``OSError`` while
 publishing (no ``/dev/shm``, exhausted segment quota, sandboxed platform)
-is reported to the caller so it can fall back to pickling the traces --
-the two transports are bit-identical by construction and both are exercised
-against the golden fixtures in ``tests/golden``.
+is reported to the caller so it can send the bytes instead -- both read
+the same image, so they are bit-identical by construction, and both are
+exercised against the golden fixtures in ``tests/golden``.
 
 Telemetry: the publisher records ``shm.publishes``, ``shm.bytes_published``
 and ``shm.unlinks``; transport selection records ``shm.fallbacks`` at the
@@ -33,33 +32,15 @@ call site that degrades.
 
 from __future__ import annotations
 
-import hashlib
 import os
-from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Iterable, List
 
-import numpy as np
-
-from repro.machine import MachineSpec
 from repro.telemetry import get_telemetry
-from repro.trace.events import SharingTrace
 
 try:  # pragma: no cover - present on every supported CPython
     from multiprocessing import shared_memory as _shared_memory
 except ImportError:  # pragma: no cover - exotic minimal builds
     _shared_memory = None
-
-#: the array fields of a SharingTrace, in serialization order
-TRACE_FIELDS: Tuple[str, ...] = (
-    "writer",
-    "pc",
-    "home",
-    "block",
-    "truth",
-    "inval",
-    "has_inval",
-    "close",
-)
 
 
 def shm_available() -> bool:
@@ -80,63 +61,11 @@ def shm_enabled() -> bool:
     return True
 
 
-def trace_fingerprint(trace: SharingTrace) -> str:
-    """A content hash identifying a trace's exact arrays and shape.
-
-    Workers verify it after attaching, so a stale or recycled segment name
-    can never silently feed a different trace into an evaluation.
-    """
-    digest = hashlib.sha256()
-    digest.update(f"nodes={trace.num_nodes};name={trace.name};".encode("utf-8"))
-    # Traces generated without a spec (the paper-default machine) keep the
-    # historical fingerprint so pre-existing caches and fixtures stay valid.
-    if trace.machine is not None:
-        digest.update(f"machine={trace.machine.trace_label()};".encode("utf-8"))
-    for field in TRACE_FIELDS:
-        array = np.ascontiguousarray(getattr(trace, field))
-        digest.update(field.encode("utf-8"))
-        digest.update(str(array.dtype).encode("utf-8"))
-        digest.update(array.tobytes())
-    return digest.hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class _FieldLayout:
-    """Where one trace array lives inside its shared segment.
-
-    ``words`` is 0 for 1-D fields; packed bitmap columns on >64-node
-    machines are 2-D ``(length, words)`` arrays.
-    """
-
-    offset: int
-    length: int
-    dtype: str
-    words: int = 0
-
-
-@dataclass(frozen=True)
-class TraceDescriptor:
-    """Everything a worker needs to map one published trace.
-
-    Pickle-flat (strings and ints only), a few hundred bytes regardless of
-    trace size -- this is what crosses the process boundary instead of the
-    arrays themselves.
-    """
-
-    segment: str
-    trace_name: str
-    num_nodes: int
-    num_events: int
-    fingerprint: str
-    fields: Dict[str, _FieldLayout]
-    machine: str = ""  # MachineSpec JSON, "" when the trace carries none
-
-
 class PublishedTraces:
     """Owner of the shared segments backing one batch's trace suite."""
 
     def __init__(self) -> None:
-        self.descriptors: List[TraceDescriptor] = []
+        self.descriptors: List[dict] = []
         self._segments: List["_shared_memory.SharedMemory"] = []
         self._closed = False
 
@@ -173,134 +102,44 @@ class PublishedTraces:
             pass
 
 
-def _field_specs(num_events: int, num_nodes: int) -> Dict[str, Tuple[tuple, np.dtype]]:
-    """Canonical ``field -> (shape, dtype)`` for a trace of known size.
+def publish_traces(refs: Iterable[dict]) -> PublishedTraces:
+    """Copy each image into a shared segment of its own.
 
-    What lets a publisher size a segment before seeing any data -- the
-    shapes depend only on event count and machine width.
-    """
-    from repro.util.bitmaps import bitmap_layout
-
-    layout = bitmap_layout(num_nodes)
-    bitmap_shape = (
-        (num_events, layout.n_words) if layout.packed else (num_events,)
-    )
-    int_col = ((num_events,), np.dtype(np.int64))
-    return {
-        "writer": int_col,
-        "pc": int_col,
-        "home": int_col,
-        "block": int_col,
-        "truth": (bitmap_shape, np.dtype(layout.dtype)),
-        "inval": (bitmap_shape, np.dtype(layout.dtype)),
-        "has_inval": ((num_events,), np.dtype(bool)),
-        "close": int_col,
-    }
-
-
-def _publish_one(published: PublishedTraces, trace) -> int:
-    """Publish one trace (resident or source) into a fresh segment.
-
-    A :class:`~repro.trace.source.TraceSource` is copied **chunk-wise**:
-    the segment is sized from the source's header, each chunk's columns
-    land directly in their shared-memory slots, and the descriptor
-    fingerprint is computed over zero-copy views of the filled segment --
-    the trace never materializes in the publisher's heap.  Returns the
-    published byte count.
-    """
-    from repro.trace.source import TraceSource
-
-    streaming = isinstance(trace, TraceSource)
-    num_events = len(trace)
-    specs = _field_specs(num_events, trace.num_nodes)
-    if not streaming:
-        for field, (shape, dtype) in specs.items():
-            array = np.ascontiguousarray(getattr(trace, field))
-            if array.shape != shape or array.dtype != dtype:
-                specs[field] = (array.shape, array.dtype)
-    total = sum(
-        int(np.prod(shape)) * dtype.itemsize for shape, dtype in specs.values()
-    )
-    segment = _shared_memory.SharedMemory(create=True, size=max(1, total))
-    published._segments.append(segment)
-    fields: Dict[str, _FieldLayout] = {}
-    views: Dict[str, np.ndarray] = {}
-    offset = 0
-    for field, (shape, dtype) in specs.items():
-        views[field] = np.ndarray(
-            shape, dtype=dtype, buffer=segment.buf, offset=offset
-        )
-        fields[field] = _FieldLayout(
-            offset=offset,
-            length=shape[0],
-            dtype=str(dtype),
-            words=shape[1] if len(shape) == 2 else 0,
-        )
-        offset += views[field].nbytes
-    if streaming:
-        filled = 0
-        for chunk in trace.chunks():
-            stop = filled + len(chunk)
-            for field in TRACE_FIELDS:
-                views[field][filled:stop] = getattr(chunk, field)
-            filled = stop
-        if filled != num_events:
-            raise ValueError(
-                f"source {trace.name!r} yielded {filled} events, "
-                f"header promised {num_events}"
-            )
-    else:
-        for field in TRACE_FIELDS:
-            views[field][:] = getattr(trace, field)
-    # Fingerprint the shared buffer itself (zero-copy views) so streamed
-    # and resident publishes of the same content produce the same
-    # descriptor -- workers verify against it after attaching.
-    shared_trace = SharingTrace(
-        num_nodes=trace.num_nodes,
-        name=trace.name,
-        machine=trace.machine,
-        **views,
-    )
-    published.descriptors.append(
-        TraceDescriptor(
-            segment=segment.name,
-            trace_name=trace.name,
-            num_nodes=trace.num_nodes,
-            num_events=num_events,
-            fingerprint=trace_fingerprint(shared_trace),
-            fields=fields,
-            machine=(
-                trace.machine.to_json() if trace.machine is not None else ""
-            ),
-        )
-    )
-    return total
-
-
-def publish_traces(traces: Sequence) -> PublishedTraces:
-    """Copy each trace's arrays into one shared segment per trace.
-
-    Accepts resident :class:`SharingTrace` objects and streaming
-    :class:`~repro.trace.source.TraceSource` instances; sources fill their
-    segment chunk by chunk, so publishing a file-backed trace peaks at one
-    chunk of heap, not one trace.  Returns a :class:`PublishedTraces`
-    whose ``descriptors`` parallel the input order.  The caller owns
-    cleanup via :meth:`PublishedTraces.close`.
+    ``refs`` are install refs: an image ref (``{"fingerprint", "image"}``)
+    is published and described by ``{"fingerprint", "segment", "nbytes"}``;
+    any other ref is its own descriptor.  The returned
+    :class:`PublishedTraces` carries one descriptor per ref, in order.
+    Refs are taken one at a time, so a generator that encodes images as it
+    yields them keeps one image resident.  The caller owns cleanup via
+    :meth:`PublishedTraces.close`.
 
     Raises:
         RuntimeError: shared memory is unavailable on this interpreter.
         OSError: the platform refused a segment (no ``/dev/shm``, quota) --
-            callers should fall back to the pickle transport.
+            callers should send the image bytes instead.
     """
     if _shared_memory is None:
         raise RuntimeError("multiprocessing.shared_memory is unavailable")
     telemetry = get_telemetry()
     published = PublishedTraces()
     try:
-        for trace in traces:
-            total = _publish_one(published, trace)
+        for ref in refs:
+            if "image" not in ref:
+                published.descriptors.append(ref)
+                continue
+            image = ref["image"]
+            segment = _shared_memory.SharedMemory(create=True, size=max(1, len(image)))
+            published._segments.append(segment)
+            segment.buf[: len(image)] = image
+            published.descriptors.append(
+                {
+                    "fingerprint": ref["fingerprint"],
+                    "segment": segment.name,
+                    "nbytes": len(image),
+                }
+            )
             telemetry.count("shm.publishes")
-            telemetry.count("shm.bytes_published", total)
+            telemetry.count("shm.bytes_published", len(image))
     except BaseException:
         published.close()
         raise
@@ -308,10 +147,13 @@ def publish_traces(traces: Sequence) -> PublishedTraces:
 
 
 class AttachedTrace:
-    """A worker-side zero-copy view of one published trace.
+    """A worker-side mapping of one published image, read as a source.
 
-    Holds the :class:`SharedMemory` mapping open for as long as the trace
-    views are alive; :meth:`close` drops the mapping (views become invalid).
+    ``source`` is an :class:`~repro.trace.interchange.ImageTraceSource`
+    whose chunks alias the shared buffer; keep this object alive for as
+    long as they are in use.  Attaching refuses a damaged image
+    (:class:`~repro.trace.io.TraceFormatError`) and an image whose
+    fingerprint is not the descriptor's (``ValueError``).
 
     On CPython < 3.13 attaching re-registers the segment with the resource
     tracker; that is harmless here because pool workers share the parent's
@@ -320,50 +162,37 @@ class AttachedTrace:
     is killed before unlinking.
     """
 
-    def __init__(self, descriptor: TraceDescriptor):
+    def __init__(self, descriptor: dict):
+        from repro.trace.interchange import ImageTraceSource
+
         if _shared_memory is None:
             raise RuntimeError("multiprocessing.shared_memory is unavailable")
-        self.descriptor = descriptor
-        self._segment = _shared_memory.SharedMemory(name=descriptor.segment)
-        arrays = {}
-        for field in TRACE_FIELDS:
-            layout = descriptor.fields[field]
-            shape = (
-                (layout.length, layout.words) if layout.words else (layout.length,)
-            )
-            arrays[field] = np.ndarray(
-                shape,
-                dtype=np.dtype(layout.dtype),
-                buffer=self._segment.buf,
-                offset=layout.offset,
-            )
-        # SharingTrace's asarray calls are no-ops for same-dtype arrays, so
-        # the constructed trace aliases the shared buffer directly.
-        self.trace = SharingTrace(
-            num_nodes=descriptor.num_nodes,
-            name=descriptor.trace_name,
-            machine=(
-                MachineSpec.from_json(descriptor.machine)
-                if descriptor.machine
-                else None
-            ),
-            **arrays,
-        )
-        actual = trace_fingerprint(self.trace)
-        if actual != descriptor.fingerprint:
+        self._segment = _shared_memory.SharedMemory(name=descriptor["segment"])
+        try:
+            self.source = ImageTraceSource(self._segment.buf, descriptor["nbytes"])
+        except BaseException as error:
+            # the traceback's frames hold views of the segment; drop them
+            # first, or the mapping cannot close
+            error.__traceback__ = None
+            self.close()
+            raise
+        if self.source.fingerprint() != descriptor["fingerprint"]:
+            actual = self.source.fingerprint()
             self.close()
             raise ValueError(
-                f"shared trace {descriptor.segment} fingerprint mismatch: "
-                f"{actual} != {descriptor.fingerprint}"
+                f"shared trace {descriptor['segment']} fingerprint mismatch: "
+                f"{actual} != {descriptor['fingerprint']}"
             )
 
     def close(self) -> None:
+        """Drop the source and the mapping (its chunk views become invalid)."""
+        self.source = None
         try:
             self._segment.close()
-        except OSError:  # pragma: no cover - double close
+        except (BufferError, OSError):  # views still exported, or closed
             pass
 
 
-def attach_trace(descriptor: TraceDescriptor) -> AttachedTrace:
-    """Map one published trace into this process, zero-copy and verified."""
+def attach_trace(descriptor: dict) -> AttachedTrace:
+    """Map one published image into this process, zero-copy and verified."""
     return AttachedTrace(descriptor)

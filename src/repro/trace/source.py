@@ -27,17 +27,13 @@ helpers -- :func:`repro.core.vectorized.compute_keys`,
 unchanged.  ``close`` indices stay *absolute* (they may point past the
 chunk's end); ``chunk.start`` anchors the window in the full trace.
 
-**Fingerprints.**  The resident content fingerprint
-(:func:`repro.trace.shm.trace_fingerprint`) hashes columns field-major,
-which cannot be computed in one chunk-major pass.  Streams therefore
-carry their own :func:`stream_fingerprint`: one sub-hash per field, fed
-chunk by chunk, combined field-major at the end.  Both fingerprints are
-pure functions of the same content -- two sources with equal events have
-equal stream fingerprints, and materializing a source yields a resident
-trace whose classic fingerprint matches an identically built in-memory
-trace -- so every existing cache, journal, and golden fixture keyed on
-the resident fingerprint stays valid (DESIGN.md, "Trace interchange and
-streaming").
+**Fingerprints.**  :func:`stream_fingerprint` is a trace's one content
+identity: one sub-hash per field, fed chunk by chunk, combined
+field-major at the end -- so it is computable incrementally (writers,
+importers) and is the same however the content is chunked.  An
+``.rtrace`` footer stores it, and transport keys, worker trace caches
+and worker install checks all compare it (DESIGN.md, "Trace interchange
+and streaming").
 """
 
 from __future__ import annotations
@@ -60,8 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_CHUNK_EVENTS = 65536
 
 #: the array fields of a trace chunk, in canonical serialization order
-#: (identical to :data:`repro.trace.shm.TRACE_FIELDS` -- redeclared here so
-#: the streaming layer has no import dependency on the shm transport)
 CHUNK_FIELDS = ("writer", "pc", "home", "block", "truth", "inval", "has_inval", "close")
 
 
@@ -333,10 +327,7 @@ def rechunk(
 class StreamFingerprinter:
     """Incremental content fingerprint over chunked columns.
 
-    The resident :func:`~repro.trace.shm.trace_fingerprint` hashes
-    field-major (all of ``writer``, then all of ``pc``, ...), which a
-    single chunk-major pass cannot produce.  This fingerprinter instead
-    keeps one sub-hash per field, feeds each chunk's column bytes into
+    Keeps one sub-hash per field, feeds each chunk's column bytes into
     its field's sub-hash, and combines the sub-digests field-major at
     :meth:`finish` -- so the result is computable both incrementally
     (writers, importers) and in one cheap pass over a resident trace,

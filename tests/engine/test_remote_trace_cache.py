@@ -1,12 +1,14 @@
 """The worker-side trace cache and the coordinator's install escalation.
 
 A worker that has already received a trace suite keeps it, keyed by the
-suite's transport key; the next coordinator probes the cache before
-shipping anything.  These tests pin the negotiation order (cached ->
-files -> shm/bulk), the telemetry that reports each outcome
-(``engine.remote.trace_cache.hits``/``.misses``), and -- above all --
-that every install path yields bit-identical results to a local run,
-streamed or resident.
+suite's transport key -- the traces' content fingerprints, the same for a
+resident trace and an ``.rtrace`` file with equal events.  The next
+coordinator probes the cache before shipping anything.  These tests pin
+the negotiation order (cached -> file paths and image bytes -> image
+bytes only), the telemetry that reports each outcome
+(``engine.remote.trace_cache.hits``/``.misses``, ``file_installs``,
+``bulk_installs``), and -- above all -- that every install path yields
+bit-identical results to a local run, streamed or resident.
 """
 
 from __future__ import annotations
@@ -91,22 +93,56 @@ def test_file_suite_installs_by_spec_then_hits_the_cache(
     assert first == local_streamed == local_resident
 
 
-def test_resident_suite_is_cached_across_coordinators(worker, trace, sink):
-    """A resident suite installs once (shm or bulk), then reconnecting
-    coordinators hit the worker cache instead of re-shipping."""
+def test_resident_and_file_forms_share_a_cache_entry(worker, trace, source, sink):
+    """Equal content, equal key: once the file suite is installed, the
+    resident trace holding the same events hits the worker cache."""
+    run_remote(worker, [source])
+    hits_before = sink.counters.get("engine.remote.trace_cache.hits", 0)
+    resident = run_remote(worker, [trace])
+    assert sink.counters.get("engine.remote.trace_cache.hits", 0) == hits_before + 1
+    assert sink.counters.get("engine.remote.bulk_installs", 0) == 0
+
     parsed = [parse_scheme(text) for text in SCHEMES]
-    first = run_remote(worker, [trace])
-    installs = sink.counters.get(
-        "engine.remote.shm_installs", 0
-    ) + sink.counters.get("engine.remote.bulk_installs", 0)
-    assert installs == 1
+    assert resident == VectorizedEngine().evaluate_batch(parsed, [trace])
+
+
+def test_resident_suite_is_cached_across_coordinators(worker, sink):
+    """A resident suite installs once, as image bytes, then reconnecting
+    coordinators hit the worker cache instead of re-shipping."""
+    resident = make_random_trace(
+        num_nodes=16, num_events=400, num_blocks=18, seed="trace-cache-resident"
+    )
+    parsed = [parse_scheme(text) for text in SCHEMES]
+    first = run_remote(worker, [resident])
+    assert sink.counters.get("engine.remote.bulk_installs", 0) == 1
+    assert sink.counters.get("engine.remote.file_installs", 0) == 0
 
     hits_before = sink.counters.get("engine.remote.trace_cache.hits", 0)
-    second = run_remote(worker, [trace])
+    second = run_remote(worker, [resident])
     assert sink.counters.get("engine.remote.trace_cache.hits", 0) == hits_before + 1
+    assert sink.counters.get("engine.remote.bulk_installs", 0) == 1  # unchanged
 
-    local = VectorizedEngine().evaluate_batch(parsed, [trace])
+    local = VectorizedEngine().evaluate_batch(parsed, [resident])
     assert first == second == local
+
+
+def test_unreadable_path_falls_back_to_image_bytes(worker, sink, tmp_path, monkeypatch):
+    """A worker that cannot open a trace file refuses the install; the
+    coordinator resends the file's bytes as its image."""
+    unread = make_random_trace(
+        num_nodes=16, num_events=350, num_blocks=16, seed="trace-cache-unread"
+    )
+    # a relative path resolves against the coordinator's directory, not
+    # the worker's, so only the coordinator can open it
+    monkeypatch.chdir(tmp_path)
+    write_source(unread, "unread.rtrace", chunk_events=100)
+    relative = FileTraceSource("unread.rtrace")
+    parsed = [parse_scheme(text) for text in SCHEMES]
+    remote = run_remote(worker, [relative])
+    assert sink.counters.get("engine.remote.bulk_installs", 0) == 1
+    assert sink.counters.get("engine.remote.file_installs", 0) == 0
+    assert "engine.parallel.fallbacks" not in sink.counters
+    assert remote == VectorizedEngine().evaluate_batch(parsed, [unread])
 
 
 def test_distinct_suites_do_not_collide(worker, trace, source, sink):

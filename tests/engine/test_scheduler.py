@@ -16,7 +16,7 @@ from repro.engine.parallel import (
     TARGET_CHUNK_SECONDS,
     _ChunkScheduler,
 )
-from repro.telemetry import Telemetry, set_telemetry
+from repro.telemetry import Telemetry, set_telemetry, set_thread_telemetry
 from tests.conftest import make_random_trace
 
 SCHEMES = [
@@ -126,21 +126,21 @@ class TestChunkScheduler:
 
 
 class TestPooledTransports:
-    @pytest.mark.parametrize("use_shm", [True, False], ids=["shm", "pickle"])
-    def test_transports_match_serial_results(self, use_shm, small_traces):
+    @pytest.mark.parametrize("repro_shm", ["1", "0"], ids=["shm", "bytes"])
+    def test_transports_match_serial_results(self, repro_shm, small_traces, monkeypatch):
+        monkeypatch.setenv("REPRO_SHM", repro_shm)
         schemes = [parse_scheme(text) for text in SCHEMES]
         expected = VectorizedEngine().evaluate_batch(schemes, small_traces)
-        engine = ParallelEngine(jobs=2, use_shm=use_shm)  # adaptive chunking
+        engine = ParallelEngine(jobs=2)  # adaptive chunking
         assert engine.evaluate_batch(schemes, small_traces) == expected
 
-    def test_shm_transport_records_publishes_and_gauge(self, small_traces):
+    def test_shm_transport_records_publishes_and_gauge(self, small_traces, monkeypatch):
+        monkeypatch.setenv("REPRO_SHM", "1")
         schemes = [parse_scheme(text) for text in SCHEMES]
         sink = Telemetry()
         previous = set_telemetry(sink)
         try:
-            ParallelEngine(jobs=2, use_shm=True).evaluate_batch(
-                schemes, small_traces
-            )
+            ParallelEngine(jobs=2).evaluate_batch(schemes, small_traces)
         finally:
             set_telemetry(previous)
         assert sink.counters["shm.publishes"] == len(small_traces)
@@ -148,14 +148,13 @@ class TestPooledTransports:
         assert sink.counters["shm.bytes_published"] > 0
         assert sink.gauges["engine.parallel.transport_shm"] == 1.0
 
-    def test_pickle_transport_records_no_publishes(self, small_traces):
+    def test_pickle_transport_records_no_publishes(self, small_traces, monkeypatch):
+        monkeypatch.setenv("REPRO_SHM", "0")
         schemes = [parse_scheme(text) for text in SCHEMES]
         sink = Telemetry()
         previous = set_telemetry(sink)
         try:
-            ParallelEngine(jobs=2, use_shm=False).evaluate_batch(
-                schemes, small_traces
-            )
+            ParallelEngine(jobs=2).evaluate_batch(schemes, small_traces)
         finally:
             set_telemetry(previous)
         assert "shm.publishes" not in sink.counters
@@ -171,6 +170,29 @@ class TestPooledTransports:
         finally:
             set_telemetry(previous)
         assert sink.gauges["engine.parallel.transport_shm"] == 0.0
+
+    def test_thread_scoped_sink_receives_worker_telemetry(self, small_traces):
+        """Pool workers fork from the submitting thread.  Its thread-scoped
+        sink -- a served job's -- must not shadow the per-chunk sinks the
+        workers record into, or worker counters never reach the job."""
+        schemes = [parse_scheme(text) for text in SCHEMES[:5]]
+        process_wide = Telemetry()
+        previous = set_telemetry(process_wide)
+        try:
+            ParallelEngine(jobs=2, chunk_size=2).evaluate_batch(schemes, small_traces)
+        finally:
+            set_telemetry(previous)
+        thread_scoped = Telemetry()
+        previous = set_thread_telemetry(thread_scoped)
+        try:
+            ParallelEngine(jobs=2, chunk_size=2).evaluate_batch(schemes, small_traces)
+        finally:
+            set_thread_telemetry(previous)
+        assert process_wide.counters["plan.trace_passes"] > 0
+        assert (
+            thread_scoped.counters.get("plan.trace_passes")
+            == process_wide.counters["plan.trace_passes"]
+        )
 
     def test_steal_telemetry_recorded(self, small_traces):
         # every scheme in SCHEMES has a distinct IndexSpec, so each plan

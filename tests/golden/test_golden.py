@@ -63,15 +63,19 @@ def test_serial_backends_reproduce_golden_counts(
         )
 
 
-@pytest.mark.parametrize("use_shm", [True, False], ids=["shm", "pickle"])
-def test_parallel_batch_reproduces_golden_counts(use_shm, trace_set, traces):
+@pytest.mark.parametrize("repro_shm", ["1", "0"], ids=["shm", "bytes"])
+def test_parallel_batch_reproduces_golden_counts(
+    repro_shm, trace_set, traces, monkeypatch
+):
     """One real pooled batch over all golden schemes at once.
 
-    Runs once per trace transport -- shared-memory and pickled -- so both
-    worker-boundary data paths are pinned to the same frozen counts.
+    Runs once per way a trace image reaches the workers -- a shared-memory
+    segment and the image bytes themselves -- so both worker-boundary data
+    paths are pinned to the same frozen counts.
     """
+    monkeypatch.setenv("REPRO_SHM", repro_shm)
     schemes = [parse_scheme(text) for text in GOLDEN_SCHEMES]
-    engine = ParallelEngine(jobs=2, chunk_size=2, use_shm=use_shm)
+    engine = ParallelEngine(jobs=2, chunk_size=2)
     batch = engine.evaluate_batch(schemes, traces)
     assert len(batch) == len(schemes)
     for scheme_text, per_trace in zip(GOLDEN_SCHEMES, batch):

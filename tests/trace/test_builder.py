@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.trace.builder import SharingTraceBuilder
+from repro.trace.builder import SharingTraceBuilder, StreamingTraceBuilder
 
 
 class TestBuilder:
@@ -70,3 +70,50 @@ class TestBuilder:
         assert len(builder) == 0
         builder.add_event(writer=0, pc=1, home=0, block=1)
         assert len(builder) == 1
+
+
+class _ColumnSink:
+    """Collects what a StreamingTraceBuilder flushes, column by column."""
+
+    def __init__(self):
+        self.columns = [[] for _ in range(8)]
+
+    def write_columns(self, *columns):
+        for collected, column in zip(self.columns, columns):
+            collected.extend(column)
+
+
+class TestStreamingBuilder:
+    def test_pinned_buffer_retries_flush_once_per_flush_events(self, monkeypatch):
+        """A block written once, early, keeps its epoch open to the end, so
+        no flush can emit anything: retries must come once per
+        ``flush_events`` events, not once per event."""
+        events, flush_events = 400, 16
+        sink = _ColumnSink()
+        streaming = StreamingTraceBuilder(8, sink=sink, flush_events=flush_events)
+        reference = SharingTraceBuilder(8)
+        calls = 0
+        flush = StreamingTraceBuilder._flush
+
+        def counted(self, boundary=None):
+            nonlocal calls
+            calls += 1
+            return flush(self, boundary)
+
+        monkeypatch.setattr(StreamingTraceBuilder, "_flush", counted)
+        for builder in (streaming, reference):
+            builder.add_event(writer=0, pc=7, home=0, block=999)
+            for index in range(1, events):
+                builder.add_event(
+                    writer=index % 8, pc=1 + index % 3, home=0, block=index % 5
+                )
+                builder.add_reader(index % 5, (index + 3) % 8)
+        streaming.finalize()
+        trace = reference.finalize()
+        assert calls <= events // flush_events + 2
+        expected = [
+            trace.writer, trace.pc, trace.home, trace.block,
+            trace.truth, trace.inval, trace.has_inval, trace.close,
+        ]
+        for collected, column in zip(sink.columns, expected):
+            assert collected == column.tolist()

@@ -13,6 +13,7 @@ match the documented column contract.
 
 from __future__ import annotations
 
+import io
 import os
 import tempfile
 from functools import lru_cache
@@ -27,6 +28,7 @@ from repro.trace.interchange import (
     MAGIC,
     RTRACE_SCHEMA,
     FileTraceSource,
+    ImageTraceSource,
     TraceReader,
     TraceWriter,
     import_csv,
@@ -35,7 +37,6 @@ from repro.trace.interchange import (
     write_source,
 )
 from repro.trace.io import TraceFormatError, dump_text
-from repro.trace.shm import trace_fingerprint
 from repro.trace.source import (
     CHUNK_FIELDS,
     StreamingConsistencyChecker,
@@ -80,8 +81,15 @@ class TestRoundTrip:
             assert fingerprint == stream_fingerprint(trace)
             rebuilt = source.materialize()
             assert_traces_equal(rebuilt, trace)
-            # materializing lands back in the resident fingerprint algebra
-            assert trace_fingerprint(rebuilt) == trace_fingerprint(trace)
+            assert stream_fingerprint(rebuilt) == fingerprint
+            # an in-memory image is the file's bytes, and reads back the same
+            image = io.BytesIO()
+            assert write_source(trace, image, chunk_events) == fingerprint
+            with open(path, "rb") as handle:
+                assert image.getvalue() == handle.read()
+            in_memory = ImageTraceSource(image.getvalue())
+            assert in_memory.fingerprint() == fingerprint
+            assert_traces_equal(in_memory.materialize(), trace)
 
     def test_header_metadata_is_o1(self, tmp_path):
         trace = trace_for(16)
@@ -156,7 +164,16 @@ def damaged(path, mutate):
     path.write_bytes(mutate(content))
 
 
+def assert_image_refused(path, match):
+    """The in-memory reader refuses the same damage, when it is built."""
+    with pytest.raises(TraceFormatError, match=match):
+        ImageTraceSource(path.read_bytes())
+
+
 class TestDamageDetection:
+    """Every damage is refused by both readers: the file reader when it
+    opens or reads the file, the image source when it parses the bytes."""
+
     @pytest.fixture
     def written(self, tmp_path):
         trace = trace_for(16)
@@ -169,12 +186,14 @@ class TestDamageDetection:
         damaged(path, lambda content: content[: len(content) // 2])
         with pytest.raises(TraceFormatError, match="torn tail"):
             TraceReader(path)
+        assert_image_refused(path, "torn tail")
 
     def test_missing_trailer_byte_rejected(self, written):
         path, _trace = written
         damaged(path, lambda content: content[:-1])
         with pytest.raises(TraceFormatError, match="torn tail"):
             TraceReader(path)
+        assert_image_refused(path, "torn tail")
 
     def test_flipped_payload_byte_rejected(self, written):
         path, _trace = written
@@ -187,6 +206,7 @@ class TestDamageDetection:
         reader = TraceReader(path)  # metadata is untouched
         with pytest.raises(TraceFormatError, match="checksum"):
             list(reader.chunks())
+        assert_image_refused(path, "checksum")
 
     def test_stale_schema_rejected(self, written):
         path, _trace = written
@@ -203,12 +223,14 @@ class TestDamageDetection:
         damaged(path, bump_schema)
         with pytest.raises(TraceFormatError, match="schema"):
             TraceReader(path)
+        assert_image_refused(path, "schema")
 
     def test_foreign_file_rejected(self, tmp_path):
         path = tmp_path / "not.rtrace"
         path.write_bytes(b"PK\x03\x04 definitely not a trace")
         with pytest.raises(TraceFormatError, match="bad magic"):
             TraceReader(path)
+        assert_image_refused(path, "bad magic")
 
     def test_damage_is_cache_corruption(self):
         """TraceFormatError rides the existing warn/discard/regenerate path."""

@@ -172,6 +172,20 @@ class TestStreamFingerprint:
     def test_stable_across_calls(self, random_trace):
         assert stream_fingerprint(random_trace) == stream_fingerprint(random_trace)
 
+    def test_sensitive_to_array_contents(self, random_trace):
+        before = stream_fingerprint(random_trace)
+        mutated = random_trace.writer.copy()
+        mutated[0] = (mutated[0] + 1) % random_trace.num_nodes
+        clone = SharingTrace(
+            num_nodes=random_trace.num_nodes,
+            name=random_trace.name,
+            **{
+                field: (mutated if field == "writer" else getattr(random_trace, field))
+                for field in CHUNK_FIELDS
+            },
+        )
+        assert stream_fingerprint(clone) != before
+
 
 class TestRechunk:
     @given(
