@@ -1,15 +1,18 @@
 """Kernel speedup benchmark: compiled backend vs the pure-Python oracle.
 
 Builds the 64-scheme PAs slice of the design-space sweep -- the family
-whose per-event loop cannot be vectorized and therefore pays full
-Python-interpreter cost per event in the oracle -- and runs the same
-(scheme, trace) grid through both registered kernel backends:
+whose per-event loop costs the oracle the most Python-interpreter time
+per event -- and runs it through both registered kernel backends' group
+entry point: one ``group_stream`` per (index group, update mode, trace),
+with keys computed once per (index group, trace), as
+:func:`~repro.core.plan.evaluate_plan` runs a sweep:
 
-* **python**: :class:`~repro.core.kernel.PredictorKernel` driving
-  ``PasOps`` entries, one interpreted iteration per event;
-* **native**: :class:`~repro.core.kernel_native.NativeKernelBackend`, the
-  compiled C loop over dense int32 key/block ids and flat counter arrays,
-  fused with the popcount scorer.
+* **python**: one :class:`~repro.core.kernel.PredictorKernel` per member
+  driving ``PasOps`` entries, one interpreted iteration per event;
+* **native**: :class:`~repro.core.kernel_native.NativeKernelBackend`, one
+  compiled C call per group over dense int32 key/block ids, with the
+  members sharing one history register per (entry, node) and scored in
+  the same loop.
 
 A second measure times the resumable native stream: the same PAs slice
 through :func:`~repro.core.plan.evaluate_plan` over a synthesized
@@ -166,19 +169,24 @@ def main(argv=None) -> int:
 
     # keys are index-group shared state, not kernel work: compute once so
     # both backends time exactly the per-event loop plus scoring
-    key_streams = [
-        [compute_keys(scheme.index, trace) for trace in traces]
-        for scheme in schemes
-    ]
+    groups = {}
+    for position, scheme in enumerate(schemes):
+        groups.setdefault((scheme.index, scheme.update), []).append(position)
+    key_streams = {
+        spec: [compute_keys(spec, trace) for trace in traces]
+        for spec, _ in groups
+    }
 
     def sweep(backend):
-        return [
-            [
-                backend.evaluate(scheme, trace, keys, True)
-                for trace, keys in zip(traces, per_trace_keys)
-            ]
-            for scheme, per_trace_keys in zip(schemes, key_streams)
-        ]
+        quads = [[None] * len(traces) for _ in schemes]
+        for (spec, _), members in groups.items():
+            for column, (trace, keys) in enumerate(zip(traces, key_streams[spec])):
+                stream = backend.group_stream(
+                    [schemes[position] for position in members], trace.num_nodes
+                )
+                for position, quad in zip(members, stream.evaluate(trace, keys, True)):
+                    quads[position][column] = quad
+        return quads
 
     python_seconds, baseline = best_of(REPEATS, lambda: sweep(python))
 

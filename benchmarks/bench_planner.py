@@ -4,9 +4,10 @@ Builds a 64-scheme sweep slice confined to 8 index groups -- the shape the
 planner is designed for -- and times the same batch twice:
 
 * **per-scheme**: the pre-planner path, one ``evaluate_scheme_fast`` call
-  per scheme (keys recomputed, feedback pass re-sorted every time);
+  per scheme (keys, dense ids and a one-member group pass every time);
 * **planned**: one ``evaluate_plan`` over a :class:`SweepPlan` (keys once
-  per index group, one bitmap pass per (mode, trace) sub-batch).
+  per index group, one group pass per (index group, update mode, trace)
+  running every member).
 
 The two result sets are asserted bit-identical before any number is
 reported, so the emitted JSON can never describe a speedup bought with a
@@ -128,7 +129,8 @@ def main(argv=None) -> int:
         "speedup": round(speedup, 2),
         "min_speedup": MIN_SPEEDUP,
         "results_identical": True,
-        # one timed repetition's telemetry: the sharing the speedup comes from
+        # one timed repetition's telemetry: the sharing the speedup comes
+        # from (one trace pass per (index group, update mode, trace))
         "key_computations": len(key_computations) // REPEATS,
         "trace_passes": sink.counters.get("plan.trace_passes", 0) // REPEATS,
         "per_scheme_trace_passes": len(schemes) * len(traces),

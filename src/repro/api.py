@@ -290,8 +290,8 @@ def sweep(
     convenience over one ``sweep`` job: the batch is handed to the engine
     whole, so it flows through the sweep planner (:mod:`repro.core.plan`)
     -- schemes sharing an index spec compute their key stream once per
-    trace, bitmap schemes sharing an update mode share one feedback pass,
-    and the parallel backend steals plan-ordered chunks across workers
+    trace and share one kernel pass per update mode, and the parallel
+    backend steals plan-ordered chunks across workers
     (with the shared-memory transport publishing each trace once).
     Planning never changes numbers -- results are bit-identical to scoring
     each scheme alone, and (the job path being fingerprint-deduplicated) to

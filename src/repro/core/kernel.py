@@ -31,10 +31,10 @@ Timing semantics (the normative statement; DESIGN.md section 3):
   prediction *i* -- before the entry's next use, even if the epoch is still
   open then (the idealized scheme of paper Figure 4).
 
-The bitmap-history fast path in :mod:`repro.core.vectorized` does not run
-the kernel event by event; instead it encodes these exact rules as a
-*(delivery time, searchsorted side)* labelling and is property-tested
-against kernel-driven evaluation, so the kernel stays the semantic oracle.
+The compiled group pass in :mod:`repro.core.kernel_native` runs these
+exact rules for a whole index group at once and is held bit for bit to
+kernel-driven evaluation by the conformance suite, so the kernel stays the
+semantic oracle.
 """
 
 from __future__ import annotations

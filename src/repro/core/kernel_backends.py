@@ -1,12 +1,19 @@
 """Kernel-backend registry: pure-Python oracle vs. compiled fast path.
 
 The per-event predictor loop has exactly one semantic definition --
-:class:`~repro.core.kernel.PredictorKernel` -- and, as of this module, more
-than one *implementation*.  A kernel backend hands out resumable
-per-(scheme, trace) state via ``stream(scheme, num_nodes)``: an object
-whose ``feed(chunk, keys)`` returns the raw predictions for one chunk of
-events and whose ``evaluate(chunk, keys, exclude_writer)`` returns the
-chunk's fused confusion quad, carrying the predictor table across calls.
+:class:`~repro.core.kernel.PredictorKernel` -- and more than one
+*implementation*.  A kernel backend hands out resumable state at two
+grains:
+
+* ``group_stream(schemes, num_nodes)``: every member of one (index group,
+  update mode) over one trace.  Its ``evaluate(chunk, keys,
+  exclude_writer)`` returns each member's confusion quad for the chunk,
+  carrying the predictor tables across calls.  This is what
+  :func:`repro.core.plan.evaluate_plan` runs.
+* ``stream(scheme, num_nodes)``: one scheme, whose ``feed(chunk, keys)``
+  returns the chunk's raw predictions (traffic replay, the probe battery)
+  and whose ``evaluate`` returns its quad.
+
 A resident trace is simply one chunk, so ``predict`` / ``evaluate`` are
 one-chunk calls.  The registry decides which implementation a given
 evaluation uses, mirroring the evaluation-engine registry in
@@ -23,9 +30,9 @@ The contract every backend must honor -- and the conformance suite
 
 * **The pure-Python backend is normative.**  Its predictions define
   correctness; a fast backend must reproduce them bit for bit on every
-  trace, cut into chunks anywhere, or decline the scheme via ``supports``
-  and let the registry fall through to Python (counted under
-  ``kernel.fallbacks``).
+  trace, cut into chunks anywhere, for any mix of group members -- or
+  decline the scheme via ``supports`` and let the registry run that member
+  on Python inside the same group (counted under ``kernel.fallbacks``).
 * **Degradation is silent-safe.**  Requesting ``native`` on a machine with
   no compiler warns once and runs pure Python -- results cannot change,
   only speed.  Requesting an unregistered name is an error.
@@ -33,11 +40,12 @@ The contract every backend must honor -- and the conformance suite
   concern) and delivered in the trace's
   :class:`~repro.util.bitmaps.BitmapLayout` representation.
 
-Evaluations route through :func:`kernel_stream` (or its one-chunk
-conveniences :func:`kernel_predict` / :func:`kernel_evaluate`), which
-resolves the backend once per stream and records it under
-``kernel.backend.<name>`` telemetry -- including inside parallel-engine
-workers, whose counters merge home with the rest of the worker snapshot.
+Evaluations route through :func:`kernel_group_stream` or
+:func:`kernel_stream` (or its one-chunk conveniences
+:func:`kernel_predict` / :func:`kernel_evaluate`), which resolve the
+backend once per stream and record it under ``kernel.backend.<name>``
+telemetry -- including inside parallel-engine workers, whose counters
+merge home with the rest of the worker snapshot.
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -70,10 +78,10 @@ def score_predictions(
     """Confusion quad ``(tp, fp, fn, tn)`` for a raw prediction column.
 
     The one normative scoring definition (popcount over the trace layout's
-    words); the vectorized evaluator's scorer and the native backend's
-    fused C scorer are both held to it by the conformance and golden
-    suites.  ``exclude_writer`` masks each event's writer bit out of the
-    predictions before counting, matching the evaluators' default.
+    words); the native backend's in-loop scorer is held to it by the
+    conformance and golden suites.  ``exclude_writer`` masks each event's
+    writer bit out of the predictions before counting, matching the
+    evaluators' default.
     """
     layout = trace.layout
     if exclude_writer and len(trace):
@@ -125,6 +133,22 @@ class PythonKernelStream:
         return score_predictions(self.feed(chunk, keys), chunk, exclude_writer)
 
 
+class PythonGroupStream:
+    """The oracle's group interface: one :class:`PythonKernelStream` per
+    member, each scored by :func:`score_predictions`."""
+
+    __slots__ = ("_streams",)
+
+    def __init__(self, schemes: Sequence[Scheme], num_nodes: int) -> None:
+        self._streams = [PythonKernelStream(scheme, num_nodes) for scheme in schemes]
+
+    def evaluate(
+        self, chunk, keys: np.ndarray, exclude_writer: bool
+    ) -> List[Tuple[int, int, int, int]]:
+        """The chunk's ``(tp, fp, fn, tn)`` quad for every member, in order."""
+        return [stream.evaluate(chunk, keys, exclude_writer) for stream in self._streams]
+
+
 class PythonKernelBackend:
     """The normative backend: :class:`PredictorKernel` over entry objects.
 
@@ -139,6 +163,12 @@ class PythonKernelBackend:
 
     def supports(self, scheme: Scheme) -> bool:
         return True
+
+    def group_stream(
+        self, schemes: Sequence[Scheme], num_nodes: int
+    ) -> PythonGroupStream:
+        """Fresh resumable state for one (index group, update mode, trace)."""
+        return PythonGroupStream(schemes, num_nodes)
 
     def stream(self, scheme: Scheme, num_nodes: int) -> PythonKernelStream:
         """Fresh resumable state for one (scheme, trace) run."""
@@ -279,6 +309,57 @@ def kernel_stream(scheme: Scheme, num_nodes: int):
     return _backend_for(scheme).stream(scheme, num_nodes)
 
 
+class _SplitGroupStream:
+    """A group whose declined members run on the oracle beside the fast
+    backend's group stream; quads come back in member order."""
+
+    __slots__ = ("_parts", "_size")
+
+    def __init__(self, parts, size: int) -> None:
+        self._parts = parts
+        self._size = size
+
+    def evaluate(
+        self, chunk, keys: np.ndarray, exclude_writer: bool
+    ) -> List[Tuple[int, int, int, int]]:
+        quads: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)] * self._size
+        for stream, offsets in self._parts:
+            for offset, quad in zip(offsets, stream.evaluate(chunk, keys, exclude_writer)):
+                quads[offset] = quad
+        return quads
+
+
+def kernel_group_stream(schemes: Sequence[Scheme], num_nodes: int):
+    """Resumable state for one (index group, update mode, trace) run.
+
+    ``schemes`` share one key stream and one update mode.  The active
+    backend runs every member it supports in one group stream; each member
+    it declines runs on the pure-Python oracle inside the same group,
+    counted under ``kernel.fallbacks``.  ``kernel.backend.<name>`` counts
+    group streams.  Feed the trace's chunks in order.
+    """
+    backend = resolve_kernel_backend()
+    telemetry = get_telemetry()
+    declined = [
+        offset for offset, scheme in enumerate(schemes) if not backend.supports(scheme)
+    ]
+    if not declined:
+        if telemetry.enabled:
+            telemetry.count(f"kernel.backend.{backend.name}")
+        return backend.group_stream(schemes, num_nodes)
+    supported = [offset for offset in range(len(schemes)) if offset not in declined]
+    parts = []
+    for chosen, offsets in ((backend, supported), (_REGISTRY["python"], declined)):
+        if offsets:
+            stream = chosen.group_stream([schemes[offset] for offset in offsets], num_nodes)
+            parts.append((stream, offsets))
+            if telemetry.enabled:
+                telemetry.count(f"kernel.backend.{chosen.name}")
+    if telemetry.enabled:
+        telemetry.count("kernel.fallbacks", len(declined))
+    return _SplitGroupStream(parts, len(schemes))
+
+
 def kernel_predict(
     scheme: Scheme, trace: SharingTrace, keys: np.ndarray
 ) -> np.ndarray:
@@ -305,8 +386,7 @@ def kernel_evaluate(
 # ----------------------------------------------------------------------
 
 #: schemes the probe battery runs -- all three update modes, the four
-#: bitmap functions, PAs, and a confidence-gated sequential scheme (which
-#: native backends decline, exercising the fall-through path)
+#: bitmap functions, PAs, and a confidence-gated scheme
 PROBE_SCHEMES: Tuple[str, ...] = (
     "last()1[direct]",
     "last(dir+add4)1[forwarded]",

@@ -1,30 +1,50 @@
-"""Compiled per-event predictor loop: the ``native`` kernel backend.
+"""Compiled group pass: the ``native`` kernel backend.
 
-The design-space sweeps of paper Section 5.4 evaluate thousands of schemes
-per trace, and after the planner removed the redundant *shared* work
-(PR 5), the remaining cost ceiling is the per-event Python interpreter loop
-of the PAs and sequential families -- :class:`~repro.core.kernel.PredictorKernel`
-driving entry ops one event at a time.  This module compiles that loop: the
-embedded C source below is built once with the system C compiler into a
-cached shared library and driven via ``ctypes``.
+The design-space sweeps of paper Section 5.4 evaluate over a thousand
+schemes per trace, and every scheme of one index group reads the same key
+stream.  This module compiles the per-event loop of
+:class:`~repro.core.kernel.PredictorKernel` for a whole group: one call
+runs every member of an (index group, update mode) over a chunk of events,
+on state shared across the group, and scores each member in the same
+loop.  The embedded C source below is built once with the system C
+compiler into a cached shared library and driven via ``ctypes``.
 
 The compiled loop never sees Python objects: predictor keys and block ids
-are mapped to dense entry indices, bitmaps travel as bit-packed 64-bit word
-rows in the trace's :class:`~repro.util.bitmaps.BitmapLayout` sense, and
-confusion counting is fused ``popcount`` arithmetic over those words.
-Entry state is flat arrays (:class:`NativeState`): a ring buffer of
-feedback words per entry for the bitmap-history family, per-(entry, node)
-history registers and 2-bit saturating counters for PAs, and the
-FORWARDED pending-predictor slot per block.
+are mapped to dense entry indices, and bitmaps travel as bit-packed 64-bit
+word rows in the trace's :class:`~repro.util.bitmaps.BitmapLayout` sense.
+Entry state is flat arrays (:class:`NativeState`), shared where the
+members allow it:
 
-The loop is resumable without any change to the C source, because every
-piece of cross-event state already lives in those caller-owned arrays.
-:class:`NativeKernelStream` keeps them alive between calls, assigns dense
-ids that stay stable across chunks (:class:`_DenseIds`: new keys and
-blocks get the next ids, kept in a sorted array for lookup), and grows the
-state arrays by appending when new ids appear.  Feeding a trace as N
-chunks therefore runs exactly the loop iterations one whole-trace call
-would, on the same entries.
+* the bitmap-history members (``last``/``union``/``inter``/``overlap``)
+  and the bases of the confidence-gated ``cunion``/``cinter`` share one
+  ring of feedback rows per entry, at the group's largest window.  Per
+  event the loop builds the OR and the AND of the newest 1..len rows once;
+  a member of window *w* reads row ``min(len, w)``, and ``overlap`` reads
+  the newest row and the AND of the two newest;
+* PAs members share one history register per (entry, node), at the
+  group's largest depth.  A member of depth *d* indexes its own 2-bit
+  counters with the register's low *d* bits, which equal a depth-*d*
+  register;
+* each ``cunion``/``cinter`` member keeps its own confidence counter per
+  (entry, node).  A delivery first scores the member's base prediction
+  against the feedback, and only then does the ring absorb the feedback
+  -- the order of ``_ConfidenceGatedFunction.update``;
+* the FORWARDED pending-predictor slot per block, one per group.
+
+Scoring happens in the loop: per member it counts the true positives and
+the predicted positives of the prediction masked to the node mask with
+the writer bit optionally cleared, and it counts the chunk's truth bits
+once.  Then ``fp = predicted - tp``, ``fn = truth - tp`` and
+``tn = events * nodes - tp - fp - fn``.  A one-member stream can also
+write its raw per-event prediction rows, for traffic replay and the
+probe battery.
+
+The loop is resumable: every piece of cross-event state lives in the
+caller-owned arrays.  :class:`NativeGroupStream` keeps them alive between
+calls, assigns dense ids that stay stable across chunks
+(:class:`_DenseIds`), and grows the state arrays by appending when new ids
+appear, so feeding a trace as N chunks runs exactly the loop iterations
+one whole-trace call would.
 
 Semantics are *defined elsewhere*: the pure-Python
 :class:`~repro.core.kernel.PredictorKernel` remains the normative oracle,
@@ -33,8 +53,8 @@ prediction stream bit for bit on the probe battery
 (:func:`repro.core.kernel_backends.kernel_probe_fingerprint`) -- a build
 that fails the self-check leaves the pure-Python backend in charge.  The
 full proof is the kernel conformance suite
-(``tests/core/test_kernel_conformance.py``), which also feeds every
-backend's stream at random chunk cuts.
+(``tests/core/test_kernel_conformance.py``), which feeds every backend's
+group streams a mixed-family group at random chunk cuts.
 
 Build artifacts land in ``REPRO_KERNEL_CACHE`` (default: a per-user
 directory under the system temp dir), keyed by a hash of the C source, so
@@ -51,7 +71,7 @@ import os
 import subprocess
 import tempfile
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -66,7 +86,12 @@ logger = logging.getLogger("repro.core.kernel_native")
 _MODE_CODES = {UpdateMode.DIRECT: 0, UpdateMode.FORWARDED: 1, UpdateMode.ORDERED: 2}
 
 #: prediction-function codes understood by the C loop
-_FUNC_CODES = {"last": 0, "union": 1, "inter": 2, "overlap": 3, "pas": 4}
+_FUNC_CODES = {
+    "last": 0, "union": 1, "inter": 2, "overlap": 3, "pas": 4, "cunion": 5, "cinter": 6,
+}
+
+#: confidence-gated functions: a base bitmap function plus per-node counters
+_GATED = ("cunion", "cinter")
 
 #: widest bitmap-history ring the native state layout supports (uint8 ring
 #: cursors); deeper schemes fall back to the pure-Python kernel
@@ -79,6 +104,7 @@ MAX_NATIVE_PAS_DEPTH = 12
 
 C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 
 #define MODE_DIRECT 0
@@ -90,204 +116,299 @@ C_SOURCE = r"""
 #define FUNC_INTER 2
 #define FUNC_OVERLAP 3
 #define FUNC_PAS 4
+#define FUNC_CUNION 5
+#define FUNC_CINTER 6
 
-/* ---- bitmap-history family: ring buffer of feedback word-rows ---- */
+typedef struct {
+    int64_t num_nodes;
+    const int32_t *functions, *params; /* per member: code, window or depth */
+    const int64_t *offsets;            /* per member: counter offset in an entry */
+    int32_t window;                    /* shared ring slots (0: no ring) */
+    uint64_t *ring;
+    uint8_t *ring_len, *ring_pos;
+    int32_t depth;                     /* shared PAs history bits (0: none) */
+    uint32_t *pas_hist;
+    int64_t pas_stride;                /* PAs counter bytes per entry */
+    uint8_t *pas_counters;
+    int64_t conf_stride;               /* confidence counter bytes per entry */
+    uint8_t *conf_counters;
+    int32_t n_pas, n_conf;
+    int32_t *pas_members, *conf_members;
+    uint64_t *or_pref, *and_pref;      /* window + 1 rows each; row 0 is zero */
+} group_t;
 
-static void bitmap_update(uint64_t *hist, uint8_t *ring_len, uint8_t *ring_pos,
-                          int64_t entry, int32_t window, int64_t n_words,
-                          const uint64_t *feedback)
+/* SWAR popcount: the compiler builtin is a library call without -mpopcnt */
+static inline int64_t popcount64(uint64_t x)
 {
-    uint64_t *slot = hist + ((int64_t)entry * window + ring_pos[entry]) * n_words;
-    memcpy(slot, feedback, (size_t)n_words * sizeof(uint64_t));
-    ring_pos[entry] = (uint8_t)((ring_pos[entry] + 1) % window);
-    if (ring_len[entry] < window)
-        ring_len[entry] += 1;
+    x = x - ((x >> 1) & 0x5555555555555555ull);
+    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return (int64_t)((x * 0x0101010101010101ull) >> 56);
 }
 
-static void bitmap_predict(const uint64_t *hist, const uint8_t *ring_len,
-                           const uint8_t *ring_pos, int64_t entry,
-                           int32_t function, int32_t window, int64_t n_words,
-                           uint64_t *out)
+/* 2-bit saturating counter step: STEP[up << 2 | counter] (counters >= 2
+   predict or trust a bit) */
+static const uint8_t STEP[8] = {0, 0, 1, 2, 1, 2, 3, 3};
+
+static inline int bit_at(const uint64_t *row, int64_t node)
 {
-    const uint64_t *base = hist + (int64_t)entry * window * n_words;
-    int32_t len = ring_len[entry];
+    return (int)((row[node >> 6] >> (node & 63)) & 1u);
+}
+
+/* Row k (1 <= k <= len) of or_pref / and_pref becomes the OR / AND of the
+   entry's newest k feedback rows; returns len. */
+static inline int32_t build_prefixes(const group_t *g, int64_t n_words,
+                                            int64_t entry)
+{
+    int32_t window = g->window, len = g->ring_len[entry], pos = g->ring_pos[entry];
+    const uint64_t *base = g->ring + entry * window * n_words;
     int64_t w;
-    int32_t slot;
+    int32_t k;
+    for (k = 1; k <= len; k++) {
+        const uint64_t *row = base + (int64_t)((pos - k + window) % window) * n_words;
+        uint64_t *o = g->or_pref + (int64_t)k * n_words;
+        uint64_t *a = g->and_pref + (int64_t)k * n_words;
+        for (w = 0; w < n_words; w++) {
+            o[w] = k == 1 ? row[w] : o[w - n_words] | row[w];
+            a[w] = k == 1 ? row[w] : a[w - n_words] & row[w];
+        }
+    }
+    return len;
+}
 
-    if (function == FUNC_OVERLAP) {
-        /* window == 2: predict the newest bitmap only when it overlaps the
-           one before it; with a single bitmap stored, predict it. */
-        int32_t newest, prev;
-        uint64_t overlap = 0;
-        if (len == 0) {
-            memset(out, 0, (size_t)n_words * sizeof(uint64_t));
-            return;
+/* the base row a bitmap-history or gated member reads (prefixes built) */
+static inline const uint64_t *base_row(const group_t *g, int64_t n_words,
+                                              int32_t m, int32_t len)
+{
+    int32_t k = len < g->params[m] ? len : g->params[m];
+    int32_t f = g->functions[m];
+    if (f == FUNC_INTER || f == FUNC_CINTER)
+        return g->and_pref + (int64_t)k * n_words;
+    return g->or_pref + (int64_t)k * n_words;
+}
+
+/* Deliver one feedback row to an entry: gates score their base first,
+   then the ring and the PAs registers and counters absorb it. */
+static inline void deliver(const group_t *g, int64_t n_words, int64_t entry,
+                                  const uint64_t *fb)
+{
+    int64_t num_nodes = g->num_nodes, node, w;
+    int32_t j;
+    if (g->n_conf) {
+        int32_t len = build_prefixes(g, n_words, entry);
+        for (j = 0; j < g->n_conf; j++) {
+            int32_t m = g->conf_members[j];
+            const uint64_t *base = base_row(g, n_words, m, len);
+            uint8_t *c = g->conf_counters + entry * g->conf_stride + g->offsets[m];
+            for (node = 0; node < num_nodes; node++) {
+                int agree = bit_at(base, node) == bit_at(fb, node);
+                c[node] = STEP[(agree << 2) | c[node]];
+            }
         }
-        newest = (ring_pos[entry] + window - 1) % window;
-        if (len == 1) {
-            memcpy(out, base + (int64_t)newest * n_words,
-                   (size_t)n_words * sizeof(uint64_t));
-            return;
-        }
-        prev = (ring_pos[entry] + window - 2) % window;
+    }
+    if (g->window) {
+        int32_t pos = g->ring_pos[entry];
+        uint64_t *slot = g->ring + (entry * g->window + pos) * n_words;
         for (w = 0; w < n_words; w++)
-            overlap |= base[(int64_t)newest * n_words + w]
-                     & base[(int64_t)prev * n_words + w];
-        if (overlap)
-            memcpy(out, base + (int64_t)newest * n_words,
-                   (size_t)n_words * sizeof(uint64_t));
-        else
-            memset(out, 0, (size_t)n_words * sizeof(uint64_t));
-        return;
+            slot[w] = fb[w];
+        g->ring_pos[entry] = (uint8_t)((pos + 1) % g->window);
+        if (g->ring_len[entry] < g->window)
+            g->ring_len[entry] += 1;
     }
-
-    if (function == FUNC_INTER) {
-        if (len == 0) {
-            memset(out, 0, (size_t)n_words * sizeof(uint64_t));
-            return;
+    if (g->depth) {
+        uint32_t *hist = g->pas_hist + entry * num_nodes;
+        uint8_t *counters = g->pas_counters + entry * g->pas_stride;
+        uint32_t full = (uint32_t)((1u << g->depth) - 1u);
+        for (node = 0; node < num_nodes; node++) {
+            uint32_t history = hist[node];
+            int bit = bit_at(fb, node);
+            for (j = 0; j < g->n_pas; j++) {
+                int32_t m = g->pas_members[j], d = g->params[m];
+                uint8_t *c = counters + g->offsets[m]
+                           + ((node << d) | (history & ((1u << d) - 1u)));
+                *c = STEP[(bit << 2) | *c];
+            }
+            hist[node] = ((history << 1) | (uint32_t)bit) & full;
         }
-        /* filled slots are always 0..len-1 (writes are sequential until the
-           ring wraps, at which point every slot is live) */
-        memcpy(out, base, (size_t)n_words * sizeof(uint64_t));
-        for (slot = 1; slot < len; slot++)
-            for (w = 0; w < n_words; w++)
-                out[w] &= base[(int64_t)slot * n_words + w];
-        return;
     }
+}
 
-    /* FUNC_LAST / FUNC_UNION: the OR of every stored bitmap (last is
-       union at window 1) */
-    memset(out, 0, (size_t)n_words * sizeof(uint64_t));
-    for (slot = 0; slot < len; slot++)
+/* member m's raw prediction for an entry whose prefixes are built */
+static inline const uint64_t *member_row(const group_t *g, int64_t n_words,
+                                                int32_t m, int64_t entry,
+                                                int32_t len, uint64_t *scratch)
+{
+    int64_t num_nodes = g->num_nodes, node, w;
+    switch (g->functions[m]) {
+    case FUNC_OVERLAP:
+        /* the newest row when it overlaps the one before it; with one
+           row stored, that row */
+        if (len < 2)
+            return g->or_pref + (int64_t)len * n_words;
         for (w = 0; w < n_words; w++)
-            out[w] |= base[(int64_t)slot * n_words + w];
-}
-
-/* ---- PAs family: per-(entry, node) two-level adaptive state ---- */
-
-static void pas_update(uint32_t *pas_hist, uint8_t *pas_counters, int64_t entry,
-                       int64_t num_nodes, int32_t depth, const uint64_t *feedback)
-{
-    uint32_t *hist = pas_hist + entry * num_nodes;
-    uint8_t *counters = pas_counters + entry * (num_nodes << depth);
-    uint32_t mask = (uint32_t)((1u << depth) - 1u);
-    int64_t node;
-    for (node = 0; node < num_nodes; node++) {
-        uint32_t history = hist[node];
-        int64_t slot = ((int64_t)node << depth) | history;
-        if ((feedback[node >> 6] >> (node & 63)) & 1u) {
-            if (counters[slot] < 3)
-                counters[slot] += 1;
-            hist[node] = ((history << 1) | 1u) & mask;
-        } else {
-            if (counters[slot] > 0)
-                counters[slot] -= 1;
-            hist[node] = (history << 1) & mask;
-        }
+            if (g->and_pref[2 * n_words + w])
+                return g->or_pref + n_words;
+        return g->or_pref;
+    case FUNC_PAS: {
+        int32_t d = g->params[m];
+        uint32_t mask = (uint32_t)((1u << d) - 1u);
+        const uint32_t *hist = g->pas_hist + entry * num_nodes;
+        const uint8_t *c = g->pas_counters + entry * g->pas_stride + g->offsets[m];
+        for (w = 0; w < n_words; w++)
+            scratch[w] = 0;
+        for (node = 0; node < num_nodes; node++)
+            scratch[node >> 6] |= (uint64_t)(c[(node << d) | (hist[node] & mask)] >> 1)
+                                  << (node & 63);
+        return scratch;
+    }
+    case FUNC_CUNION:
+    case FUNC_CINTER: {
+        const uint64_t *base = base_row(g, n_words, m, len);
+        const uint8_t *c = g->conf_counters + entry * g->conf_stride + g->offsets[m];
+        for (w = 0; w < n_words; w++)
+            scratch[w] = 0;
+        for (node = 0; node < num_nodes; node++)
+            scratch[node >> 6] |= (uint64_t)((c[node] >> 1) & bit_at(base, node))
+                                  << (node & 63);
+        return scratch;
+    }
+    default: /* FUNC_LAST / FUNC_UNION / FUNC_INTER */
+        return base_row(g, n_words, m, len);
     }
 }
 
-static void pas_predict(const uint32_t *pas_hist, const uint8_t *pas_counters,
-                        int64_t entry, int64_t num_nodes, int32_t depth,
-                        int64_t n_words, uint64_t *out)
-{
-    const uint32_t *hist = pas_hist + entry * num_nodes;
-    const uint8_t *counters = pas_counters + entry * (num_nodes << depth);
-    int64_t node;
-    memset(out, 0, (size_t)n_words * sizeof(uint64_t));
-    for (node = 0; node < num_nodes; node++)
-        if (counters[((int64_t)node << depth) | hist[node]] >= 2)
-            out[node >> 6] |= 1ull << (node & 63);
-}
+/* ---- the per-event loop: PredictorKernel.run for a group, compiled ---- */
 
-/* ---- the per-event loop: PredictorKernel.run, compiled ---- */
-
-int repro_kernel_run(int64_t n_events, int64_t n_words, int64_t num_nodes,
-                     int32_t mode, int32_t function, int32_t window,
-                     int32_t depth,
-                     const int32_t *entries, const int32_t *blocks,
-                     const uint8_t *has_inval,
-                     const uint64_t *inval, const uint64_t *truth,
-                     uint64_t *bitmap_hist, uint8_t *ring_len, uint8_t *ring_pos,
-                     uint32_t *pas_hist, uint8_t *pas_counters,
-                     int32_t *pending, uint64_t *pred)
+static inline int group_loop(const group_t *g, int64_t n_words,
+                                    int64_t n_events, int32_t mode,
+                                    int32_t n_members,
+                                    const int32_t *entries, const int32_t *blocks,
+                                    const uint8_t *has_inval,
+                                    const uint64_t *inval, const uint64_t *truth,
+                                    const int64_t *writers,
+                                    const uint64_t *mask_words,
+                                    int32_t exclude_writer, int32_t *pending,
+                                    int64_t *counts, uint64_t *pred,
+                                    uint64_t *scratch)
 {
-    int64_t i;
-    int is_pas = (function == FUNC_PAS);
+    int64_t i, w, truth_bits = 0;
+    int32_t m, status = 0;
     for (i = 0; i < n_events; i++) {
         int64_t entry = entries[i];
+        const uint64_t *t_row = truth + i * n_words;
+        int64_t writer = writers[i];
+        int32_t len = 0;
         if (mode == MODE_DIRECT) {
-            if (has_inval[i]) {
-                if (is_pas)
-                    pas_update(pas_hist, pas_counters, entry, num_nodes, depth,
-                               inval + i * n_words);
-                else
-                    bitmap_update(bitmap_hist, ring_len, ring_pos, entry,
-                                  window, n_words, inval + i * n_words);
-            }
+            if (has_inval[i])
+                deliver(g, n_words, entry, inval + i * n_words);
         } else if (mode == MODE_FORWARDED) {
             int32_t block = blocks[i];
             if (has_inval[i]) {
                 /* deliver the closed epoch's truth to the entry that
                    predicted it (the pending key for this block) */
                 int32_t predictor = pending[block];
-                if (predictor < 0)
-                    return 1; /* inconsistent trace: inval with no open epoch */
-                if (is_pas)
-                    pas_update(pas_hist, pas_counters, predictor, num_nodes,
-                               depth, inval + i * n_words);
-                else
-                    bitmap_update(bitmap_hist, ring_len, ring_pos, predictor,
-                                  window, n_words, inval + i * n_words);
+                if (predictor < 0) {
+                    status = 1; /* inval with no open epoch */
+                    break;
+                }
+                deliver(g, n_words, predictor, inval + i * n_words);
             }
             pending[block] = (int32_t)entry;
         }
-        if (is_pas)
-            pas_predict(pas_hist, pas_counters, entry, num_nodes, depth,
-                        n_words, pred + i * n_words);
-        else
-            bitmap_predict(bitmap_hist, ring_len, ring_pos, entry, function,
-                           window, n_words, pred + i * n_words);
-        if (mode == MODE_ORDERED) {
-            if (is_pas)
-                pas_update(pas_hist, pas_counters, entry, num_nodes, depth,
-                           truth + i * n_words);
-            else
-                bitmap_update(bitmap_hist, ring_len, ring_pos, entry, window,
-                              n_words, truth + i * n_words);
+        if (g->window)
+            len = build_prefixes(g, n_words, entry);
+        for (w = 0; w < n_words; w++)
+            truth_bits += popcount64(t_row[w] & mask_words[w]);
+        for (m = 0; m < n_members; m++) {
+            const uint64_t *row = member_row(g, n_words, m, entry, len, scratch);
+            int64_t tp = 0, predicted = 0;
+            for (w = 0; w < n_words; w++) {
+                uint64_t p = row[w] & mask_words[w];
+                if (pred != NULL)
+                    pred[(i * n_members + m) * n_words + w] = row[w];
+                if (exclude_writer && (writer >> 6) == w)
+                    p &= ~(1ull << (writer & 63));
+                tp += popcount64(p & t_row[w]);
+                predicted += popcount64(p);
+            }
+            counts[2 * m] += tp;
+            counts[2 * m + 1] += predicted;
         }
+        if (mode == MODE_ORDERED)
+            deliver(g, n_words, entry, t_row);
     }
-    return 0;
+    counts[2 * n_members] += truth_bits;
+    return status;
 }
 
-/* ---- fused popcount confusion counting over packed word rows ---- */
+/* counts gets, per member m, the true positives at 2m and the predicted
+   positives at 2m + 1, and the chunk's truth bits at 2 * n_members.  pred,
+   when not NULL, gets member m's raw row of event i at row
+   i * n_members + m.  Returns 1 on an inconsistent trace, 2 when out of
+   memory. */
 
-void repro_kernel_score(int64_t n_events, int64_t n_words,
-                        const uint64_t *pred, const uint64_t *truth,
-                        const uint64_t *mask_words,
-                        const int64_t *writers, int32_t exclude_writer,
-                        int64_t *out)
+int repro_group_run(int64_t n_events, int64_t n_words, int64_t num_nodes,
+                    int32_t mode, int32_t n_members,
+                    const int32_t *functions, const int32_t *params,
+                    const int64_t *offsets,
+                    const int32_t *entries, const int32_t *blocks,
+                    const uint8_t *has_inval,
+                    const uint64_t *inval, const uint64_t *truth,
+                    const int64_t *writers, const uint64_t *mask_words,
+                    int32_t exclude_writer,
+                    int32_t window, uint64_t *ring, uint8_t *ring_len,
+                    uint8_t *ring_pos,
+                    int32_t depth, int64_t pas_stride, uint32_t *pas_hist,
+                    uint8_t *pas_counters,
+                    int64_t conf_stride, uint8_t *conf_counters,
+                    int32_t *pending, int64_t *counts, uint64_t *pred)
 {
-    int64_t tp = 0, fp = 0, fn = 0;
-    int64_t i, w;
-    for (i = 0; i < n_events; i++) {
-        const uint64_t *p_row = pred + i * n_words;
-        const uint64_t *t_row = truth + i * n_words;
-        int64_t writer = writers[i];
-        for (w = 0; w < n_words; w++) {
-            uint64_t m = mask_words[w];
-            uint64_t p = p_row[w] & m;
-            uint64_t t = t_row[w];
-            if (exclude_writer && (writer >> 6) == w)
-                p &= ~(1ull << (writer & 63));
-            tp += __builtin_popcountll(p & t);
-            fp += __builtin_popcountll(p & ~t & m);
-            fn += __builtin_popcountll(~p & t & m);
-        }
+    group_t g;
+    int32_t *members = (int32_t *)malloc(2 * (size_t)n_members * sizeof(int32_t) + 1);
+    uint64_t *buffers = (uint64_t *)calloc(
+        (size_t)(2 * (window + 1) + 1) * (size_t)n_words, sizeof(uint64_t));
+    uint64_t *scratch;
+    int32_t m, status;
+
+    if (members == NULL || buffers == NULL) {
+        free(members);
+        free(buffers);
+        return 2;
     }
-    out[0] = tp;
-    out[1] = fp;
-    out[2] = fn;
+    g.num_nodes = num_nodes;
+    g.functions = functions;
+    g.params = params;
+    g.offsets = offsets;
+    g.window = window;
+    g.ring = ring;
+    g.ring_len = ring_len;
+    g.ring_pos = ring_pos;
+    g.depth = depth;
+    g.pas_hist = pas_hist;
+    g.pas_stride = pas_stride;
+    g.pas_counters = pas_counters;
+    g.conf_stride = conf_stride;
+    g.conf_counters = conf_counters;
+    g.pas_members = members;
+    g.conf_members = members + n_members;
+    g.n_pas = 0;
+    g.n_conf = 0;
+    for (m = 0; m < n_members; m++) {
+        if (functions[m] == FUNC_PAS)
+            g.pas_members[g.n_pas++] = m;
+        else if (functions[m] == FUNC_CUNION || functions[m] == FUNC_CINTER)
+            g.conf_members[g.n_conf++] = m;
+    }
+    g.or_pref = buffers;
+    g.and_pref = buffers + (int64_t)(window + 1) * n_words;
+    scratch = buffers + (int64_t)2 * (window + 1) * n_words;
+
+    status = group_loop(&g, n_words, n_events, mode, n_members, entries, blocks,
+                        has_inval, inval, truth, writers, mask_words,
+                        exclude_writer, pending, counts, pred, scratch);
+    free(members);
+    free(buffers);
+    return status;
 }
 """
 
@@ -341,113 +462,105 @@ def _compile_library() -> Path:
     raise RuntimeError(f"no working C compiler among {_COMPILERS}: {last_error}")
 
 
+def _ptr(array: np.ndarray, ctype) -> ctypes.POINTER:
+    return array.ctypes.data_as(ctypes.POINTER(ctype))
+
+
 class _CEngine:
     """ctypes bindings over the compiled library (one instance per process)."""
 
     def __init__(self) -> None:
         self._lib = ctypes.CDLL(str(_compile_library()))
-        self._lib.repro_kernel_run.restype = ctypes.c_int
-        self._lib.repro_kernel_score.restype = None
-
-    @staticmethod
-    def _ptr(array: np.ndarray, ctype) -> ctypes.POINTER:
-        return array.ctypes.data_as(ctypes.POINTER(ctype))
+        self._lib.repro_group_run.restype = ctypes.c_int
 
     def run(
         self,
-        mode: int,
-        function: int,
-        window: int,
-        depth: int,
-        num_nodes: int,
-        n_words: int,
+        stream: "NativeGroupStream",
         entries: np.ndarray,
         blocks: np.ndarray,
-        has_inval: np.ndarray,
-        inval: np.ndarray,
-        truth: np.ndarray,
-        state: "NativeState",
-        pred: np.ndarray,
-    ) -> int:
-        return self._lib.repro_kernel_run(
-            ctypes.c_int64(len(entries)),
-            ctypes.c_int64(n_words),
-            ctypes.c_int64(num_nodes),
-            ctypes.c_int32(mode),
-            ctypes.c_int32(function),
-            ctypes.c_int32(window),
-            ctypes.c_int32(depth),
-            self._ptr(entries, ctypes.c_int32),
-            self._ptr(blocks, ctypes.c_int32),
-            self._ptr(has_inval, ctypes.c_uint8),
-            self._ptr(inval, ctypes.c_uint64),
-            self._ptr(truth, ctypes.c_uint64),
-            self._ptr(state.bitmap_hist, ctypes.c_uint64),
-            self._ptr(state.ring_len, ctypes.c_uint8),
-            self._ptr(state.ring_pos, ctypes.c_uint8),
-            self._ptr(state.pas_hist, ctypes.c_uint32),
-            self._ptr(state.pas_counters, ctypes.c_uint8),
-            self._ptr(state.pending, ctypes.c_int32),
-            self._ptr(pred, ctypes.c_uint64),
-        )
-
-    def score(
-        self,
-        pred: np.ndarray,
-        truth: np.ndarray,
-        mask_words: np.ndarray,
-        writers: np.ndarray,
+        chunk,
         exclude_writer: bool,
-        n_words: int,
-    ) -> Tuple[int, int, int]:
-        out = np.zeros(3, dtype=np.int64)
-        self._lib.repro_kernel_score(
-            ctypes.c_int64(len(writers)),
-            ctypes.c_int64(n_words),
-            self._ptr(pred, ctypes.c_uint64),
-            self._ptr(truth, ctypes.c_uint64),
-            self._ptr(mask_words, ctypes.c_uint64),
-            self._ptr(writers, ctypes.c_int64),
+        counts: np.ndarray,
+        pred: Optional[np.ndarray],
+    ) -> int:
+        layout = stream.layout
+        state = stream.state
+        u8, u32, u64 = ctypes.c_uint8, ctypes.c_uint32, ctypes.c_uint64
+        return self._lib.repro_group_run(
+            ctypes.c_int64(len(entries)),
+            ctypes.c_int64(layout.n_words),
+            ctypes.c_int64(layout.num_nodes),
+            ctypes.c_int32(stream.mode),
+            ctypes.c_int32(len(stream.functions)),
+            _ptr(stream.functions, ctypes.c_int32),
+            _ptr(stream.params, ctypes.c_int32),
+            _ptr(stream.offsets, ctypes.c_int64),
+            _ptr(entries, ctypes.c_int32),
+            _ptr(blocks, ctypes.c_int32),
+            _ptr(np.ascontiguousarray(chunk.has_inval, dtype=np.uint8), u8),
+            _ptr(_to_word_rows(chunk.inval, layout), u64),
+            _ptr(_to_word_rows(chunk.truth, layout), u64),
+            _ptr(np.require(chunk.writer, dtype=np.int64, requirements="CA"),
+                 ctypes.c_int64),
+            _ptr(stream.mask_words, u64),
             ctypes.c_int32(1 if exclude_writer else 0),
-            self._ptr(out, ctypes.c_int64),
+            ctypes.c_int32(state.window),
+            _ptr(state.ring, u64),
+            _ptr(state.ring_len, u8),
+            _ptr(state.ring_pos, u8),
+            ctypes.c_int32(state.depth),
+            ctypes.c_int64(state.pas_stride),
+            _ptr(state.pas_hist, u32),
+            _ptr(state.pas_counters, u8),
+            ctypes.c_int64(state.conf_stride),
+            _ptr(state.conf_counters, u8),
+            _ptr(state.pending, ctypes.c_int32),
+            _ptr(counts, ctypes.c_int64),
+            None if pred is None else _ptr(pred, u64),
         )
-        return int(out[0]), int(out[1]), int(out[2])
 
 
 class NativeState:
-    """Flat per-stream predictor state, allocated numpy-side.
+    """Flat predictor state of one group stream, allocated numpy-side.
 
-    One instance per (scheme, trace) stream -- predictor tables never carry
-    over between traces.  Arrays start empty and :meth:`grow` appends fresh
-    entries (and blocks) as a stream meets new ids, so existing state never
-    moves.  The family the stream does not run keeps zero-length arrays
-    (the C side only dereferences the family it was asked to run).
+    One instance per (index group, update mode, trace) -- predictor tables
+    never carry over between traces.  Arrays start empty and :meth:`grow`
+    appends fresh entries (and blocks) as the stream meets new ids, so
+    existing state never moves.  A family the group lacks keeps
+    zero-length arrays (the C side never dereferences them).
     """
 
-    __slots__ = ("bitmap_hist", "ring_len", "ring_pos", "pas_hist",
-                 "pas_counters", "pending", "_per_entry", "_entries")
+    __slots__ = ("window", "depth", "pas_stride", "conf_stride", "ring",
+                 "ring_len", "ring_pos", "pas_hist", "pas_counters",
+                 "conf_counters", "pending", "_per_entry", "_entries")
 
     def __init__(
-        self, is_pas: bool, window: int, depth: int, num_nodes: int, n_words: int
+        self,
+        window: int,
+        depth: int,
+        pas_stride: int,
+        conf_stride: int,
+        num_nodes: int,
+        n_words: int,
     ) -> None:
-        # (attribute, dtype, values per entry, initial value); PAs counters
-        # start weakly-not-shared (twolevel._COUNTER_INIT)
-        if is_pas:
-            self._per_entry = (
-                ("pas_hist", np.uint32, num_nodes, 0),
-                ("pas_counters", np.uint8, num_nodes << depth, 1),
-            )
-        else:
-            self._per_entry = (
-                ("bitmap_hist", np.uint64, window * n_words, 0),
-                ("ring_len", np.uint8, 1, 0),
-                ("ring_pos", np.uint8, 1, 0),
-            )
-        self.bitmap_hist = np.zeros(0, dtype=np.uint64)
-        self.ring_len = np.zeros(0, dtype=np.uint8)
-        self.ring_pos = np.zeros(0, dtype=np.uint8)
-        self.pas_hist = np.zeros(0, dtype=np.uint32)
-        self.pas_counters = np.zeros(0, dtype=np.uint8)
+        self.window = window
+        self.depth = depth
+        self.pas_stride = pas_stride
+        self.conf_stride = conf_stride
+        # (attribute, dtype, values per entry, initial value); PAs and
+        # confidence counters start at 1 (twolevel / confidence
+        # _COUNTER_INIT)
+        layout = (
+            ("ring", np.uint64, window * n_words, 0),
+            ("ring_len", np.uint8, 1 if window else 0, 0),
+            ("ring_pos", np.uint8, 1 if window else 0, 0),
+            ("pas_hist", np.uint32, num_nodes if depth else 0, 0),
+            ("pas_counters", np.uint8, pas_stride, 1),
+            ("conf_counters", np.uint8, conf_stride, 1),
+        )
+        for attribute, dtype, _, _ in layout:
+            setattr(self, attribute, np.zeros(0, dtype=dtype))
+        self._per_entry = tuple(spec for spec in layout if spec[2])
         self.pending = np.zeros(0, dtype=np.int32)
         self._entries = 0
 
@@ -521,111 +634,142 @@ def _to_word_rows(column: np.ndarray, layout: BitmapLayout) -> np.ndarray:
     return np.require(column, dtype=np.uint64, requirements="CA")
 
 
-def _from_word_rows(words: np.ndarray, layout: BitmapLayout) -> np.ndarray:
-    """Word rows back into the layout's canonical column representation."""
-    if layout.packed:
-        return words
-    return words.reshape(-1).astype(layout.dtype)
+def _param(scheme: Scheme) -> int:
+    """A member's loop parameter: ring slots it reads, or its PAs depth.
 
-
-def _window(scheme: Scheme) -> int:
+    Overlap-last keeps two bitmaps regardless of nominal depth.
+    """
     return 2 if scheme.function == "overlap" else scheme.depth
 
 
-class NativeKernelStream:
-    """One scheme's compiled-loop state over one trace, fed chunk by chunk.
+Quad = Tuple[int, int, int, int]
+
+
+class NativeGroupStream:
+    """Every member of one (index group, update mode) over one trace.
 
     ``chunk`` is anything with the trace column surface (a
     :class:`~repro.trace.source.TraceChunk` or a whole ``SharingTrace``);
-    ``keys`` is its :func:`~repro.core.vectorized.compute_keys` stream.
+    ``keys`` is its :func:`~repro.core.vectorized.compute_keys` stream,
+    shared by every member.  Feed the trace's chunks in order.
     """
 
-    __slots__ = ("_engine", "_layout", "_num_nodes", "_mode", "_function",
-                 "_window", "_depth", "_keys", "_blocks", "_state")
+    __slots__ = ("layout", "mode", "functions", "params", "offsets",
+                 "mask_words", "state", "_engine", "_keys", "_blocks")
 
-    def __init__(self, engine: _CEngine, scheme: Scheme, num_nodes: int) -> None:
+    def __init__(
+        self, engine: _CEngine, schemes: Sequence[Scheme], num_nodes: int
+    ) -> None:
+        modes = {scheme.update for scheme in schemes}
+        if len(modes) != 1:
+            raise ValueError(f"a group stream runs one update mode, got {modes}")
         self._engine = engine
-        self._layout = bitmap_layout(num_nodes)
-        self._num_nodes = num_nodes
-        self._mode = _MODE_CODES[scheme.update]
-        self._function = _FUNC_CODES[scheme.function]
-        self._window = _window(scheme)
-        self._depth = scheme.depth
+        self.layout = bitmap_layout(num_nodes)
+        self.mode = _MODE_CODES[modes.pop()]
+        self.functions = np.array(
+            [_FUNC_CODES[scheme.function] for scheme in schemes], dtype=np.int32
+        )
+        self.params = np.array([_param(scheme) for scheme in schemes], dtype=np.int32)
+        # each PAs and each gated member owns a slice of its entry's counters
+        offsets = []
+        pas_stride = conf_stride = 0
+        for scheme in schemes:
+            if scheme.function == "pas":
+                offsets.append(pas_stride)
+                pas_stride += num_nodes << scheme.depth
+            elif scheme.function in _GATED:
+                offsets.append(conf_stride)
+                conf_stride += num_nodes
+            else:
+                offsets.append(0)
+        self.offsets = np.array(offsets, dtype=np.int64)
+        self.mask_words = np.ascontiguousarray(self.layout.mask_words, dtype=np.uint64)
+        self.state = NativeState(
+            window=max(
+                (_param(s) for s in schemes if s.function != "pas"), default=0
+            ),
+            depth=max((s.depth for s in schemes if s.function == "pas"), default=0),
+            pas_stride=pas_stride,
+            conf_stride=conf_stride,
+            num_nodes=num_nodes,
+            n_words=self.layout.n_words,
+        )
         self._keys = _DenseIds()
         self._blocks = _DenseIds()
-        self._state = NativeState(
-            scheme.function == "pas", self._window, scheme.depth, num_nodes,
-            self._layout.n_words,
-        )
 
-    def _run(self, chunk, keys: np.ndarray) -> np.ndarray:
-        """Drive the compiled loop over one chunk; returns prediction word rows."""
-        layout = self._layout
+    def _run(
+        self, chunk, keys: np.ndarray, exclude_writer: bool,
+        pred: Optional[np.ndarray] = None,
+    ) -> List[Quad]:
+        """Drive the compiled loop over one chunk; returns one quad per member."""
         entries = self._keys.lookup(keys)
-        blocks = self._blocks.lookup(chunk.block)
-        self._state.grow(len(self._keys), len(self._blocks))
-        pred = np.zeros((len(entries), layout.n_words), dtype=np.uint64)
-        status = self._engine.run(
-            self._mode,
-            self._function,
-            self._window,
-            self._depth,
-            self._num_nodes,
-            layout.n_words,
-            entries,
-            blocks,
-            np.ascontiguousarray(chunk.has_inval, dtype=np.uint8),
-            _to_word_rows(chunk.inval, layout),
-            _to_word_rows(chunk.truth, layout),
-            self._state,
-            pred,
+        # only FORWARDED reads block ids (the pending-predictor slots)
+        blocks = (
+            self._blocks.lookup(chunk.block)
+            if self.mode == _MODE_CODES[UpdateMode.FORWARDED]
+            else entries
         )
-        if status != 0:
+        self.state.grow(len(self._keys), len(self._blocks))
+        size = len(self.functions)
+        counts = np.zeros(2 * size + 1, dtype=np.int64)
+        status = self._engine.run(
+            self, entries, blocks, chunk, exclude_writer, counts, pred
+        )
+        if status == 1:
             raise ValueError(
                 "native kernel: has_inval set on an event whose block has no "
                 "open epoch (inconsistent trace)"
             )
-        return pred
+        if status:
+            raise MemoryError("native kernel: scratch allocation failed")
+        truth_bits = int(counts[-1])
+        total = len(chunk) * self.layout.num_nodes
+        quads = []
+        for tp, predicted in counts[:-1].reshape(size, 2).tolist():
+            fp = predicted - tp
+            fn = truth_bits - tp
+            quads.append((tp, fp, fn, total - tp - fp - fn))
+        return quads
+
+    def evaluate(self, chunk, keys: np.ndarray, exclude_writer: bool) -> List[Quad]:
+        """The chunk's ``(tp, fp, fn, tn)`` quad for every member, in order."""
+        if len(chunk) == 0:
+            return [(0, 0, 0, 0)] * len(self.functions)
+        return self._run(chunk, keys, exclude_writer)
+
+
+class NativeKernelStream:
+    """One scheme's state over one trace: a one-member group stream that
+    can also hand back its raw prediction rows."""
+
+    __slots__ = ("_group",)
+
+    def __init__(self, engine: _CEngine, scheme: Scheme, num_nodes: int) -> None:
+        self._group = NativeGroupStream(engine, [scheme], num_nodes)
 
     def feed(self, chunk, keys: np.ndarray) -> np.ndarray:
         """Raw (unmasked) predictions for the chunk, in the trace's layout."""
+        layout = self._group.layout
         if len(chunk) == 0:
-            return self._layout.zeros(0)
-        return _from_word_rows(self._run(chunk, keys), self._layout)
+            return layout.zeros(0)
+        pred = np.zeros((len(chunk), layout.n_words), dtype=np.uint64)
+        self._group._run(chunk, keys, False, pred)
+        return pred if layout.packed else pred.reshape(-1).astype(layout.dtype)
 
-    def evaluate(
-        self, chunk, keys: np.ndarray, exclude_writer: bool
-    ) -> Tuple[int, int, int, int]:
-        """Fused predict + popcount confusion counting, all compiled.
-
-        Returns the chunk's ``(tp, fp, fn, tn)`` quad -- bit-identical to
-        masking :meth:`feed` and scoring it on the shared numpy path,
-        enforced by the conformance suite.
-        """
-        if len(chunk) == 0:
-            return 0, 0, 0, 0
-        layout = self._layout
-        pred = self._run(chunk, keys)
-        tp, fp, fn = self._engine.score(
-            pred,
-            _to_word_rows(chunk.truth, layout),
-            np.ascontiguousarray(layout.mask_words, dtype=np.uint64),
-            np.require(chunk.writer, dtype=np.int64, requirements="CA"),
-            exclude_writer,
-            layout.n_words,
-        )
-        total = len(chunk) * self._num_nodes
-        return tp, fp, fn, total - tp - fp - fn
+    def evaluate(self, chunk, keys: np.ndarray, exclude_writer: bool) -> Quad:
+        """The chunk's ``(tp, fp, fn, tn)`` quad, predicted and scored in C."""
+        [quad] = self._group.evaluate(chunk, keys, exclude_writer)
+        return quad
 
 
 class NativeKernelBackend:
     """The compiled kernel backend (registry name: ``native``).
 
-    Covers the PAs and bitmap-history families at every machine width and
-    all three update modes; arbitrary :class:`~repro.core.functions
-    .PredictionFunction` objects (the confidence-gated extensions) are
-    declined via :meth:`supports`, which the registry resolves as a
-    per-scheme fall-through to the pure-Python backend.
+    Covers every function family at every machine width and all three
+    update modes.  Only rings wider than :data:`MAX_NATIVE_WINDOW` and
+    PAs histories deeper than :data:`MAX_NATIVE_PAS_DEPTH` are declined
+    via :meth:`supports`, which the registry resolves as a per-scheme
+    fall-through to the pure-Python backend.
     """
 
     name = "native"
@@ -665,22 +809,28 @@ class NativeKernelBackend:
         return False
 
     def supports(self, scheme: Scheme) -> bool:
-        function = scheme.function
-        if function == "pas":
+        if scheme.function == "pas":
             return scheme.depth <= MAX_NATIVE_PAS_DEPTH
-        if function in ("last", "union", "inter", "overlap"):
-            return _window(scheme) <= MAX_NATIVE_WINDOW
-        return False
+        return scheme.function in _FUNC_CODES and _param(scheme) <= MAX_NATIVE_WINDOW
 
-    def stream(self, scheme: Scheme, num_nodes: int) -> NativeKernelStream:
-        """Fresh resumable state for one (scheme, trace) run."""
+    def _ready_engine(self) -> _CEngine:
         if self._engine is None and not self.available():
             raise RuntimeError(
                 "native kernel backend is unavailable on this machine; "
-                "route through repro.core.kernel_backends.kernel_stream, "
+                "route through repro.core.kernel_backends.kernel_group_stream, "
                 "which falls back to the pure-Python backend"
             )
-        return NativeKernelStream(self._engine, scheme, num_nodes)
+        return self._engine
+
+    def group_stream(
+        self, schemes: Sequence[Scheme], num_nodes: int
+    ) -> NativeGroupStream:
+        """Fresh resumable state for one (index group, update mode, trace)."""
+        return NativeGroupStream(self._ready_engine(), schemes, num_nodes)
+
+    def stream(self, scheme: Scheme, num_nodes: int) -> NativeKernelStream:
+        """Fresh resumable state for one (scheme, trace) run."""
+        return NativeKernelStream(self._ready_engine(), scheme, num_nodes)
 
     def predict(
         self, scheme: Scheme, trace: SharingTrace, keys: np.ndarray
@@ -694,7 +844,7 @@ class NativeKernelBackend:
         trace: SharingTrace,
         keys: np.ndarray,
         exclude_writer: bool,
-    ) -> Tuple[int, int, int, int]:
+    ) -> Quad:
         """The fused ``(tp, fp, fn, tn)`` quad: one whole-trace chunk."""
         return self.stream(scheme, trace.num_nodes).evaluate(
             trace, keys, exclude_writer

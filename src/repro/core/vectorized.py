@@ -1,76 +1,39 @@
-"""Fast trace evaluation: numpy passes instead of a per-event interpreter.
+"""Fast trace evaluation: one-scheme entry points and shared key streams.
 
 The design-space sweeps of paper Section 5.4 evaluate thousands of schemes
-over every benchmark trace, so the per-scheme cost must be a handful of
-vectorized passes.  The key observation is that for bitmap-history functions
-(last/union/intersection/overlap-last) the history an entry holds at event
-*i* is simply the last ``depth`` feedback values delivered to ``key[i]``
-before the prediction -- and every update mode reduces to a different
-*(delivery time, feedback value)* labelling of the same event stream:
+over every benchmark trace, so nothing may run an interpreter loop per
+(scheme, event).  The evaluation itself is the planner's
+(:func:`repro.core.plan.evaluate_plan`): one kernel-backend group stream
+per (index group, update mode), which on the compiled ``native`` backend
+runs and scores every member of the group in one C call per chunk, and
+otherwise runs the pure-Python :class:`~repro.core.kernel.PredictorKernel`
+oracle -- bit-identically, per the registry contract in
+:mod:`repro.core.kernel_backends`.  Either way the update-timing state
+machine is shared with the reference evaluator by construction.
 
-==========  =======================  ==================  ==================
-mode        feedback source          value               delivery time
-==========  =======================  ==================  ==================
-DIRECT      events with ``has_inval``  ``inval[j]``        ``j`` (inclusive)
-FORWARDED   events with ``close<E``    ``truth[j]``        ``close[j]`` (inclusive)
-ORDERED     all events                 ``truth[j]``        ``j`` (exclusive)
-==========  =======================  ==================  ==================
-
-"Inclusive" means a feedback delivered *at* event *i* is visible to event
-*i*'s own prediction (direct update happens at the consulting event;
-forwarded feedback is processed by the directory before the closing event
-predicts); "exclusive" means it becomes visible only to later predictions.
-Delivery times are unique within a mode (an event closes at most one epoch),
-so one ``searchsorted`` over a composite ``(key, time)`` ordering recovers
-each prediction's history window exactly.
-
-The pass that turns this labelling into predictions -- the feedback sort,
-``searchsorted`` and history gather -- is
-:class:`repro.core.windowed.StreamedBitmapGroup`, which runs it chunk by
-chunk with each key's recent history carried between chunks; a resident
-trace is simply one chunk.  This module keeps the pieces of math around it
-that every evaluation shares:
+This module keeps what the evaluation paths share:
 
 * :func:`compute_keys` depends only on the :class:`IndexSpec`, so every
   scheme in an index group reads the same key stream;
-* :func:`_reduce_bitmap` folds one prediction function over a gathered
-  history window; one gather at a batch's maximum window serves every
-  depth and function in the batch;
-* :func:`_score` is the scorer every bitmap prediction column goes
-  through.
-
-PAs entries carry counter state that depends on the full feedback sequence,
-not a window, so they (and arbitrary
-:class:`~repro.core.functions.PredictionFunction` objects -- the
-confidence-gated extensions) run the per-event loop through the kernel
-backend registry (:mod:`repro.core.kernel_backends`): the compiled
-``native`` backend when one is available, else the pure-Python
-:class:`~repro.core.kernel.PredictorKernel` -- bit-identically, per the
-registry contract.  Either way the update-timing state machine is shared
-with the reference evaluator by construction.
-
-:func:`predict_scheme_fast` and :func:`evaluate_scheme_fast` are the
-one-scheme, one-trace entry points into the single evaluation path
-(:func:`repro.core.windowed.predict_stream` and
-:func:`repro.core.plan.evaluate_plan`); ``evaluate_scheme_fast`` is
-property-tested against the reference evaluator in
-``tests/core/test_vectorized_equivalence.py``.
+* :func:`predict_scheme_fast` and :func:`evaluate_scheme_fast` are the
+  one-scheme, one-trace entry points into the single evaluation path
+  (:func:`repro.core.windowed.predict_stream` and
+  :func:`repro.core.plan.evaluate_plan`); ``evaluate_scheme_fast`` is
+  property-tested against the reference evaluator in
+  ``tests/core/test_vectorized_equivalence.py``.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from repro.core.indexing import IndexSpec
-from repro.core.kernel_backends import score_predictions
 from repro.core.schemes import Scheme
 from repro.metrics.confusion import ConfusionCounts
 from repro.trace.events import SharingTrace
 from repro.trace.source import TraceSource
-
-_BITMAP_FUNCTIONS = ("last", "union", "inter", "overlap")
 
 
 def predict_scheme_fast(
@@ -87,7 +50,7 @@ def predict_scheme_fast(
     :func:`repro.forwarding.replay_traffic` consumes.  The resident trace
     is the one chunk of :func:`repro.core.windowed.predict_stream`.
     """
-    # imported here: windowed builds on this module's math
+    # imported here: windowed builds on this module's key streams
     from repro.core.windowed import predict_stream
 
     if len(trace) == 0:
@@ -108,7 +71,7 @@ def evaluate_scheme_fast(
     also be a streamed source; the counts are merged into ``counts`` when
     one is given.
     """
-    # imported here: the planner builds on this module's math
+    # imported here: the planner builds on this module's key streams
     from repro.core.plan import SweepPlan, evaluate_plan
 
     [[result]] = evaluate_plan(
@@ -145,71 +108,3 @@ def compute_keys(spec: IndexSpec, trace: SharingTrace) -> np.ndarray:
     if spec.addr_bits:
         keys = (keys << spec.addr_bits) | (trace.block & ((1 << spec.addr_bits) - 1))
     return keys
-
-
-# ----------------------------------------------------------------------
-# Bitmap-history schemes
-# ----------------------------------------------------------------------
-
-
-def _bitmap_window(scheme: Scheme) -> int:
-    """History slots a bitmap scheme actually reads.
-
-    Overlap-last keeps two bitmaps regardless of nominal depth.
-    """
-    return 2 if scheme.function == "overlap" else scheme.depth
-
-
-def _reduce_bitmap(function: str, window: int, shared, num_nodes: int) -> np.ndarray:
-    """Fold one scheme's prediction function over a shared bitmap pass.
-
-    ``shared`` is a :class:`repro.core.windowed.StreamedBitmapGroup` pass
-    over one chunk: slot *s* of ``shared.gathered`` is each event's
-    *(s+1)*-th most recent feedback (zero outside the window) and
-    ``shared.available`` the feedback count its entry has seen.
-    ``window`` is the scheme's own slot count and may be smaller than the
-    pass's gather width (the planner gathers once at the batch maximum).
-    """
-    length = shared.length
-    layout = shared.layout
-    available = shared.available
-    gathered = shared.gathered
-    if function in ("union", "last"):
-        predictions = layout.zeros(length)
-        for slot in range(window):
-            predictions |= gathered[slot]
-    elif function == "inter":
-        predictions = layout.full(length)
-        for slot in range(window):
-            active = available > slot
-            predictions[active] &= gathered[slot, active]
-        predictions[available == 0] = 0
-    else:  # overlap-last
-        newest = gathered[0]
-        previous = gathered[1]
-        overlaps = layout.any_set(newest & previous)
-        predictions = layout.select(
-            available >= 2,
-            layout.select(overlaps, newest, layout.zeros(length)),
-            newest,  # 0 or 1 bitmaps stored: predict what is there (0 if none)
-        )
-    return predictions
-
-
-# ----------------------------------------------------------------------
-# Scoring
-# ----------------------------------------------------------------------
-
-
-def _merge_quad(counts: ConfusionCounts, quad: Tuple[int, int, int, int]) -> None:
-    """Fold a ``(tp, fp, fn, tn)`` quad into a counts accumulator."""
-    counts.true_positive += quad[0]
-    counts.false_positive += quad[1]
-    counts.false_negative += quad[2]
-    counts.true_negative += quad[3]
-
-
-def _score(predictions: np.ndarray, trace: SharingTrace, counts: ConfusionCounts) -> None:
-    """Score an already-masked prediction column (delegates to the one
-    normative scorer in :mod:`repro.core.kernel_backends`)."""
-    _merge_quad(counts, score_predictions(predictions, trace, exclude_writer=False))

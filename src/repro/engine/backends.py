@@ -61,9 +61,9 @@ class VectorizedEngine(EvaluationEngine):
     """The fast numpy evaluator -- the default single-process backend.
 
     Batches run through the sweep planner (:mod:`repro.core.plan`): schemes
-    are grouped by index spec and function family so key streams and bitmap
-    feedback passes are computed once per group rather than once per
-    scheme.  Planning is pure scheduling -- results are bit-identical to
+    are grouped by index spec, so key streams are computed once per group
+    and each (group, update mode) runs as one kernel pass rather than one
+    per scheme.  Planning is pure scheduling -- results are bit-identical to
     per-scheme evaluation and ``on_result`` still fires once per scheme.
 
     This is the streaming backend: the planner reads a

@@ -17,11 +17,11 @@ processes on other machines.  The control plane is transport-agnostic:
   coordinator's.  Every transport is bit-identical and frozen against the
   golden fixtures.
 * **Plan-group work stealing** -- the batch is first permuted into
-  :class:`~repro.core.plan.SweepPlan` order and chunks are cut inside plan
-  batch boundaries, so every chunk a worker steals shares one
-  (IndexSpec, function family): the worker evaluates it through
+  :class:`~repro.core.plan.SweepPlan` order and chunks are cut inside
+  index-group boundaries, so every chunk a worker steals shares one
+  IndexSpec: the worker evaluates it through
   :func:`~repro.core.plan.evaluate_plan`, keeping the planner's shared
-  key streams and bitmap passes effective across the process boundary.  Dispatch stays demand-driven: the parent
+  key streams and group passes effective across the process boundary.  Dispatch stays demand-driven: the parent
   keeps a small number of chunks in flight and cuts the next chunk when a
   worker finishes one ("stealing" from the shared remainder).  Chunk size
   starts small and is continuously resized from the observed schemes/sec
@@ -122,8 +122,8 @@ class _ChunkScheduler:
     ``boundaries`` (sorted cumulative segment ends, e.g.
     :meth:`SweepPlan.batch_boundaries` over the plan-ordered batch) makes
     the cutting *segment-aware*: a chunk never straddles a boundary, so
-    every chunk a worker steals shares one (IndexSpec, family) and the
-    worker's shared passes run at full width.  Oversized segments still
+    every chunk a worker steals shares one IndexSpec and the worker's
+    group passes run at full width.  Oversized segments still
     split into multiple chunks -- size-aware stealing, not one-segment-one-
     worker -- and crossing would merely cost locality, never correctness.
     """
@@ -427,7 +427,7 @@ class ParallelEngine(EvaluationEngine):
         acquisition, plan-ordered segment-aware chunk scheduling,
         completion-order result decoding, and telemetry folding.  Schemes
         are permuted into :class:`SweepPlan` order before chunking so every
-        chunk shares one (IndexSpec, family); results and ``on_result``
+        chunk shares one IndexSpec; results and ``on_result``
         indices are mapped back through the permutation, so callers (and
         the sweep journal, which checkpoints per scheme) see only the
         original order.  ``kind``/``args`` name a worker task per

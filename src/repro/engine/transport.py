@@ -182,9 +182,9 @@ def run_chunk(
 
 
 def _evaluate_payloads(schemes: List[Scheme], exclude_writer: bool) -> List[list]:
-    # Chunks are cut inside plan-batch boundaries, so this mini plan is
-    # normally a single (IndexSpec, family) batch sharing one key stream
-    # and its bitmap passes.
+    # Chunks are cut inside index-group boundaries, so this mini plan is
+    # normally a single index group sharing one key stream and one group
+    # pass per update mode.
     per_scheme = evaluate_plan(
         SweepPlan(schemes), _WORKER_TRACES, exclude_writer=exclude_writer
     )

@@ -12,16 +12,20 @@ Coverage axes:
 
 * every registered backend (unavailable ones skip, matching the degraded
   environments they'd degrade in);
+* both entry points: one-scheme streams (raw predictions and quads) and
+  group streams, which run a mixed-family index group at once and must
+  give each member the oracle's one-member quad;
 * all three update modes and every function family (bitmap, PAs, and the
-  confidence-gated sequential schemes native backends decline);
+  confidence-gated ``cunion``/``cinter``);
 * bitmap widths 8 / 16 / 32 / 64 (scalar-word layouts and both word-size
   boundaries) and 256 / 1024 (packed multi-word layouts);
 * arbitrary Hypothesis-generated traces and schemes on top of the
   structured deterministic ones;
-* chunked feeds: each backend's resumable ``stream`` fed the same trace
-  cut at Hypothesis-drawn points (always with a one-event first chunk and
-  a cut inside an open FORWARDED epoch) must reproduce the oracle's
-  one-chunk predictions and confusion quad.
+* chunked feeds: each backend's resumable ``stream`` and
+  ``group_stream`` fed the same trace cut at Hypothesis-drawn points
+  (always with a one-event first chunk and a cut inside an open FORWARDED
+  epoch) must reproduce the oracle's one-chunk predictions and confusion
+  quads.
 
 Registry *behavior* (resolution precedence, degradation, telemetry
 attribution) is tested at the bottom; pure kernel-loop edge semantics live
@@ -33,7 +37,7 @@ from __future__ import annotations
 import logging
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.kernel_backends as kb
@@ -43,6 +47,7 @@ from repro.core.kernel_backends import (
     get_kernel_backend,
     kernel_backend_names,
     kernel_evaluate,
+    kernel_group_stream,
     kernel_predict,
     kernel_probe_fingerprint,
     register_kernel_backend,
@@ -171,6 +176,74 @@ def assert_stream_conforms(backend, trace, cuts, scheme_texts=CONFORMANCE_SCHEME
             assert summed == oracle.evaluate(scheme, trace, keys, exclude_writer), (
                 f"{backend.name!r} chunked quad mismatch on {text} cut at {cuts}"
             )
+
+
+#: one index group mixing every function family at several depths and
+#: windows; the update mode is appended per run
+GROUP_MEMBERS = (
+    "last(pid+add4)1",
+    "union(pid+add4)2",
+    "union(pid+add4)4",
+    "inter(pid+add4)2",
+    "inter(pid+add4)3",
+    "overlap(pid+add4)1",
+    "pas(pid+add4)1",
+    "pas(pid+add4)3",
+    "pas(pid+add4)2",
+    "cunion(pid+add4)2",
+    "cinter(pid+add4)3",
+    "cunion(pid+add4)1",
+)
+
+
+def group_schemes(mode):
+    return [parse_scheme(f"{text}[{mode.value}]") for text in GROUP_MEMBERS]
+
+
+def assert_group_conforms(backend, trace, cuts, oracle_cache=None):
+    """Assert ``backend``'s group stream over :data:`GROUP_MEMBERS`, fed
+    ``trace`` cut at ``cuts``, gives every member the oracle's one-member
+    one-chunk quad: all three update modes, with and without writer
+    exclusion.  Members the backend declines are left out of its group,
+    exactly as :func:`kernel_group_stream` routes them.  ``oracle_cache``
+    memoizes the oracle's quads for a trace that is checked repeatedly."""
+    oracle = get_kernel_backend("python")
+    chunks = _chunks_at(trace, cuts)
+    cache = {} if oracle_cache is None else oracle_cache
+    for mode in UpdateMode:
+        schemes = [scheme for scheme in group_schemes(mode) if backend.supports(scheme)]
+        keys = compute_keys(schemes[0].index, trace)
+        for exclude_writer in (False, True):
+            stream = backend.group_stream(schemes, trace.num_nodes)
+            summed = [(0, 0, 0, 0)] * len(schemes)
+            for chunk in chunks:
+                quads = stream.evaluate(
+                    chunk, keys[chunk.start:chunk.end], exclude_writer
+                )
+                summed = [
+                    tuple(a + b for a, b in zip(total, quad))
+                    for total, quad in zip(summed, quads)
+                ]
+            for scheme, got in zip(schemes, summed):
+                key = (scheme.full_name, exclude_writer)
+                if key not in cache:
+                    cache[key] = oracle.evaluate(scheme, trace, keys, exclude_writer)
+                assert got == cache[key], (
+                    f"backend {backend.name!r} group stream diverged from the "
+                    f"python oracle on {scheme.full_name} over {trace.name} "
+                    f"({trace.num_nodes} nodes) cut at {cuts}"
+                )
+
+
+def _cuts(trace, drawn):
+    """A one-event first chunk, a cut inside an open FORWARDED epoch when
+    the trace has one, and the drawn cuts."""
+    cuts = {1, *drawn}
+    try:
+        cuts.add(_open_epoch_cut(trace))
+    except AssertionError:
+        pass
+    return sorted(cut for cut in cuts if 0 < cut < len(trace))
 
 
 @pytest.fixture(scope="module", params=kernel_backend_names())
@@ -312,6 +385,67 @@ class TestChunkedConformance:
         assert_stream_conforms(backend, trace, cuts)
 
 
+_GROUP_ORACLE_CACHE = {num_nodes: {} for num_nodes in _CHUNKED_TRACES}
+
+
+@st.composite
+def wide_trace_strategy(draw, num_nodes):
+    """An arbitrary valid trace on a ``num_nodes`` machine."""
+    epochs = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, num_nodes - 1),
+                st.integers(0, 50),
+                st.integers(0, num_nodes - 1),
+                st.integers(0, 6),
+                st.integers(0, (1 << num_nodes) - 1),
+            ),
+            min_size=2,
+            max_size=24,
+        )
+    )
+    cleaned = [
+        (writer, pc, home, block, truth & ~(1 << writer))
+        for writer, pc, home, block, truth in epochs
+    ]
+    return SharingTrace.from_epochs(
+        num_nodes, cleaned, name=f"group-conformance-hyp-{num_nodes}"
+    )
+
+
+class TestGroupConformance:
+    @pytest.mark.parametrize("num_nodes", sorted(_CHUNKED_TRACES))
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_group_stream_matches_oracle(self, backend, num_nodes, data):
+        trace = _CHUNKED_TRACES[num_nodes]
+        drawn = data.draw(
+            st.sets(st.integers(1, len(trace) - 1), max_size=6), label="cuts"
+        )
+        assert_group_conforms(
+            backend, trace, _cuts(trace, drawn), _GROUP_ORACLE_CACHE[num_nodes]
+        )
+
+    @pytest.mark.parametrize("num_nodes", sorted(_CHUNKED_TRACES))
+    @settings(max_examples=25)
+    @given(data=st.data())
+    def test_group_stream_matches_oracle_on_arbitrary_traces(
+        self, backend, num_nodes, data
+    ):
+        trace = data.draw(wide_trace_strategy(num_nodes), label="trace")
+        drawn = data.draw(
+            st.sets(st.integers(1, len(trace) - 1), max_size=4), label="cuts"
+        )
+        assert_group_conforms(backend, trace, _cuts(trace, drawn))
+
+    def test_empty_chunk_scores_nothing(self, backend):
+        trace = make_random_trace(num_nodes=16, num_events=0, seed="group-empty")
+        schemes = group_schemes(UpdateMode.FORWARDED)
+        stream = backend.group_stream(schemes, trace.num_nodes)
+        keys = compute_keys(schemes[0].index, trace)
+        assert stream.evaluate(trace, keys, True) == [(0, 0, 0, 0)] * len(schemes)
+
+
 # ----------------------------------------------------------------------
 # Registration alone brings a backend under test
 # ----------------------------------------------------------------------
@@ -348,6 +482,11 @@ class _BitFlippingBackend:
     def stream(self, scheme, num_nodes):
         return _BitFlippingStream(get_kernel_backend("python").stream(scheme, num_nodes))
 
+    def group_stream(self, schemes, num_nodes):
+        return _BitFlippingGroupStream(
+            [self.stream(scheme, num_nodes) for scheme in schemes]
+        )
+
 
 class _BitFlippingStream:
     """The bit-flipping backend's resumable state: the oracle's, corrupted."""
@@ -364,6 +503,16 @@ class _BitFlippingStream:
 
     def evaluate(self, chunk, keys, exclude_writer):
         return kb.score_predictions(self.feed(chunk, keys), chunk, exclude_writer)
+
+
+class _BitFlippingGroupStream:
+    """The bit-flipping backend's group state: one corrupted stream per member."""
+
+    def __init__(self, streams):
+        self.streams = streams
+
+    def evaluate(self, chunk, keys, exclude_writer):
+        return [stream.evaluate(chunk, keys, exclude_writer) for stream in self.streams]
 
 
 @pytest.fixture
@@ -405,6 +554,12 @@ class TestHarnessCatchesNonconformance:
         cuts = sorted({1, _open_epoch_cut(trace), 30})
         with pytest.raises(AssertionError, match="diverged from the python oracle"):
             assert_stream_conforms(backend, trace, cuts)
+
+    def test_group_harness_flags_bit_divergence(self, scratch_registration):
+        backend = scratch_registration(_BitFlippingBackend())
+        trace = make_random_trace(num_nodes=8, num_events=60, seed="bitflip")
+        with pytest.raises(AssertionError, match="diverged from the python oracle"):
+            assert_group_conforms(backend, trace, _cuts(trace, {30}))
 
 
 # ----------------------------------------------------------------------
@@ -505,9 +660,10 @@ class TestRoutedEntryPoints:
         telemetry = Telemetry()
         previous = set_telemetry(telemetry)
         try:
-            # cunion is sequential-family: native declines it, the routed
-            # call runs the oracle, and the fallback is counted.
-            scheme = parse_scheme("cunion(pid+add4)2[forwarded]")
+            # a ring wider than the native layout's uint8 cursors: native
+            # declines it, the routed call runs the oracle, and the
+            # fallback is counted.
+            scheme = parse_scheme("union(pid+add4)256[forwarded]")
             assert not native.supports(scheme)
             trace = make_random_trace(num_nodes=8, num_events=80, seed="fallback")
             keys = compute_keys(scheme.index, trace)
@@ -517,6 +673,33 @@ class TestRoutedEntryPoints:
             ) == trace.layout.to_int_list(python.predict(scheme, trace, keys))
             assert telemetry.counters.get("kernel.fallbacks", 0) == 1
             assert telemetry.counters.get("kernel.backend.python", 0) == 1
+        finally:
+            set_telemetry(previous)
+            set_kernel_backend(None)
+
+    def test_declined_member_runs_on_python_inside_the_group(self, clean_selection):
+        native = get_kernel_backend("native")
+        if not native.available():
+            pytest.skip("native kernel backend unavailable here")
+        set_kernel_backend("native")
+        telemetry = Telemetry()
+        previous = set_telemetry(telemetry)
+        try:
+            texts = ["pas(pid+add4)2", "union(pid+add4)256", "cinter(pid+add4)2"]
+            schemes = [parse_scheme(f"{text}[forwarded]") for text in texts]
+            assert [native.supports(scheme) for scheme in schemes] == [
+                True, False, True
+            ]
+            trace = make_random_trace(num_nodes=8, num_events=80, seed="fallback")
+            keys = compute_keys(schemes[0].index, trace)
+            stream = kernel_group_stream(schemes, trace.num_nodes)
+            python = get_kernel_backend("python")
+            assert stream.evaluate(trace, keys, True) == [
+                python.evaluate(scheme, trace, keys, True) for scheme in schemes
+            ]
+            assert telemetry.counters["kernel.fallbacks"] == 1
+            assert telemetry.counters["kernel.backend.native"] == 1
+            assert telemetry.counters["kernel.backend.python"] == 1
         finally:
             set_telemetry(previous)
             set_kernel_backend(None)
@@ -544,5 +727,5 @@ class TestRoutedEntryPoints:
         functions = {scheme.function for scheme in parsed}
         assert {"last", "union", "inter", "overlap", "pas"} <= functions
         assert functions & {"cunion", "cinter"}, (
-            "the battery must include a scheme native backends decline"
+            "the battery must include a confidence-gated scheme"
         )

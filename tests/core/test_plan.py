@@ -6,7 +6,10 @@ The planner's load-bearing promises, each pinned here:
   results always in caller order;
 * key streams are computed exactly once per (trace chunk, index group),
   counted at the planner's ``compute_keys`` (the acceptance probe);
-* shared bitmap passes change wall-clock only: :func:`evaluate_plan` is
+* every function family joins one group pass per (index group, update
+  mode, trace), and the parallel scheduler's cuts fall on index-group
+  boundaries;
+* shared group passes change wall-clock only: :func:`evaluate_plan` is
   bit-identical to per-scheme :func:`evaluate_scheme_fast` across every
   function family and update mode, and to itself at any chunking of the
   traces.
@@ -18,14 +21,7 @@ from hypothesis import strategies as st
 
 import repro.core.plan as plan_module
 from repro.core.indexing import IndexSpec
-from repro.core.plan import (
-    FAMILY_BITMAP,
-    FAMILY_PAS,
-    FAMILY_SEQUENTIAL,
-    SweepPlan,
-    evaluate_plan,
-    scheme_family,
-)
+from repro.core.plan import SweepPlan, evaluate_plan
 from repro.core.schemes import parse_scheme
 from repro.core.vectorized import evaluate_scheme_fast
 from repro.telemetry import Telemetry, set_telemetry
@@ -64,20 +60,30 @@ def sink():
 
 
 class TestSchemeFamily:
+    """Whatever its function family, a scheme rides its index group's one
+    pass per update mode, beside a bitmap scheme of the same spec."""
+
     @pytest.mark.parametrize(
         "text,family",
         [
-            ("last()1", FAMILY_BITMAP),
-            ("union(add4)2", FAMILY_BITMAP),
-            ("inter(pc4)2", FAMILY_BITMAP),
-            ("overlap(pid)1", FAMILY_BITMAP),
-            ("pas(pid+pc2)2", FAMILY_PAS),
-            ("cunion(add4)2", FAMILY_SEQUENTIAL),
-            ("cinter(add4)2", FAMILY_SEQUENTIAL),
+            ("last()1", "bitmap"),
+            ("union(add4)2", "bitmap"),
+            ("inter(pc4)2", "bitmap"),
+            ("overlap(pid)1", "bitmap"),
+            ("pas(pid+pc2)2", "pas"),
+            ("cunion(add4)2", "sequential"),
+            ("cinter(add4)2", "sequential"),
         ],
     )
-    def test_families(self, text, family):
-        assert scheme_family(parse_scheme(text)) == family
+    def test_families(self, text, family, traces, sink):
+        scheme = parse_scheme(text)
+        companion = parse_scheme(f"union({scheme.index.label})3")
+        plan = SweepPlan([scheme, companion])
+        assert plan.num_groups == 1
+        assert plan.batch_boundaries() == [2]
+        planned = evaluate_plan(plan, traces)
+        assert sink.counters["plan.trace_passes"] == len(traces), family
+        assert planned[0] == [evaluate_scheme_fast(scheme, trace) for trace in traces]
 
 
 class TestSweepPlanGrouping:
@@ -99,25 +105,15 @@ class TestSweepPlanGrouping:
         )
         assert plan.num_groups == 2
 
-    def test_batches_split_by_family_within_a_group(self):
-        schemes = [
-            parse_scheme(text)
-            for text in [
-                "last(add6)1",
-                "pas(add6)2",
-                "union(add6)2",
-                "cunion(add6)2",
-            ]
-        ]
-        plan = SweepPlan(schemes)
+    def test_every_family_shares_one_group(self):
+        texts = ["last(add6)1", "pas(add6)2", "union(add6)2", "cunion(add6)2"]
+        plan = SweepPlan([parse_scheme(text) for text in texts])
         assert plan.num_groups == 1
         (group,) = plan.groups
-        families = [batch.family for batch in group.batches]
-        assert sorted(families) == [FAMILY_BITMAP, FAMILY_PAS, FAMILY_SEQUENTIAL]
-        # the two bitmap schemes share one batch
-        by_family = {batch.family: batch for batch in group.batches}
-        assert len(by_family[FAMILY_BITMAP]) == 2
+        # members stay in caller order: no family split inside a group
+        assert [member.position for member in group.members] == [0, 1, 2, 3]
         assert len(group) == 4
+        assert plan.batch_boundaries() == [4]
 
     def test_order_is_a_permutation_of_caller_positions(self):
         schemes = [parse_scheme(text) for text in ALL_FAMILY_SCHEMES]
@@ -130,6 +126,23 @@ class TestSweepPlanGrouping:
         boundaries = plan.batch_boundaries()
         assert boundaries == sorted(boundaries)
         assert boundaries[-1] == plan.num_schemes
+
+    def test_batch_boundaries_cut_at_groups_and_merge_singletons(self):
+        # group sizes 1, 1, 3, 1, 2: the leading one-scheme groups merge
+        # into one segment; every other cut is an index-group boundary
+        texts = [
+            "last(pid)1",
+            "last(dir)1",
+            "union(add4)2",
+            "inter(add4)3",
+            "pas(add4)2",
+            "last(pc4)1",
+            "union(pc2)2",
+            "cinter(pc2)2",
+        ]
+        plan = SweepPlan([parse_scheme(text) for text in texts])
+        assert [len(group) for group in plan.groups] == [1, 1, 3, 1, 2]
+        assert plan.batch_boundaries() == [2, 5, 6, 8]
 
     def test_same_schemes_same_plan(self):
         schemes = [parse_scheme(text) for text in ALL_FAMILY_SCHEMES]
@@ -232,27 +245,29 @@ class TestEvaluatePlanBitIdentical:
 
 class TestSharedPasses:
     def test_one_bitmap_pass_per_mode_per_trace(self, traces, sink):
-        # four bitmap schemes on one spec in two modes: the whole batch
-        # costs one feedback pass per (mode, trace), not one per scheme
+        # six schemes of every family on one spec in two modes: the whole
+        # group costs one pass per (mode, trace), not one per scheme
         schemes = [
             parse_scheme(text)
             for text in [
                 "last(add6)1[direct]",
                 "union(add6)4[direct]",
                 "inter(add6)2[direct]",
+                "pas(add6)2[direct]",
                 "union(add6)2[forwarded]",
+                "cinter(add6)2[forwarded]",
             ]
         ]
         evaluate_plan(SweepPlan(schemes), traces)
         assert sink.counters["plan.trace_passes"] == 2 * len(traces)
 
-    def test_pas_and_sequential_pass_per_scheme(self, traces, sink):
+    def test_pas_and_confidence_share_the_group_pass(self, traces, sink):
         schemes = [
             parse_scheme(text)
             for text in ["pas(add6)2[direct]", "cunion(add6)2[direct]"]
         ]
         evaluate_plan(SweepPlan(schemes), traces)
-        assert sink.counters["plan.trace_passes"] == len(schemes) * len(traces)
+        assert sink.counters["plan.trace_passes"] == len(traces)
 
     def test_shared_window_gather_is_exact_for_mixed_depths(self, traces):
         # the union(add6)4 member forces the shared gather window to 4;
@@ -265,6 +280,26 @@ class TestSharedPasses:
                 "union(add6)2[direct]",
                 "union(add6)4[direct]",
                 "overlap(add6)1[direct]",
+            ]
+        ]
+        planned = evaluate_plan(SweepPlan(schemes), traces)
+        for scheme, per_trace in zip(schemes, planned):
+            assert per_trace == [
+                evaluate_scheme_fast(scheme, trace) for trace in traces
+            ], scheme.full_name
+
+    def test_shared_pas_history_is_exact_for_mixed_depths(self, traces):
+        # the depth-4 member sets the shared history register's width;
+        # shallower members read its low bits through their own counters
+        schemes = [
+            parse_scheme(text)
+            for text in [
+                "pas(add6)1[forwarded]",
+                "pas(add6)4[forwarded]",
+                "pas(add6)2[forwarded]",
+                "cinter(add6)3[forwarded]",
+                "cunion(add6)1[forwarded]",
+                "overlap(add6)1[forwarded]",
             ]
         ]
         planned = evaluate_plan(SweepPlan(schemes), traces)

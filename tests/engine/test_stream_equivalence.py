@@ -126,8 +126,8 @@ def test_streaming_engines_never_materialize(sources):
 
 
 def test_streamed_pas_runs_native(tmp_path):
-    """Streamed PAs schemes run the resumable compiled loop; only the
-    confidence-gated schemes the native backend declines fall back."""
+    """Streamed PAs and confidence-gated schemes run the resumable compiled
+    group pass; nothing falls back to the Python oracle."""
     from repro.core.kernel_backends import get_kernel_backend, set_kernel_backend
 
     if not get_kernel_backend("native").available():
@@ -148,9 +148,10 @@ def test_streamed_pas_runs_native(tmp_path):
     finally:
         set_kernel_backend(previous_kernel)
         set_telemetry(previous_telemetry)
-    # one routed stream per (scheme, trace), plus the engine's one
-    # selection record per batch
-    assert sink.counters["kernel.backend.native"] == len(pas) + 1
-    assert sink.counters["kernel.fallbacks"] == len(confidence)
-    assert sink.counters["kernel.backend.python"] == len(confidence)
+    # one group stream per (index group, update mode, trace) -- here one
+    # per scheme, as no two share both -- plus the engine's one selection
+    # record per batch
+    assert sink.counters["kernel.backend.native"] == len(schemes) + 1
+    assert sink.counters.get("kernel.fallbacks", 0) == 0
+    assert sink.counters.get("kernel.backend.python", 0) == 0
     assert streamed == ReferenceEngine().evaluate_batch(schemes, [trace])
