@@ -18,10 +18,13 @@ import math
 
 from repro.core.schemes import parse_scheme
 from repro.engine import ParallelEngine
-from repro.engine.parallel import CHUNKS_PER_WORKER
 from repro.telemetry import Telemetry, set_telemetry
 
 JOBS = 4
+
+#: the pre-adaptive fixed-shard baseline cut the batch into this many
+#: even shards per worker
+CHUNKS_PER_WORKER = 4
 
 #: a heterogeneous batch: cheap bitmap schemes interleaved with deep-history
 #: and PAs stragglers, the shape that defeats fixed sharding

@@ -22,10 +22,11 @@ Backend selection, in precedence order:
 4. default: ``vectorized``, or ``parallel`` when ``REPRO_JOBS`` > 1 or
    hosts are configured.
 
-``hosts`` (or ``REPRO_HOSTS``, comma-separated ``host:port`` addresses of
-running ``repro-worker`` processes) puts the parallel backend on the
-socket transport of :mod:`repro.engine.remote`, sharding sweeps across
-machines instead of local processes.
+The parallel backend forks ``jobs`` local workers and drives them over
+the socket transport of :mod:`repro.engine.remote`.  ``hosts`` (or
+``REPRO_HOSTS``, comma-separated ``host:port`` addresses of running
+``repro-worker`` processes) points the same transport at workers on
+other machines instead.
 
 All backends return bit-identical :class:`~repro.metrics.confusion.ConfusionCounts`
 for the same inputs; see ``tests/engine`` for the parity property tests.

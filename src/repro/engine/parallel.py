@@ -1,21 +1,18 @@
-"""Parallel engine backend: adaptive chunk scheduling over a work transport.
+"""Parallel engine backend: adaptive chunk scheduling over socket workers.
 
 The design-space sweeps evaluate thousands of schemes against the same
 handful of traces, which is embarrassingly parallel across *schemes*.  This
-backend cuts the batch into plan-ordered chunks and drives them through a
-:class:`~repro.engine.transport.WorkTransport` -- the in-machine
-``multiprocessing`` pool by default, or the socket transport of
-:mod:`repro.engine.remote` when ``hosts=`` names ``repro-worker``
-processes on other machines.  The control plane is transport-agnostic:
+backend cuts the batch into plan-ordered chunks and drives them through
+the :class:`~repro.engine.remote.SocketTransport` -- over ``jobs`` workers
+forked on this machine, or over the ``repro-worker`` processes that
+``hosts=`` names on other machines.  Either way one control plane runs:
 
 * **Fingerprint-verified trace transport** -- every trace reaches a
   worker as one ``.rtrace`` image: a file-backed source as its path,
-  anything else as image bytes, which the multiprocessing transport
-  publishes once over :mod:`repro.trace.shm` (``REPRO_SHM=0`` sends the
-  bytes instead) and the socket transport ships in its install message.
-  Workers refuse any trace whose content fingerprint is not the
-  coordinator's.  Every transport is bit-identical and frozen against the
-  golden fixtures.
+  anything else as image bytes in the install message.  Workers refuse
+  any trace whose content fingerprint is not the coordinator's.  Local and
+  host workers are bit-identical and frozen against the golden
+  fixtures.
 * **Plan-group work stealing** -- the batch is first permuted into
   :class:`~repro.core.plan.SweepPlan` order and chunks are cut inside
   index-group boundaries, so every chunk a worker steals shares one
@@ -34,22 +31,21 @@ processes on other machines.  The control plane is transport-agnostic:
   keeping the demand-driven queue and the segment clamps.  Results and
   ``on_result`` callbacks are mapped back to the caller's scheme order, so
   journaling (and ``--resume``) stay per scheme and bit-identical.
-* **Graceful degradation** -- a transport that fails outright (pool
-  workers cannot spawn, every remote worker lost) degrades to the
-  in-process vectorized backend after a logged warning; the socket
-  transport additionally *re-steals* a single dead or hung worker's
-  chunks onto the survivors before it ever comes to that.  A genuine
-  evaluation bug still surfaces, from the serial rerun.
+* **Graceful degradation** -- the transport *re-steals* a dead or hung
+  worker's chunks onto the survivors; a transport that fails outright
+  (workers cannot fork, every worker lost) degrades to the in-process
+  vectorized backend after a logged warning.  A genuine evaluation bug
+  still surfaces, from the serial rerun.
 * **Worker telemetry merged at the parent** -- when telemetry is enabled,
   each chunk records its shard shape and wall-clock into a fresh
   per-chunk :class:`~repro.telemetry.core.Telemetry` (keyed under
   ``engine.parallel.worker.<pid>.*`` locally,
-  ``engine.remote.worker.<host>.*`` over sockets) and ships the snapshot
+  ``engine.remote.worker.<host>.*`` on hosts) and ships the snapshot
   home with its results; the parent folds all snapshots into the run
   telemetry.  Because merging is associative and per-chunk objects start
   empty, fold order does not matter and nothing is double-counted.  The
   scheduler's own decisions surface under ``engine.parallel.steal.*`` and
-  the transports under ``shm.*`` / ``engine.remote.*``.
+  the transport's under ``engine.remote.*``.
 
 Workers return bare count quadruples rather than ``ConfusionCounts``
 objects to keep result payloads flat and cheap on every transport.
@@ -61,19 +57,14 @@ import logging
 import math
 import os
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.plan import SweepPlan
 from repro.core.schemes import Scheme
 from repro.engine.backends import VectorizedEngine
 from repro.engine.base import EvaluationEngine, ResultCallback, TrafficCallback
-from repro.engine.transport import (
-    INFLIGHT_PER_WORKER,
-    MultiprocessingTransport,
-    WorkTransport,
-    transport_key,
-)
+from repro.engine.remote import SocketTransport, parse_hosts
+from repro.engine.transport import INFLIGHT_PER_WORKER, transport_key
 from repro.forwarding.simulator import ForwardingConfig
 from repro.metrics.confusion import ConfusionCounts
 from repro.metrics.traffic import TrafficReport
@@ -82,13 +73,8 @@ from repro.trace.events import SharingTrace
 
 logger = logging.getLogger("repro.engine.parallel")
 
-#: chunks per worker used for the *fixed* baseline shard size (also the
-#: upper bound on the first adaptive probe); >1 keeps the tail balanced
-#: when chunk costs vary (PAs schemes are far slower than bitmap schemes).
-CHUNKS_PER_WORKER = 4
-
-#: batches smaller than this run serially -- pool startup costs more than
-#: the evaluation itself.
+#: batches smaller than this run serially -- starting workers costs more
+#: than the evaluation itself.
 MIN_BATCH_FOR_POOL = 4
 
 #: the adaptive scheduler sizes chunks so one chunk costs about this much
@@ -230,31 +216,31 @@ class ParallelEngine(EvaluationEngine):
     nothing to shard); only batch evaluation fans out.
 
     Args:
-        jobs: worker processes (default: every core).  Ignored when
-            ``hosts`` selects the socket transport -- the worker count is
-            then however many hosts answer.
+        jobs: local worker processes to fork (default: every core).
+            Ignored when ``hosts`` is given -- the worker count is then
+            however many hosts answer.
         chunk_size: pin the scheme-chunk size instead of adapting it from
             observed throughput (mainly for tests and A/B baselines).
-        persistent: keep the transport (worker pool or socket
-            connections, plus any published shared-memory trace set) alive
-            between batch calls.  Consecutive batches over the same traces
-            reuse the warm transport instead of re-spawning workers and
-            re-publishing unchanged segments (counted under
-            ``engine.parallel.pool_reuses`` / ``shm.republish_avoided`` /
-            ``engine.remote.transport_reuses``); a batch over *different*
-            traces tears the old transport down and builds a fresh one.
-            The owner must call :meth:`close` (or use the engine as a
-            context manager) when done -- this is what the sweep service
-            runs, one transport shared across every job.
+        persistent: keep the transport (its workers and their installed
+            traces) alive between batch calls.  Consecutive batches over
+            the same traces reuse the warm transport instead of re-forking
+            or reconnecting workers and re-installing traces (counted
+            under ``engine.parallel.pool_reuses`` locally,
+            ``engine.remote.transport_reuses`` for hosts); a batch over
+            *different* traces, or after a local worker was lost, tears the
+            old transport down and builds a fresh one.  The owner must
+            call :meth:`close` (or use the engine as a context manager)
+            when done -- this is what the sweep service runs, one
+            transport shared across every job.
         hosts: ``host:port`` addresses of running ``repro-worker``
-            processes (sequence or comma-separated string).  Non-empty
-            selects the socket transport of :mod:`repro.engine.remote`.
-        chunk_timeout: seconds before an unanswered socket chunk declares
-            its worker hung (default ``REPRO_REMOTE_TIMEOUT`` or 300).
+            processes (sequence or comma-separated string) to use instead
+            of local workers.
+        chunk_timeout: seconds before an unanswered chunk declares its
+            worker hung (default ``REPRO_REMOTE_TIMEOUT`` or 300).
     """
 
     name = "parallel"
-    # Sources pass through to the transports: file-backed ones travel as
+    # Sources pass through to the workers: file-backed ones travel as
     # their paths (workers stream them), any other as its .rtrace image,
     # and the serial fallback streams in-process.
     supports_streams = True
@@ -267,18 +253,16 @@ class ParallelEngine(EvaluationEngine):
         hosts: Optional[Sequence[str]] = None,
         chunk_timeout: Optional[float] = None,
     ):
-        from repro.engine.remote import parse_hosts
-
         self.jobs = max(1, int(jobs)) if jobs is not None else default_jobs()
         self.chunk_size = chunk_size
         self.persistent = persistent
         self.hosts = parse_hosts(hosts)
         self.chunk_timeout = chunk_timeout
-        self._transport: Optional[WorkTransport] = None
+        self._transport: Optional[SocketTransport] = None
         self._serial = VectorizedEngine()
 
     def close(self) -> None:
-        """Release the retained transport and shared segments (idempotent)."""
+        """Release the retained transport and its workers (idempotent)."""
         if self._transport is not None:
             transport, self._transport = self._transport, None
             transport.close()
@@ -289,7 +273,7 @@ class ParallelEngine(EvaluationEngine):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def __del__(self) -> None:  # best-effort leak guard for retained pools
+    def __del__(self) -> None:  # best-effort leak guard for retained workers
         try:
             self.close()
         except Exception:  # pragma: no cover - interpreter shutdown
@@ -301,19 +285,6 @@ class ParallelEngine(EvaluationEngine):
         # Recorded under engine.parallel.* by the base class: this engine
         # was asked, even though the work runs in-process.
         return self._serial._evaluate_one(scheme, trace, exclude_writer)
-
-    def _chunks(self, schemes: Sequence[Scheme]) -> List[List[Scheme]]:
-        """The fixed even-shard chunking (the pre-adaptive baseline).
-
-        Still used to size the probe for very small batches and kept as
-        the reference layout the scheduler's demand-driven cutting is
-        benchmarked against.
-        """
-        size = self.chunk_size
-        if size is None:
-            size = math.ceil(len(schemes) / (self.jobs * CHUNKS_PER_WORKER))
-        size = max(1, size)
-        return [list(schemes[i : i + size]) for i in range(0, len(schemes), size)]
 
     def _serial_batch(self, schemes: Sequence[Scheme]) -> bool:
         """Whether a batch should skip the transport entirely."""
@@ -355,33 +326,17 @@ class ParallelEngine(EvaluationEngine):
                 schemes, traces, exclude_writer=exclude_writer, on_result=on_result
             )
 
-    def _build_transport(
-        self, traces: Sequence[SharingTrace], key: Tuple[str, ...], workers: int
-    ) -> WorkTransport:
-        if self.hosts:
-            from repro.engine.remote import SocketTransport
-
-            return SocketTransport(
-                traces, key, self.hosts, chunk_timeout=self.chunk_timeout
-            )
-        # ProcessPoolExecutor is looked up through this module so tests can
-        # monkeypatch repro.engine.parallel.ProcessPoolExecutor to simulate
-        # pools that cannot spawn or die mid-batch.
-        return MultiprocessingTransport(
-            traces, key, workers, executor=ProcessPoolExecutor
-        )
-
     def _acquire_transport(
         self, traces: Sequence[SharingTrace], workers: int
-    ) -> WorkTransport:
+    ) -> SocketTransport:
         """A transport whose workers hold ``traces`` -- reused when possible.
 
         In persistent mode a retained transport whose trace fingerprints
-        match is returned as-is: the workers keep their installed traces
-        (and warm key caches), and nothing is re-published or re-shipped.
-        A fingerprint mismatch (or a non-persistent engine) builds a fresh
-        transport; the stale one is torn down first so at most one is ever
-        alive per engine.
+        match, and whose workers are all still alive (any, for hosts), is
+        returned as-is: the workers keep their installed traces (and warm
+        key caches), and nothing is re-shipped.  Otherwise (or for a
+        non-persistent engine) a fresh transport is built; the stale one is
+        torn down first so at most one is ever alive per engine.
         """
         telemetry = get_telemetry()
         key = transport_key(traces)
@@ -389,28 +344,36 @@ class ParallelEngine(EvaluationEngine):
             transport = self._transport
             if transport.reusable_for(key, workers):
                 if telemetry.enabled:
-                    transport.on_reuse(telemetry, len(traces))
+                    transport.on_reuse(telemetry)
                 return transport
             self._transport = None
             transport.close()
-        transport = self._build_transport(traces, key, workers)
+        transport = SocketTransport(
+            traces,
+            key,
+            hosts=self.hosts,
+            jobs=workers,
+            chunk_timeout=self.chunk_timeout,
+        )
         if self.persistent:
             self._transport = transport
         return transport
 
-    def _release_transport(self, transport: WorkTransport, broken: bool = False) -> None:
+    def _release_transport(
+        self, transport: SocketTransport, broken: bool = False
+    ) -> None:
         """Give a transport back after a batch.
 
         Persistent engines retain a healthy transport for the next batch;
         a ``broken`` transport (the pooled run raised) is always
-        discarded, so the serial fallback never leaves a wedged pool or a
-        half-dead worker set behind.
+        discarded, so the serial fallback never leaves a half-dead worker
+        set behind.
         """
         if self.persistent and not broken:
             return
         if self._transport is transport:
             self._transport = None
-        transport.close(cancel=broken)
+        transport.close()
 
     def _run_pooled(
         self,

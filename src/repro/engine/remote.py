@@ -1,19 +1,26 @@
-"""Socket transport: schedule plan-ordered chunks across ``repro-worker`` hosts.
+"""The socket transport: the parallel engine's one worker protocol.
 
-The multi-host twin of the in-machine process pool.  A coordinator (the
-parallel engine running with ``hosts=``) connects to long-lived
-``repro-worker`` processes -- started on each machine with the
-``repro-worker`` console script -- and drives the exact same chunk
-protocol as the multiprocessing transport: install the batch's trace
-suite once, then stream demand-driven, plan-ordered scheme chunks and
-collect flat payloads plus per-chunk telemetry snapshots.  Both sides
-execute through :mod:`repro.engine.transport`'s worker functions, so the
-math cannot differ between transports.
+A coordinator (the parallel engine) drives its workers over sockets: it
+installs the batch's trace suite once per worker, then streams
+demand-driven, plan-ordered scheme chunks and collects flat payloads plus
+per-chunk telemetry snapshots.  The workers are either
+
+* **local** -- ``jobs=N`` forks N workers (:func:`fork_worker`), each
+  serving one end of a ``socket.socketpair()`` and exiting when it
+  closes, so a coordinator that dies, even by SIGKILL, takes its workers
+  with it; or
+* **hosts** -- ``hosts=`` connects over TCP to long-lived
+  ``repro-worker`` processes, started on each machine with the
+  ``repro-worker`` console script.
+
+Both kinds serve the same :class:`_WorkerSession` and execute through
+:mod:`repro.engine.transport`'s worker functions, so install, dispatch,
+re-steal and the chunk deadline run one code path and the math cannot
+differ between them.
 
 Wire protocol (version :data:`WIRE_SCHEMA`): newline-delimited JSON
-messages over TCP, with one binary extension -- an ``install`` message in
-``refs`` mode is followed by exactly ``nbytes`` of ``.rtrace`` image data.
-Ops:
+messages, with one binary extension -- an ``install`` message in ``refs``
+mode is followed by exactly ``nbytes`` of ``.rtrace`` image data.  Ops:
 
 ``hello``     handshake; the worker reports its schema and pid.
 ``install``   pin a trace suite (and kernel backend) in the worker.
@@ -21,7 +28,8 @@ Ops:
               last few installed suites keyed by the transport's
               fingerprint tuple, and a coordinator whose suite matches
               re-pins them without shipping anything (coordinator-side
-              counter ``engine.remote.trace_cache.hits``).  Mode ``refs``
+              counter ``engine.remote.trace_cache.hits``; a freshly
+              forked local worker is never probed).  Mode ``refs``
               carries one ref per trace: a file-backed trace as its
               ``.rtrace`` path (shared-filesystem assumption), any other
               as the byte length of its image in the trailing blob.  The
@@ -39,9 +47,10 @@ Ops:
 Failure model: the coordinator is the only stateful party.  A worker that
 dies (connection reset, EOF) or hangs (no reply within the per-chunk
 deadline) is dropped -- its socket is closed first, so a late reply can
-never race a recomputation -- and its outstanding chunks are *re-stolen*
-by the survivors, counted under ``engine.remote.resteals`` and
-``engine.remote.host.<addr>.resteals``.  Chunks are pure functions of
+never race a recomputation, and a local worker's process is killed -- and
+its outstanding chunks are *re-stolen* by the survivors, counted under
+``engine.remote.resteals`` (and, for a host,
+``engine.remote.host.<addr>.resteals``).  Chunks are pure functions of
 (schemes, installed traces), so a re-run is bit-identical by
 construction; the engine's ``SweepJournal`` integration is untouched
 because the transport still completes every chunk exactly once.  Only
@@ -49,7 +58,8 @@ when *every* worker is gone does the transport raise, handing the batch
 to the engine's serial fallback (which recomputes from scratch -- same
 bits, one machine).
 
-Test hooks (read by the worker per chunk, for the fault-injection suite):
+Test hooks (read by the worker per chunk, for the fault-injection suite;
+a local worker inherits them from the coordinator's environment):
 
 * ``REPRO_WORKER_TEST_DELAY`` -- seconds to sleep before each chunk;
 * ``REPRO_WORKER_TEST_EXIT_AFTER`` -- after completing N chunks,
@@ -67,6 +77,7 @@ import json
 import logging
 import os
 import queue
+import signal
 import socket
 import threading
 import time
@@ -74,15 +85,15 @@ from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.kernel_backends import resolve_kernel_backend
-from repro.core.schemes import parse_scheme
+from repro.core.schemes import Scheme, parse_scheme
 from repro.engine.transport import (
+    INFLIGHT_PER_WORKER,
     ChunkResult,
-    WorkTransport,
     install_traces,
     run_chunk,
     trace_refs,
 )
-from repro.telemetry import Telemetry
+from repro.telemetry import Telemetry, set_thread_telemetry
 from repro.trace.events import SharingTrace
 
 logger = logging.getLogger("repro.engine.remote")
@@ -202,7 +213,8 @@ def _receive_refs(rfile, message: dict) -> List[dict]:
 
 
 class _WorkerSession:
-    """One coordinator connection served by a repro-worker process."""
+    """One coordinator connection served by a worker process: a
+    ``repro-worker`` host or a forked local worker."""
 
     def __init__(self, conn: socket.socket, peer: str):
         self.conn = conn
@@ -357,6 +369,47 @@ def serve_worker(
         listener.close()
 
 
+def fork_worker(inherited: Sequence[socket.socket]) -> Tuple[int, socket.socket]:
+    """Fork one local worker serving the protocol over a socket pair.
+
+    Returns the child's pid and the coordinator's end of the pair.  The
+    child closes ``inherited`` -- the coordinator ends of the workers
+    forked before it -- so each worker sees EOF, and exits, once the
+    coordinator's end of its own pair closes, even when the coordinator is
+    killed.  Forking (not spawning) hands the child the coordinator's
+    loaded modules and its already-checked kernel backend.  Tests replace
+    this function to simulate a platform that cannot fork.
+    """
+    coordinator_end, worker_end = socket.socketpair()
+    try:
+        pid = os.fork()
+    except BaseException:
+        coordinator_end.close()
+        worker_end.close()
+        raise
+    if pid == 0:  # pragma: no cover - the child never returns
+        status = 1
+        try:
+            # detach, then close: close() alone leaves a socket's fd open
+            # while a makefile() reader still refers to it
+            for sock in (coordinator_end, *inherited):
+                os.close(sock.detach())
+            # signals end this process, not the coordinator's event loop,
+            # and chunks record into their own sinks, not a forking job's
+            signal.set_wakeup_fd(-1)
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                signal.signal(signum, signal.SIG_DFL)
+            set_thread_telemetry(None)
+            _WorkerSession(worker_end, "coordinator").serve()
+            status = 0
+        except BaseException:
+            logger.exception("local worker %d failed", os.getpid())
+        finally:
+            os._exit(status)
+    worker_end.close()
+    return pid, coordinator_end
+
+
 def worker_main(argv: Optional[Sequence[str]] = None) -> int:
     """``repro-worker`` console entry point."""
     parser = argparse.ArgumentParser(
@@ -396,15 +449,23 @@ def worker_main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 class _RemoteWorker:
-    """Coordinator-side handle for one connected repro-worker."""
+    """Coordinator-side handle for one connected worker.
 
-    def __init__(self, address: str, sock: socket.socket):
+    A host worker has a telemetry ``key`` (its address); a local worker has
+    none and is identified by its pid, which ``child`` holds until the
+    process is reaped.
+    """
+
+    def __init__(
+        self, address: str, sock: socket.socket, child: Optional[int] = None
+    ):
         self.address = address
-        self.key = _host_key(address)
+        self.key = None if child is not None else _host_key(address)
         self.sock = sock
         self.rfile = sock.makefile("rb")
         self.alive = True
         self.pid: Optional[int] = None
+        self.child = child
         # chunk_id -> (kind, scheme names, args, with_telemetry)
         self.outstanding: Dict[int, Tuple[str, List[str], dict, bool]] = {}
         self.lock = threading.Lock()
@@ -416,11 +477,13 @@ class _RemoteWorker:
     def close(self) -> None:
         """Sever the connection (idempotent, callable from the engine thread).
 
-        Only shuts down and closes the *socket*: a blocked reader thread
-        wakes with EOF and exits.  The buffered ``rfile`` must not be
-        closed here -- closing it races the reader's blocking read and can
+        Shuts down and closes the *socket*: a blocked reader thread wakes
+        with EOF and exits.  The buffered ``rfile`` must not be closed
+        here -- closing it races the reader's blocking read and can
         deadlock on the buffer lock; :meth:`release_rfile` does it once
-        the reader is gone.
+        the reader is gone.  A local worker's process is then killed and
+        reaped: an idle one would exit on the EOF anyway, and one that is
+        mid-chunk or hung has been given up.
         """
         self.alive = False
         try:
@@ -431,6 +494,24 @@ class _RemoteWorker:
             self.sock.close()
         except OSError:
             pass
+        if self.child is not None:
+            try:
+                os.kill(self.child, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            self.reap(block=True)
+
+    def reap(self, block: bool = False) -> bool:
+        """Reap a local worker's process; True once it has ended."""
+        if self.child is None:
+            return True
+        try:
+            pid, _status = os.waitpid(self.child, 0 if block else os.WNOHANG)
+        except ChildProcessError:  # reaped elsewhere
+            pid = self.child
+        if pid:
+            self.child = None
+        return bool(pid)
 
     def release_rfile(self) -> None:
         """Close the read buffer; call only with no reader thread running."""
@@ -440,30 +521,40 @@ class _RemoteWorker:
             pass
 
 
-class SocketTransport(WorkTransport):
-    """Drive repro-worker processes over TCP with re-steal fault tolerance.
+class SocketTransport:
+    """Drive workers over sockets with re-steal fault tolerance.
 
-    Connects to every host up front, installs the batch's trace suite
-    (after a cache probe: file paths and ``.rtrace`` image bytes), then
-    serves the engine's stealing loop.  One reader thread per worker
-    funnels replies into a single completion queue; all scheduling state -- outstanding chunks, re-steals, telemetry -- is
-    mutated only on the engine thread, inside :meth:`submit` and
-    :meth:`next_completed`.
+    Bound to one exact trace suite (``key``, the tuple of content
+    fingerprints its workers hold).  Forks ``jobs`` local workers, or
+    connects to every one of ``hosts``; installs the suite in each (hosts
+    after a cache probe: file paths and ``.rtrace`` image bytes), then
+    serves the engine's stealing loop:
+
+    * :meth:`submit` hands one chunk to the least-loaded live worker,
+      re-dispatching a dead or hung worker's outstanding chunks to the
+      survivors, so a submitted chunk completes exactly once or the
+      transport raises -- the engine's serial fallback owns total-failure
+      correctness;
+    * :meth:`next_completed` blocks until at least one chunk finishes and
+      returns them in completion order;
+    * :meth:`capacity` is how many chunks may be in flight at once.
+
+    One reader thread per worker funnels replies into a single completion
+    queue; all scheduling state -- outstanding chunks, re-steals,
+    telemetry -- is mutated only on the engine thread, inside
+    :meth:`submit` and :meth:`next_completed`.
     """
-
-    name = "socket"
 
     def __init__(
         self,
         traces: Sequence[SharingTrace],
         key: Tuple[str, ...],
-        hosts: Sequence[str],
+        hosts: Sequence[str] = (),
+        jobs: int = 0,
         chunk_timeout: Optional[float] = None,
     ):
         self.key = key
         self.hosts = parse_hosts(hosts)
-        if not self.hosts:
-            raise ValueError("socket transport needs at least one host:port")
         if chunk_timeout is None:
             raw = os.environ.get("REPRO_REMOTE_TIMEOUT")
             chunk_timeout = float(raw) if raw else DEFAULT_CHUNK_TIMEOUT
@@ -472,23 +563,23 @@ class SocketTransport(WorkTransport):
         self._telemetry = Telemetry()
         self._workers: List[_RemoteWorker] = []
         self._readers: List[threading.Thread] = []
-        # install refs, encoded on the first cache miss and shared by
-        # every worker after it
-        self._refs: Optional[List[dict]] = None
+        # resolved (the native library compiled and self-checked) before
+        # any fork, so local workers inherit it
         kernel = resolve_kernel_backend().name
+        launch = self._connect if self.hosts else self._fork
         try:
-            for address in self.hosts:
+            for target in self.hosts or range(jobs):
                 try:
-                    worker = self._connect(address)
-                    self._install(worker, kernel, traces)
-                except (OSError, ConnectionError, ValueError, RuntimeError) as error:
-                    logger.warning("worker %s unavailable: %s", address, error)
-                    self._telemetry.count("engine.remote.connect_failures")
-                    continue
-                self._workers.append(worker)
+                    self._workers.append(launch(target))
+                except (OSError, ValueError, RuntimeError) as error:
+                    self._unavailable(target, error)
+            self._handshake()
+            self._install(kernel, traces)
             if not self._workers:
                 raise RuntimeError(
-                    f"no repro-worker reachable among {list(self.hosts)}"
+                    f"no worker reachable among {list(self.hosts)}"
+                    if self.hosts
+                    else f"no local worker among {jobs} started"
                 )
         except BaseException:
             self.close()
@@ -503,72 +594,123 @@ class SocketTransport(WorkTransport):
         self._telemetry.gauge("engine.remote.workers", len(self._workers))
 
     # -- setup ---------------------------------------------------------
+    #
+    # Every worker is started first; then each setup step asks all of
+    # them before reading any reply, so workers answer -- check and hold
+    # an installed suite -- concurrently rather than one after another.
 
     def _connect(self, address: str) -> _RemoteWorker:
         host, port = address.rsplit(":", 1)
         sock = socket.create_connection((host, int(port)), timeout=10.0)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        worker = _RemoteWorker(address, sock)
-        worker.send({"op": "hello", "schema": WIRE_SCHEMA})
-        reply = self._read_reply(worker, timeout=10.0)
-        if not reply.get("ok") or int(reply.get("schema", -1)) != WIRE_SCHEMA:
-            worker.close()
-            raise RuntimeError(
-                f"worker {address} handshake failed (schema {reply.get('schema')})"
-            )
-        worker.pid = reply.get("pid")
-        return worker
+        return _RemoteWorker(address, sock)
 
-    def _install(self, worker, kernel, traces) -> None:
-        """Install the trace suite in one worker, cheapest form first.
+    def _fork(self, _index: int) -> _RemoteWorker:
+        # the launch seam is looked up at call time, so tests can replace it
+        pid, sock = fork_worker([worker.sock for worker in self._workers])
+        return _RemoteWorker(f"pid {pid}", sock, child=pid)
 
-        A zero-byte ``cached`` probe against the worker's fingerprint-keyed
-        suite cache; then file-backed traces by path and every other
-        trace's image in the blob; and, if the worker refuses (it cannot
-        open a path, say), every trace as image bytes -- a file's image is
-        its bytes, so nothing is materialized.
+    def _unavailable(self, target, error: BaseException) -> None:
+        logger.warning("worker %s unavailable: %s", target, error)
+        self._telemetry.count("engine.remote.connect_failures")
+
+    def _drop(self, worker: _RemoteWorker, error: BaseException) -> None:
+        """Give up on a worker during setup."""
+        self._workers.remove(worker)
+        worker.close()
+        self._unavailable(worker.address, error)
+
+    def _round(
+        self,
+        workers: Sequence[_RemoteWorker],
+        message: dict,
+        blob: bytes = b"",
+        timeout: float = 60.0,
+    ) -> List[Tuple[_RemoteWorker, dict, int]]:
+        """Send ``message`` to every worker, then read each one's reply.
+
+        Returns ``(worker, reply, bytes sent)`` for each worker that
+        answered; one whose exchange failed is dropped.
+        """
+        sent = []
+        for worker in list(workers):  # a copy: dropping edits self._workers
+            try:
+                sent.append((worker, worker.send(message, blob)))
+            except OSError as error:
+                self._drop(worker, error)
+        replies = []
+        for worker, nbytes in sent:
+            try:
+                replies.append((worker, self._read_reply(worker, timeout), nbytes))
+            except (OSError, ValueError) as error:
+                self._drop(worker, error)
+        return replies
+
+    def _handshake(self) -> None:
+        hello = {"op": "hello", "schema": WIRE_SCHEMA}
+        for worker, reply, _sent in self._round(self._workers, hello, timeout=10.0):
+            if not reply.get("ok") or int(reply.get("schema", -1)) != WIRE_SCHEMA:
+                self._drop(
+                    worker,
+                    RuntimeError(f"handshake failed (schema {reply.get('schema')})"),
+                )
+                continue
+            worker.pid = reply.get("pid")
+
+    def _install(self, kernel: str, traces: Sequence[SharingTrace]) -> None:
+        """Install the trace suite in every worker, cheapest form first.
+
+        A zero-byte ``cached`` probe against each host's fingerprint-keyed
+        suite cache (a freshly forked local worker has none); then
+        file-backed traces by path and every other trace's image in the
+        blob; and, to a worker that refuses (it cannot open a path, say),
+        every trace as image bytes -- a file's image is its bytes, so
+        nothing is materialized.
         """
         key = list(self.key)
-        if key:
-            sent = worker.send(
-                {"op": "install", "mode": "cached", "kernel": kernel, "key": key}
-            )
-            reply = self._read_reply(worker)
-            if reply.get("ok"):
-                self._telemetry.count("engine.remote.trace_cache.hits")
-                self._telemetry.count("engine.remote.bytes_shipped", sent)
-                return
-            self._telemetry.count("engine.remote.trace_cache.misses")
-        if self._refs is None:
-            self._refs = list(trace_refs(traces, self.key))
-        refs = self._refs
-        reply = self._send_refs(worker, kernel, key, refs)
-        if not reply.get("ok") and any("path" in ref for ref in refs):
+        pending = list(self._workers)
+        if key and self.hosts:
+            probe = {"op": "install", "mode": "cached", "kernel": kernel, "key": key}
+            pending = []
+            for worker, reply, sent in self._round(self._workers, probe):
+                if reply.get("ok"):
+                    self._telemetry.count("engine.remote.trace_cache.hits")
+                    self._telemetry.count("engine.remote.bytes_shipped", sent)
+                else:
+                    self._telemetry.count("engine.remote.trace_cache.misses")
+                    pending.append(worker)
+        if not pending:
+            return
+        refs = trace_refs(traces, self.key)
+        refused = self._install_refs(pending, kernel, key, refs)
+        if refused and any("path" in ref for ref in refs):
             from repro.trace.interchange import trace_image
 
-            logger.info(
-                "worker %s cannot open trace files (%s); shipping images",
-                worker.address,
-                reply.get("error"),
-            )
+            for worker, error in refused:
+                logger.info(
+                    "worker %s cannot open trace files (%s); shipping images",
+                    worker.address,
+                    error,
+                )
             refs = [
                 {"fingerprint": ref["fingerprint"], "image": trace_image(trace)}
                 if "path" in ref
                 else ref
                 for ref, trace in zip(refs, traces)
             ]
-            reply = self._send_refs(worker, kernel, key, refs)
-        if not reply.get("ok"):
-            raise RuntimeError(
-                f"worker {worker.address} rejected traces: {reply.get('error')}"
+            refused = self._install_refs(
+                [worker for worker, _error in refused], kernel, key, refs
             )
-        if any("path" in ref for ref in refs):
-            self._telemetry.count("engine.remote.file_installs")
-        if any("image" in ref for ref in refs):
-            self._telemetry.count("engine.remote.bulk_installs")
+        for worker, error in refused:
+            self._drop(worker, RuntimeError(f"rejected traces: {error}"))
 
-    def _send_refs(self, worker, kernel, key, refs: List[dict]) -> dict:
-        """Send one ``refs`` install (paths inline, images in the blob)."""
+    def _install_refs(
+        self, workers, kernel: str, key: List[str], refs: List[dict]
+    ) -> List[Tuple[_RemoteWorker, str]]:
+        """One ``refs`` install round (paths inline, images in the blob).
+
+        Returns the workers that refused it, each with its error.
+        """
         entries = [
             {"fingerprint": ref["fingerprint"], "path": ref["path"]}
             if "path" in ref
@@ -576,19 +718,25 @@ class SocketTransport(WorkTransport):
             for ref in refs
         ]
         blob = b"".join(ref["image"] for ref in refs if "image" in ref)
-        sent = worker.send(
-            {
-                "op": "install",
-                "mode": "refs",
-                "kernel": kernel,
-                "key": key,
-                "traces": entries,
-                "nbytes": len(blob),
-            },
-            blob,
-        )
-        self._telemetry.count("engine.remote.bytes_shipped", sent)
-        return self._read_reply(worker)
+        message = {
+            "op": "install",
+            "mode": "refs",
+            "kernel": kernel,
+            "key": key,
+            "traces": entries,
+            "nbytes": len(blob),
+        }
+        refused = []
+        for worker, reply, sent in self._round(workers, message, blob):
+            self._telemetry.count("engine.remote.bytes_shipped", sent)
+            if not reply.get("ok"):
+                refused.append((worker, reply.get("error")))
+                continue
+            if any("path" in ref for ref in refs):
+                self._telemetry.count("engine.remote.file_installs")
+            if any("image" in ref for ref in refs):
+                self._telemetry.count("engine.remote.bulk_installs")
+        return refused
 
     def _read_reply(self, worker: _RemoteWorker, timeout: float = 60.0) -> dict:
         """Synchronous reply read, used only before the reader threads start."""
@@ -627,16 +775,28 @@ class SocketTransport(WorkTransport):
                 return
             self._events.put(("reply", worker, reply))
 
-    # -- the WorkTransport surface -------------------------------------
+    # -- the engine's surface ------------------------------------------
 
     @property
     def workers(self) -> int:
+        """Live worker count (workers may be lost mid-batch)."""
         return sum(1 for worker in self._workers if worker.alive)
+
+    def capacity(self) -> int:
+        return max(1, self.workers) * INFLIGHT_PER_WORKER
 
     def _live(self) -> List[_RemoteWorker]:
         return [worker for worker in self._workers if worker.alive]
 
-    def submit(self, chunk_id, kind, schemes, args, with_telemetry) -> None:
+    def submit(
+        self,
+        chunk_id: int,
+        kind: str,
+        schemes: Sequence[Scheme],
+        args: dict,
+        with_telemetry: bool,
+    ) -> None:
+        """Dispatch one chunk; never blocks on chunk execution."""
         names = [scheme.full_name for scheme in schemes]
         self._dispatch(chunk_id, (kind, names, args, with_telemetry))
 
@@ -646,7 +806,7 @@ class SocketTransport(WorkTransport):
         while True:
             live = self._live()
             if not live:
-                raise RuntimeError("all remote workers are gone")
+                raise RuntimeError("all workers are gone")
             worker = min(live, key=lambda candidate: len(candidate.outstanding))
             message = {
                 "op": "chunk",
@@ -655,7 +815,8 @@ class SocketTransport(WorkTransport):
                 "schemes": names,
                 "args": args,
                 "telemetry": with_telemetry,
-                "prefix": f"engine.remote.worker.{worker.key}",
+                # a local worker records under engine.parallel.worker.<pid>
+                "prefix": f"engine.remote.worker.{worker.key}" if worker.key else None,
             }
             with worker.lock:
                 worker.outstanding[chunk_id] = (spec, time.monotonic())
@@ -670,7 +831,8 @@ class SocketTransport(WorkTransport):
                 self._mark_dead(worker, f"send failed: {error}", resteal=True)
                 continue
             self._telemetry.count("engine.remote.bytes_shipped", sent)
-            self._telemetry.count(f"engine.remote.host.{worker.key}.chunks")
+            if worker.key:
+                self._telemetry.count(f"engine.remote.host.{worker.key}.chunks")
             return
 
     def _mark_dead(self, worker: _RemoteWorker, reason: str, resteal: bool) -> None:
@@ -682,7 +844,7 @@ class SocketTransport(WorkTransport):
         """
         if not worker.alive:
             return
-        logger.warning("remote worker %s lost (%s)", worker.address, reason)
+        logger.warning("worker %s lost (%s)", worker.address, reason)
         worker.close()
         with worker.lock:
             orphans = dict(worker.outstanding)
@@ -691,9 +853,10 @@ class SocketTransport(WorkTransport):
         if not resteal or not orphans:
             return
         self._telemetry.count("engine.remote.resteals", len(orphans))
-        self._telemetry.count(
-            f"engine.remote.host.{worker.key}.resteals", len(orphans)
-        )
+        if worker.key:
+            self._telemetry.count(
+                f"engine.remote.host.{worker.key}.resteals", len(orphans)
+            )
         for chunk_id, (spec, _dispatched) in orphans.items():
             self._dispatch(chunk_id, spec)
 
@@ -761,20 +924,38 @@ class SocketTransport(WorkTransport):
             )
         ]
 
-    def reusable_for(self, key, workers) -> bool:
-        return self.key == key and self.workers > 0
+    def reusable_for(self, key: Tuple[str, ...], workers: int) -> bool:
+        """Whether a retained transport can serve a new batch as-is.
 
-    def on_reuse(self, telemetry, num_traces: int) -> None:
-        telemetry.count("engine.remote.transport_reuses")
+        A host fleet serves while any worker lives.  Local workers must
+        all be alive: a lost one makes the engine rebuild the transport,
+        so a long-lived server never runs on fewer workers than it asked
+        for.
+        """
+        if self.key != key:
+            return False
+        if self.hosts:
+            return self.workers > 0
+        for worker in self._live():
+            if worker.reap():
+                self._mark_dead(worker, "exited", resteal=False)
+        return self.workers >= workers
+
+    def on_reuse(self, telemetry) -> None:
+        """Count a persistent engine's reuse of this transport."""
+        if self.hosts:
+            telemetry.count("engine.remote.transport_reuses")
+        else:
+            telemetry.count("engine.parallel.pool_reuses")
 
     def record_telemetry(self, telemetry) -> None:
         """Fold (and reset) the transport's counters into the run telemetry."""
-        telemetry.gauge("engine.parallel.transport_shm", 0.0)
         telemetry.gauge("engine.remote.workers", self.workers)
         drained, self._telemetry = self._telemetry, Telemetry()
         telemetry.merge(drained)
 
-    def close(self, cancel: bool = False) -> None:
+    def close(self) -> None:
+        """Tear the transport down (idempotent); local workers are reaped."""
         for worker in self._workers:
             worker.close()
         for thread in self._readers:

@@ -8,10 +8,10 @@ Usage::
 
 The server owns one long-lived engine for its whole lifetime.  With
 ``--jobs`` > 1 that is a *persistent* :class:`~repro.engine.parallel.ParallelEngine`:
-the worker pool and the published shared-memory trace segments survive
-across jobs, so back-to-back submissions over the same trace suite skip
-re-publishing (counted in ``shm.republish_avoided``) and re-forking
-(``engine.parallel.pool_reuses``).
+its forked workers, and the traces installed in them, survive across
+jobs, so back-to-back submissions over the same trace suite skip
+re-forking and re-installing (counted in ``engine.parallel.pool_reuses``).
+A worker lost between jobs is replaced before the next one runs.
 
 On startup the registry **recovers**: any job manifest in the state
 directory without a stored result is resubmitted, and its journal replays
@@ -63,8 +63,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--jobs", type=int, default=1,
-        help="evaluation workers; >1 keeps a persistent parallel pool "
-        "shared across jobs (default 1)",
+        help="evaluation workers; >1 keeps a persistent set of forked "
+        "workers shared across jobs (default 1)",
     )
     parser.add_argument(
         "--backend", default=None,
@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _make_service_engine(backend: Optional[str], jobs: int, hosts: Optional[str] = None):
-    """The server's engine: persistent pool/transport when it would fork workers."""
+    """The server's engine: a persistent transport when it would use workers."""
     if backend in (None, "parallel") and (jobs > 1 or hosts):
         return ParallelEngine(jobs=jobs, hosts=hosts, persistent=True)
     return make_engine(backend=backend, jobs=jobs, hosts=hosts)

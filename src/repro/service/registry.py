@@ -29,10 +29,10 @@ socket server in front of it.  Either way the rules are the same:
   bits).
 
 Jobs execute on a single dedicated thread: the parallel engine underneath
-provides the actual concurrency (one long-lived worker pool shared across
-jobs -- see ``ParallelEngine(persistent=True)``), and serializing job
-bodies keeps journal files, telemetry swaps, and the shm trace cache
-single-writer by construction.
+provides the actual concurrency (one long-lived set of workers shared
+across jobs -- see ``ParallelEngine(persistent=True)``), and serializing
+job bodies keeps journal files, telemetry swaps, and the workers'
+installed traces single-writer by construction.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ from repro.util.persist import atomic_write_json
 logger = logging.getLogger(__name__)
 
 #: telemetry namespaces relayed into per-job progress streams
-STREAM_PREFIXES = ("plan.", "engine.", "journal.", "shm.", "kernel.")
+STREAM_PREFIXES = ("plan.", "engine.", "journal.", "kernel.")
 
 #: cap on buffered telemetry events per job (progress/state events are
 #: never dropped; past the cap further telemetry events are counted in

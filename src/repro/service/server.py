@@ -7,7 +7,7 @@ JSON line (``{"ok": true, ...}`` or ``{"ok": false, "error": ...}``), except
 ``{"ok": true, "end": true}``.  A connection can issue any number of
 requests back to back; the server handles many connections concurrently
 while all actual computation serializes through the registry's single job
-thread onto the shared worker pool.
+thread onto the shared workers.
 
 Operations::
 

@@ -3,7 +3,8 @@
 The service layer streams per-job progress to remote clients while the job
 is still running.  The engine and planner already record everything worth
 streaming (``plan.*`` batch progress, ``engine.parallel.*`` chunk
-completions, ``journal.*`` checkpoints, ``shm.*`` transport decisions) --
+completions, ``engine.remote.*`` worker losses, ``journal.*``
+checkpoints) --
 :class:`StreamingTelemetry` turns those records into push events instead of
 inventing a parallel progress protocol.
 

@@ -23,12 +23,6 @@ from repro.trace.source import (
     as_source,
     stream_fingerprint,
 )
-from repro.trace.shm import (
-    attach_trace,
-    publish_traces,
-    shm_available,
-    shm_enabled,
-)
 from repro.trace.stats import TraceStats, compute_trace_stats
 
 #: interchange exports resolved lazily (PEP 562) so ``python -m
@@ -66,8 +60,4 @@ __all__ = [
     "save_trace",
     "TraceStats",
     "compute_trace_stats",
-    "attach_trace",
-    "publish_traces",
-    "shm_available",
-    "shm_enabled",
 ]

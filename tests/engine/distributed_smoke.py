@@ -3,13 +3,13 @@
 An end-to-end drill of the multi-host contract against real processes:
 
 1. start two local ``repro-worker`` subprocesses and run the eight
-   canonical golden schemes over the **socket transport**; assert the
-   final JSON matches both the single-host multiprocessing backend and
-   the frozen golden fixtures **bit for bit**;
+   canonical golden schemes on them by address (``hosts=``); assert the
+   final JSON matches both the single-host run on forked local workers
+   (``jobs=2``) and the frozen golden fixtures **bit for bit**;
 2. repeat with one worker rigged to die (``os._exit(137)`` inside a
    chunk request) mid-sweep; assert its chunks were re-stolen
    (``engine.remote.resteals``), no serial fallback fired, and the final
-   JSON is *still* identical to the single-host run;
+   JSON is *still* identical to the local-worker run;
 3. write the coordinator telemetry of both phases to ``--artifact-dir``
    for CI upload.
 
@@ -99,13 +99,13 @@ def main() -> int:
     traces = trace_set.traces()
     schemes = [parse_scheme(text) for text in GOLDEN_SCHEMES]
 
-    # The single-host reference: the multiprocessing transport.
+    # The single-host reference: two forked local workers.
     single_host = counts_to_json(
         ParallelEngine(jobs=2).evaluate_batch(schemes, traces)
     )
     frozen = golden_json(trace_set)
     check(single_host == frozen,
-          "single-host multiprocessing sweep matches the golden fixtures")
+          "single-host local-worker sweep matches the golden fixtures")
 
     # ---- phase 1: healthy two-worker fleet ------------------------------
     procs = []
@@ -120,9 +120,9 @@ def main() -> int:
     finally:
         stop_workers(procs)
     check(healthy_json == single_host,
-          "socket-transport sweep bit-identical to single-host run")
+          "two-host sweep bit-identical to the local-worker run")
     check(healthy_json == frozen,
-          "socket-transport sweep bit-identical to golden fixtures")
+          "two-host sweep bit-identical to golden fixtures")
     host_chunks = sum(
         value for key, value in healthy_sink.counters.items()
         if key.startswith("engine.remote.host.") and key.endswith(".chunks")
@@ -146,7 +146,7 @@ def main() -> int:
     finally:
         stop_workers(procs)
     check(faulted_json == single_host,
-          "post-death sweep still bit-identical to single-host run")
+          "post-death sweep still bit-identical to the local-worker run")
     check(faulted_json == frozen,
           "post-death sweep still bit-identical to golden fixtures")
     check(faulted_sink.counters.get("engine.remote.resteals", 0) >= 1,

@@ -69,24 +69,22 @@ class TestParallelEngine:
     def test_small_batches_stay_in_process(self, small_traces, monkeypatch):
         """Batches under the pool threshold never pay process spawn costs."""
 
-        def exploding_pool(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("pool should not be created for tiny batches")
+        def exploding_fork(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("workers should not be forked for tiny batches")
 
-        monkeypatch.setattr(
-            "repro.engine.parallel.ProcessPoolExecutor", exploding_pool
-        )
+        monkeypatch.setattr("repro.engine.remote.fork_worker", exploding_fork)
         schemes = [parse_scheme("last()1")] * (MIN_BATCH_FOR_POOL - 1)
         engine = ParallelEngine(jobs=4)
         batch = engine.evaluate_batch(schemes, small_traces)
         assert len(batch) == len(schemes)
 
     def test_spawn_failure_falls_back_to_serial(self, small_traces, monkeypatch, caplog):
-        """A pool that cannot start degrades to serial with a warning."""
+        """Workers that cannot start degrade to serial with a warning."""
 
-        def broken_pool(*args, **kwargs):
-            raise OSError("spawn forbidden in this environment")
+        def broken_fork(*args, **kwargs):
+            raise OSError("fork forbidden in this environment")
 
-        monkeypatch.setattr("repro.engine.parallel.ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr("repro.engine.remote.fork_worker", broken_fork)
         schemes = [parse_scheme(text) for text in PARITY_SCHEMES]
         engine = ParallelEngine(jobs=2)
         with caplog.at_level("WARNING", logger="repro.engine.parallel"):
@@ -97,16 +95,9 @@ class TestParallelEngine:
 
     def test_jobs_one_is_serial(self, small_traces, monkeypatch):
         monkeypatch.setattr(
-            "repro.engine.parallel.ProcessPoolExecutor",
-            lambda *a, **k: (_ for _ in ()).throw(AssertionError("no pool")),
+            "repro.engine.remote.fork_worker",
+            lambda *a, **k: (_ for _ in ()).throw(AssertionError("no workers")),
         )
         schemes = [parse_scheme(text) for text in PARITY_SCHEMES]
         batch = ParallelEngine(jobs=1).evaluate_batch(schemes, small_traces)
         assert batch == VectorizedEngine().evaluate_batch(schemes, small_traces)
-
-    def test_chunking_covers_all_schemes_in_order(self, small_traces):
-        engine = ParallelEngine(jobs=3, chunk_size=2)
-        schemes = [parse_scheme(text) for text in PARITY_SCHEMES]
-        chunks = engine._chunks(schemes)
-        assert [s for chunk in chunks for s in chunk] == schemes
-        assert all(len(chunk) <= 2 for chunk in chunks)

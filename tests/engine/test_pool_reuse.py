@@ -1,11 +1,11 @@
-"""Persistent parallel pools: reuse across batches without re-publishing.
+"""Persistent local workers: reuse across batches without re-installing.
 
 The service keeps one ``ParallelEngine(persistent=True)`` alive for its
 whole lifetime; these tests pin the contract that makes that worthwhile:
-back-to-back batches over the same traces reuse the worker pool
-(``engine.parallel.pool_reuses``) and skip re-publishing the shared-memory
-trace segments (``shm.republish_avoided``) -- with results bit-identical
-to a throwaway engine, because pooling is transport, not math.
+back-to-back batches over the same traces reuse the forked workers and
+the traces installed in them (``engine.parallel.pool_reuses``) -- with
+results bit-identical to a throwaway engine, because pooling is
+transport, not math.
 """
 
 import pytest
@@ -50,9 +50,6 @@ class TestPersistentPool:
             second = engine.evaluate_batch(schemes, traces)
         assert first == second
         assert telemetry.counters["engine.parallel.pool_reuses"] == 1
-        if telemetry.gauges.get("engine.parallel.transport_shm"):
-            # shm transport active: every trace skipped one re-publish
-            assert telemetry.counters["shm.republish_avoided"] == len(traces)
 
     def test_changed_traces_rebuild_the_pool(self, traces, telemetry):
         schemes = [parse_scheme(text) for text in SCHEMES[:2]]
@@ -63,7 +60,6 @@ class TestPersistentPool:
             engine.evaluate_batch(schemes, traces)
             engine.evaluate_batch(schemes, other)  # different content -> no reuse
         assert "engine.parallel.pool_reuses" not in telemetry.counters
-        assert "shm.republish_avoided" not in telemetry.counters
 
     def test_results_bit_identical_to_throwaway_engines(self, traces):
         schemes = [parse_scheme(text) for text in SCHEMES]

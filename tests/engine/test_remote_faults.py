@@ -1,12 +1,13 @@
 """Fault injection against real socket workers: death is re-stolen, not lost.
 
-The distributed runner's failure contract (DESIGN.md, "Distributed
+The worker protocol's failure contract (DESIGN.md, "Distributed
 runner"): a worker that dies or drops its connection mid-sweep loses
 nothing -- its outstanding chunks are re-stolen by survivors and the final
-results are bit-identical to a single-host run, because transports move
+results are bit-identical to a serial run, because transports move
 work, never math.  These tests SIGKILL a genuine ``repro-worker``
-subprocess mid-chunk and sever a coordinator connection, then pin exactly
-that contract, including the ``engine.remote.*`` telemetry trail.
+subprocess, and a forked local worker, mid-chunk and sever a coordinator
+connection, then pin exactly that contract, including the
+``engine.remote.*`` telemetry trail.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import threading
 
 import pytest
 
+import repro.engine.remote as remote
 from repro.core.schemes import parse_scheme
 from repro.engine.backends import VectorizedEngine
 from repro.engine.parallel import ParallelEngine
@@ -173,3 +175,53 @@ class TestConnectionDrop:
             stop_workers([hung, steady])
         assert telemetry.counters["engine.remote.resteals"] >= 1
         assert "engine.parallel.fallbacks" not in telemetry.counters
+
+
+class TestLocalWorkerDeath:
+    """The same contract over forked local workers (``jobs=2``)."""
+
+    def test_sigkill_mid_chunk_resteals_and_stays_bit_identical(
+        self, traces, telemetry, monkeypatch
+    ):
+        """SIGKILL the first local worker while it sits in a chunk.
+
+        Only the victim inherits the delay hook: it is set in the
+        environment for the victim's fork alone.
+        """
+        victims = []
+        real_fork = remote.fork_worker
+
+        def fork_slow_victim(inherited):
+            if victims:
+                return real_fork(inherited)
+            monkeypatch.setenv(DELAY_ENV, "30")
+            try:
+                pid, sock = real_fork(inherited)
+            finally:
+                monkeypatch.delenv(DELAY_ENV)
+            victims.append(pid)
+            return pid, sock
+
+        monkeypatch.setattr(remote, "fork_worker", fork_slow_victim)
+        schemes = [parse_scheme(text) for text in SCHEMES]
+        killer = threading.Timer(1.0, lambda: os.kill(victims[0], signal.SIGKILL))
+        killer.start()
+        try:
+            results = ParallelEngine(jobs=2).evaluate_batch(schemes, traces)
+        finally:
+            killer.cancel()
+        assert results == single_host_baseline(traces)
+        assert telemetry.counters["engine.remote.resteals"] >= 1
+        assert telemetry.counters["engine.remote.worker_deaths"] >= 1
+        assert "engine.parallel.fallbacks" not in telemetry.counters
+
+    def test_every_local_worker_exiting_falls_back_serially(
+        self, traces, telemetry, monkeypatch
+    ):
+        """Local workers inherit the exit hook: all die, the serial path
+        recomputes, same bits."""
+        monkeypatch.setenv(EXIT_AFTER_ENV, "0")
+        schemes = [parse_scheme(text) for text in SCHEMES]
+        results = ParallelEngine(jobs=2).evaluate_batch(schemes, traces)
+        assert results == single_host_baseline(traces)
+        assert telemetry.counters["engine.parallel.fallbacks"] >= 1

@@ -1,8 +1,8 @@
-"""The adaptive chunk scheduler and the trace transports behind it.
+"""The adaptive chunk scheduler and the local workers behind it.
 
 Covers the pure scheduling logic (chunk cutting, throughput-adaptive
 sizing, tail balancing) without any processes, then the full pooled path:
-both transports produce identical results, the steal/shm telemetry is
+local workers produce the serial results, the steal telemetry is
 recorded, and ``on_result`` fires exactly once per scheme.
 """
 
@@ -126,53 +126,14 @@ class TestChunkScheduler:
 
 
 class TestPooledTransports:
-    @pytest.mark.parametrize("repro_shm", ["1", "0"], ids=["shm", "bytes"])
-    def test_transports_match_serial_results(self, repro_shm, small_traces, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", repro_shm)
+    def test_transports_match_serial_results(self, small_traces):
         schemes = [parse_scheme(text) for text in SCHEMES]
         expected = VectorizedEngine().evaluate_batch(schemes, small_traces)
         engine = ParallelEngine(jobs=2)  # adaptive chunking
         assert engine.evaluate_batch(schemes, small_traces) == expected
 
-    def test_shm_transport_records_publishes_and_gauge(self, small_traces, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "1")
-        schemes = [parse_scheme(text) for text in SCHEMES]
-        sink = Telemetry()
-        previous = set_telemetry(sink)
-        try:
-            ParallelEngine(jobs=2).evaluate_batch(schemes, small_traces)
-        finally:
-            set_telemetry(previous)
-        assert sink.counters["shm.publishes"] == len(small_traces)
-        assert sink.counters["shm.unlinks"] == len(small_traces)
-        assert sink.counters["shm.bytes_published"] > 0
-        assert sink.gauges["engine.parallel.transport_shm"] == 1.0
-
-    def test_pickle_transport_records_no_publishes(self, small_traces, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        schemes = [parse_scheme(text) for text in SCHEMES]
-        sink = Telemetry()
-        previous = set_telemetry(sink)
-        try:
-            ParallelEngine(jobs=2).evaluate_batch(schemes, small_traces)
-        finally:
-            set_telemetry(previous)
-        assert "shm.publishes" not in sink.counters
-        assert sink.gauges["engine.parallel.transport_shm"] == 0.0
-
-    def test_repro_shm_env_disables_transport(self, small_traces, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        schemes = [parse_scheme(text) for text in SCHEMES]
-        sink = Telemetry()
-        previous = set_telemetry(sink)
-        try:
-            ParallelEngine(jobs=2).evaluate_batch(schemes, small_traces)
-        finally:
-            set_telemetry(previous)
-        assert sink.gauges["engine.parallel.transport_shm"] == 0.0
-
     def test_thread_scoped_sink_receives_worker_telemetry(self, small_traces):
-        """Pool workers fork from the submitting thread.  Its thread-scoped
+        """Local workers fork from the submitting thread.  Its thread-scoped
         sink -- a served job's -- must not shadow the per-chunk sinks the
         workers record into, or worker counters never reach the job."""
         schemes = [parse_scheme(text) for text in SCHEMES[:5]]
@@ -259,10 +220,10 @@ class TestPooledTransports:
             assert counts == results[index]
 
     def test_on_result_fires_in_serial_fallback(self, small_traces, monkeypatch):
-        def broken_pool(*args, **kwargs):
+        def broken_fork(*args, **kwargs):
             raise OSError("no processes here")
 
-        monkeypatch.setattr("repro.engine.parallel.ProcessPoolExecutor", broken_pool)
+        monkeypatch.setattr("repro.engine.remote.fork_worker", broken_fork)
         schemes = [parse_scheme(text) for text in SCHEMES]
         seen = []
         ParallelEngine(jobs=2).evaluate_batch(

@@ -1,9 +1,9 @@
 """Property: transports move work, never math -- for *any* sweep.
 
-Hypothesis drives random scheme batches over random traces through the
-multiprocessing transport and the socket transport (two real local
-``repro-worker`` processes), and both must land bit for bit on the
-vectorized oracle's :class:`ConfusionCounts`.  The property is crossed
+Hypothesis drives random scheme batches over random traces through two
+forked local workers and through two real ``repro-worker`` processes
+reached by address, and both must land bit for bit on the vectorized
+oracle's :class:`ConfusionCounts`.  The property is crossed
 over the per-event kernel backends (``python``, and ``native`` where a
 compiler exists), because the worker protocol pins the coordinator's
 kernel choice across the wire and that pin must never move a bit either.
@@ -109,14 +109,14 @@ class TestTransportEquivalence:
         previous_kernel = set_kernel_backend(kernel)
         try:
             oracle = VectorizedEngine().evaluate_batch(schemes, traces)
-            pooled = ParallelEngine(jobs=2).evaluate_batch(schemes, traces)
+            local = ParallelEngine(jobs=2).evaluate_batch(schemes, traces)
             remote = ParallelEngine(hosts=worker_fleet).evaluate_batch(
                 schemes, traces
             )
         finally:
             set_kernel_backend(previous_kernel)
             set_telemetry(previous_sink)
-        assert pooled == oracle
+        assert local == oracle
         assert remote == oracle
         # prove the socket path really ran: chunks landed on named hosts
         # and nothing degraded to the serial fallback

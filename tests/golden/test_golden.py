@@ -63,17 +63,9 @@ def test_serial_backends_reproduce_golden_counts(
         )
 
 
-@pytest.mark.parametrize("repro_shm", ["1", "0"], ids=["shm", "bytes"])
-def test_parallel_batch_reproduces_golden_counts(
-    repro_shm, trace_set, traces, monkeypatch
-):
-    """One real pooled batch over all golden schemes at once.
-
-    Runs once per way a trace image reaches the workers -- a shared-memory
-    segment and the image bytes themselves -- so both worker-boundary data
-    paths are pinned to the same frozen counts.
-    """
-    monkeypatch.setenv("REPRO_SHM", repro_shm)
+def test_parallel_batch_reproduces_golden_counts(trace_set, traces):
+    """One real batch over all golden schemes at once, on two local
+    workers that receive every trace as its ``.rtrace`` image bytes."""
     schemes = [parse_scheme(text) for text in GOLDEN_SCHEMES]
     engine = ParallelEngine(jobs=2, chunk_size=2)
     batch = engine.evaluate_batch(schemes, traces)

@@ -59,7 +59,6 @@ class TestTopLevelExports:
         "repro.trace.events",
         "repro.trace.builder",
         "repro.trace.io",
-        "repro.trace.shm",
         "repro.trace.stats",
         "repro.trace.patterns",
         "repro.workloads",
