@@ -59,15 +59,20 @@ class CacheConfig:
 
 
 class SetAssociativeCache:
-    """True-LRU set-associative cache over block numbers."""
+    """True-LRU set-associative cache over block numbers.
+
+    ``sets[block & set_mask]`` is the ordered dict (block -> state, least
+    recently used first) holding ``block``'s set; the protocol's hit paths
+    read it directly instead of going through the methods below.
+    """
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        self._set_mask = config.num_sets - 1
-        self._sets: List[OrderedDict] = [OrderedDict() for _ in range(config.num_sets)]
+        self.set_mask = config.num_sets - 1
+        self.sets: List[OrderedDict] = [OrderedDict() for _ in range(config.num_sets)]
 
     def _set_of(self, block: int) -> OrderedDict:
-        return self._sets[block & self._set_mask]
+        return self.sets[block & self.set_mask]
 
     def get_state(self, block: int) -> Optional[int]:
         """The block's MSI state, or ``None`` when not resident. No LRU effect."""
@@ -110,9 +115,9 @@ class SetAssociativeCache:
     def resident_blocks(self) -> List[int]:
         """All resident block numbers (for invariant checks in tests)."""
         blocks: List[int] = []
-        for cache_set in self._sets:
+        for cache_set in self.sets:
             blocks.extend(cache_set.keys())
         return blocks
 
     def __len__(self) -> int:
-        return sum(len(cache_set) for cache_set in self._sets)
+        return sum(len(cache_set) for cache_set in self.sets)

@@ -37,7 +37,7 @@ forwarding runs, which is what makes the traffic ledgers of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.machine import MachineSpec
 from repro.memory.address import AddressSpace
@@ -124,16 +124,64 @@ class CoherenceProtocol:
     # Requests
     # ------------------------------------------------------------------
 
+    def run(self, accesses: Iterable[Tuple[int, str, int, int]]) -> None:
+        """Process ``(node, op, address, pc)`` references in stream order.
+
+        Most references hit: a load of a resident line, or a store to a line
+        the node holds MODIFIED.  Each hit is one cache-set lookup and one
+        ``move_to_end`` here, with its counters kept in locals and added to
+        :attr:`stats` when the stream ends or raises; everything else goes
+        to :meth:`_read_miss` or :meth:`_store`.
+        """
+        cache_sets = [cache.sets for cache in self.caches]
+        set_mask = self.caches[0].set_mask
+        address_space = self.address_space
+        offset_bits = address_space.offset_bits
+        store_pcs = self.stats.store_pcs_by_node
+        read_miss = self._read_miss
+        store = self._store
+        reads = read_hits = writes = silent_writes = 0
+        try:
+            for node, op, address, pc in accesses:
+                if address < 0:
+                    address_space.block_of(address)  # raises: a negative address
+                block = address >> offset_bits
+                cache_set = cache_sets[node][block & set_mask]
+                if op == "R":
+                    reads += 1
+                    if block in cache_set:
+                        cache_set.move_to_end(block)
+                        read_hits += 1
+                    else:
+                        read_miss(node, block)
+                elif op == "W":
+                    writes += 1
+                    store_pcs[node].add(pc)
+                    state = cache_set.get(block)
+                    if state == MODIFIED:
+                        cache_set.move_to_end(block)
+                        silent_writes += 1
+                    else:
+                        store(node, block, pc, state)
+                else:
+                    raise ValueError(f"unknown op {op!r}; expected 'R' or 'W'")
+        finally:
+            stats = self.stats
+            stats.reads += reads
+            stats.read_hits += read_hits
+            stats.writes += writes
+            stats.silent_writes += silent_writes
+
     def read(self, node: int, address: int) -> None:
         """Process a load by ``node``."""
-        self.stats.reads += 1
-        block = self.address_space.block_of(address)
-        cache = self.caches[node]
-        if cache.get_state(block) is not None:
-            cache.touch(block)
-            self.stats.read_hits += 1
-            return
+        self.run(((node, "R", address, 0),))
 
+    def write(self, node: int, address: int, pc: int) -> None:
+        """Process a store by ``node`` under static store ``pc``."""
+        self.run(((node, "W", address, pc),))
+
+    def _read_miss(self, node: int, block: int) -> None:
+        """A load of a line ``node`` does not hold."""
         self.stats.read_misses += 1
         home = self.address_space.home_of(block, node)
         entry = self.directory.entry(block, home)
@@ -168,21 +216,13 @@ class CoherenceProtocol:
         self.builder.add_reader(block, node)
         self._fill(node, block, fill_state)
 
-    def write(self, node: int, address: int, pc: int) -> None:
-        """Process a store by ``node`` under static store ``pc``."""
-        self.stats.writes += 1
-        block = self.address_space.block_of(address)
-        self.stats.store_pcs_by_node[node].add(pc)
-        cache = self.caches[node]
-        state = cache.get_state(block)
-        if state == MODIFIED:
-            cache.touch(block)
-            self.stats.silent_writes += 1
-            return
+    def _store(self, node: int, block: int, pc: int, state: Optional[int]) -> None:
+        """A store by ``node`` to a line it holds in ``state`` (not MODIFIED)."""
         if state == EXCLUSIVE:
             # MESI: silent upgrade -- no coherence action, no prediction
             # event, and (as on real hardware) the directory never learns a
             # new value was created until the next remote access.
+            cache = self.caches[node]
             cache.set_state(block, MODIFIED)
             cache.touch(block)
             self.stats.silent_writes += 1

@@ -126,15 +126,7 @@ class MultiprocessorSystem:
         global memory order (the scheduler in :mod:`repro.workloads` decides
         the interleaving).
         """
-        read = self.protocol.read
-        write = self.protocol.write
-        for node, op, address, pc in accesses:
-            if op == "R":
-                read(node, address)
-            elif op == "W":
-                write(node, address, pc)
-            else:
-                raise ValueError(f"unknown op {op!r}; expected 'R' or 'W'")
+        self.protocol.run(accesses)
 
     def finalize_trace(self):
         """Finish and return the sharing trace for everything run so far.

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
-from repro.workloads.base import Access, Atomic, Barrier, ThreadItem, Workload
+from repro.workloads.base import Atomic, Barrier, ThreadItem, Workload
 from repro.workloads.layout import MemoryLayout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -120,10 +120,10 @@ class BarnesWorkload(Workload):
         # Owners first-touch their bodies; thread 0 first-touches the tree
         # (the real code allocates the tree from a shared arena).
         for body in self._own_bodies(tid):
-            yield Access("W", self.bodies.addr(body), pc_init_body)
+            yield ("W", self.bodies.addr(body), pc_init_body)
         if tid == 0:
             for cell in range(self.num_cells):
-                yield Access("W", self.cells.addr(cell), pc_init_cell)
+                yield ("W", self.cells.addr(cell), pc_init_cell)
         yield Barrier()
 
         for _ in range(self.timesteps):
@@ -132,7 +132,7 @@ class BarnesWorkload(Workload):
                 for cell in self.insert_paths[body]:
                     address = self.cells.addr(cell)
                     yield Atomic(
-                        [Access("R", address), Access("W", address, pc_insert)]
+                        [("R", address, 0), ("W", address, pc_insert)]
                     )
             yield Barrier()
 
@@ -142,19 +142,19 @@ class BarnesWorkload(Workload):
             # one-timestep transient readers that a deep-intersection
             # predictor should learn to ignore.
             for body in self._own_bodies(tid):
-                yield Access("R", self.bodies.addr(body))
+                yield ("R", self.bodies.addr(body), 0)
                 for partner in self.interactions[body]:
-                    yield Access("R", self.bodies.addr(partner))
+                    yield ("R", self.bodies.addr(partner), 0)
                 if rng.random() < self.transient_read_rate:
                     stray = rng.integers(0, total_bodies)
-                    yield Access("R", self.bodies.addr(stray))
+                    yield ("R", self.bodies.addr(stray), 0)
                 for cell in self.cell_reads[body]:
-                    yield Access("R", self.cells.addr(cell))
+                    yield ("R", self.cells.addr(cell), 0)
             yield Barrier()
 
             # Update: two stores to the owner's body record.
             for body in self._own_bodies(tid):
                 address = self.bodies.addr(body)
-                yield Access("W", address, pc_position)
-                yield Access("W", address, pc_velocity)
+                yield ("W", address, pc_position)
+                yield ("W", address, pc_velocity)
             yield Barrier()

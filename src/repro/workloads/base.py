@@ -1,9 +1,13 @@
 """Workload building blocks: reference items, pc sites, and the ABC.
 
-A workload is a set of per-thread *programs*: generators yielding
-:class:`Access` (one memory reference), :class:`Barrier` (rendezvous of all
-threads), or :class:`Atomic` (a lock-protected burst the scheduler must not
-interleave -- how migratory read-modify-write sequences are expressed).
+A workload is a set of per-thread *programs*: generators yielding a
+reference -- the plain tuple ``(op, address, pc)``, one memory reference,
+spelled :func:`Access` outside the hot loops -- a :class:`Barrier`
+(rendezvous of all threads), or an :class:`Atomic` (a lock-protected burst
+the scheduler must not interleave -- how migratory read-modify-write
+sequences are expressed).  References are checked once, where the scheduler
+consumes them (:func:`check_reference`), not where they are built, so a
+reference costs no more than a tuple (the seed-0 suite issues 2.8M).
 
 Static store sites are modelled by :class:`PcAllocator`: each call site in a
 workload's inner loops registers a named pc once and stores through it, so
@@ -14,7 +18,7 @@ sets the paper measures in its Table 5.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.util.rng import DeterministicRng
@@ -23,23 +27,39 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine import MachineSpec
 
 
-@dataclass(frozen=True)
-class Access:
-    """One memory reference: ``op`` is ``"R"`` or ``"W"``.
+#: the two reference kinds: a load and a store
+OPS = frozenset(("R", "W"))
+
+#: one memory reference: ``(op, address, pc)``
+Reference = Tuple[str, int, int]
+
+
+def Access(op: str, address: int, pc: int = 0) -> Reference:
+    """One memory reference ``(op, address, pc)``: ``op`` is ``"R"`` or ``"W"``.
 
     ``pc`` identifies the static instruction (word-granular; only store pcs
-    are meaningful to predictors, reads default to pc 0).
+    are meaningful to predictors, reads default to pc 0).  This builds the
+    plain tuple the models yield; nothing is checked until the scheduler
+    consumes it.
     """
+    return (op, address, pc)
 
-    op: str
-    address: int
-    pc: int = 0
 
-    def __post_init__(self) -> None:
-        if self.op not in ("R", "W"):
-            raise ValueError(f"op must be 'R' or 'W', got {self.op!r}")
-        if self.address < 0:
-            raise ValueError(f"address must be non-negative, got {self.address}")
+def check_reference(item, thread: int) -> Reference:
+    """``item`` if it is a well-formed reference, else a loud error.
+
+    A non-reference raises :class:`TypeError`; a bad ``op`` or a negative
+    ``address`` raises :class:`ValueError`.  Each message names ``thread``,
+    the program that yielded the item.
+    """
+    if not isinstance(item, tuple) or len(item) != 3:
+        raise TypeError(f"thread {thread}: not a memory reference: {item!r}")
+    op, address, _pc = item
+    if op not in OPS:
+        raise ValueError(f"thread {thread}: op must be 'R' or 'W', got {op!r}")
+    if address < 0:
+        raise ValueError(f"thread {thread}: address must be non-negative, got {address}")
+    return item
 
 
 class Barrier:
@@ -55,13 +75,13 @@ class Barrier:
 class Atomic:
     """A lock-protected burst of references, emitted without interleaving."""
 
-    accesses: Tuple[Access, ...]
+    accesses: Tuple[Reference, ...]
 
     def __init__(self, accesses):
         object.__setattr__(self, "accesses", tuple(accesses))
 
 
-ThreadItem = Union[Access, Barrier, Atomic]
+ThreadItem = Union[Reference, Barrier, Atomic]
 
 
 class PcAllocator:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
-from repro.workloads.base import Access, Barrier, ThreadItem, Workload
+from repro.workloads.base import Barrier, ThreadItem, Workload
 from repro.workloads.layout import MemoryLayout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -121,15 +121,14 @@ class Em3dWorkload(Workload):
         pc_update = {half: self.pcs.site(f"update_{half}") for half in ("e", "h")}
 
         # Initialization: owners first-touch their values and edge lists.
+        degree = self.degree
         for half in ("e", "h"):
             values = self.values[half]
             edges = self.edge_data[half]
             for node in self._owned_range(tid):
-                yield Access("W", values.addr(node), pc_init[half])
-                for slot in range(self.degree):
-                    yield Access(
-                        "W", edges.addr(node * self.degree + slot), pc_init_edges[half]
-                    )
+                yield ("W", values.addr(node), pc_init[half])
+                for address in edges.addr_range(node * degree, (node + 1) * degree):
+                    yield ("W", address, pc_init_edges[half])
         yield Barrier()
 
         # Wave propagation: E from H, then H from E, every iteration.
@@ -140,12 +139,13 @@ class Em3dWorkload(Workload):
                 edges = self.edge_data[half]
                 neighbors = self.neighbors[half]
                 for node in self._owned_range(tid):
-                    for slot, neighbor in enumerate(neighbors[node]):
-                        yield Access("R", edges.addr(node * self.degree + slot))
-                        yield Access("R", other_values.addr(neighbor))
+                    edge_addresses = edges.addr_range(node * degree, (node + 1) * degree)
+                    for edge, neighbor in zip(edge_addresses, neighbors[node]):
+                        yield ("R", edge, 0)
+                        yield ("R", other_values.addr(neighbor), 0)
                     # Convergence checks sample a random remote value now
                     # and then: one-iteration transient readers.
                     if rng.random() < self.scatter_rate:
-                        yield Access("R", other_values.addr(rng.integers(0, total)))
-                    yield Access("W", values.addr(node), pc_update[half])
+                        yield ("R", other_values.addr(rng.integers(0, total)), 0)
+                    yield ("W", values.addr(node), pc_update[half])
                 yield Barrier()

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
-from repro.workloads.base import Access, Barrier, ThreadItem, Workload
+from repro.workloads.base import Barrier, ThreadItem, Workload
 from repro.workloads.layout import MemoryLayout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,6 +69,11 @@ class GaussWorkload(Workload):
     def _element(self, row: int, col: int) -> int:
         return self.matrix.addr(row * self.row_stride + col)
 
+    def _row(self, row: int, start: int, stop: int) -> range:
+        """Addresses of ``row``'s columns ``start .. stop - 1``."""
+        first = row * self.row_stride
+        return self.matrix.addr_range(first + start, first + stop)
+
     def _owner(self, row: int) -> int:
         return row % self.num_nodes
 
@@ -85,8 +90,8 @@ class GaussWorkload(Workload):
             # (Re-)initialization: owners fill their rows with the next
             # system's coefficients, closing the previous solve's epochs.
             for row in self._own_rows(tid):
-                for col in range(self.size):
-                    yield Access("W", self._element(row, col), pc_init)
+                for address in self._row(row, 0, self.size):
+                    yield ("W", address, pc_init)
             yield Barrier()
 
             yield from self._factorize(tid)
@@ -96,35 +101,40 @@ class GaussWorkload(Workload):
         pc_normalize = self.pcs.site("normalize_pivot")
         pc_multiplier = self.pcs.site("store_multiplier")
         pc_eliminate = self.pcs.site("eliminate")
+        size = self.size
+        own_rows = self._own_rows(tid)
 
-        for step in range(self.size - 1):
+        for step in range(size - 1):
             # Distributed pivot search: scan column `step` of own unfinished
             # rows, publish the local best, pivot owner reads all candidates.
-            if any(row >= step for row in self._own_rows(tid)):
-                for row in self._own_rows(tid):
+            if any(row >= step for row in own_rows):
+                for row in own_rows:
                     if row >= step:
-                        yield Access("R", self._element(row, step))
-                yield Access("W", self.reduction.addr(tid), pc_candidate)
+                        yield ("R", self._element(row, step), 0)
+                yield ("W", self.reduction.addr(tid), pc_candidate)
             yield Barrier()
 
             owner = self._owner(step)
             if tid == owner:
                 for candidate in range(self.num_nodes):
-                    yield Access("R", self.reduction.addr(candidate))
-                for col in range(step, self.size):
-                    yield Access("R", self._element(step, col))
-                    yield Access("W", self._element(step, col), pc_normalize)
+                    yield ("R", self.reduction.addr(candidate), 0)
+                for address in self._row(step, step, size):
+                    yield ("R", address, 0)
+                    yield ("W", address, pc_normalize)
             yield Barrier()
 
             # Elimination: read the pivot row, update own rows below it.
-            for row in self._own_rows(tid):
+            pivot_head = self._element(step, step)
+            pivot_tail = self._row(step, step + 1, size)
+            for row in own_rows:
                 if row <= step:
                     continue
-                yield Access("R", self._element(row, step))
-                yield Access("R", self._element(step, step))
-                yield Access("W", self._element(row, step), pc_multiplier)
-                for col in range(step + 1, self.size):
-                    yield Access("R", self._element(step, col))
-                    yield Access("R", self._element(row, col))
-                    yield Access("W", self._element(row, col), pc_eliminate)
+                head = self._element(row, step)
+                yield ("R", head, 0)
+                yield ("R", pivot_head, 0)
+                yield ("W", head, pc_multiplier)
+                for pivot, address in zip(pivot_tail, self._row(row, step + 1, size)):
+                    yield ("R", pivot, 0)
+                    yield ("R", address, 0)
+                    yield ("W", address, pc_eliminate)
             yield Barrier()

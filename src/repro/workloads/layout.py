@@ -28,6 +28,19 @@ class SharedArray:
             raise IndexError(f"{self.name}[{index}] out of range (count={self.count})")
         return self.base + index * self.element_bytes
 
+    def addr_range(self, start: int, stop: int) -> range:
+        """Byte addresses of elements ``start`` up to (not including) ``stop``.
+
+        Bounds are checked once for the whole run, so hot loops can walk a
+        row without a per-element :meth:`addr` call.
+        """
+        if not 0 <= start <= stop <= self.count:
+            raise IndexError(
+                f"{self.name}[{start}:{stop}] out of range (count={self.count})"
+            )
+        size = self.element_bytes
+        return range(self.base + start * size, self.base + stop * size, size)
+
     @property
     def nbytes(self) -> int:
         return self.count * self.element_bytes

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
-from repro.workloads.base import Access, Atomic, Barrier, ThreadItem, Workload
+from repro.workloads.base import Atomic, Barrier, ThreadItem, Workload
 from repro.workloads.layout import MemoryLayout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -100,10 +100,10 @@ class Mp3dWorkload(Workload):
         # Owners first-touch their molecules; space cells are dealt out in
         # contiguous chunks (spatial decomposition of the domain).
         for molecule in self._own_molecules(tid):
-            yield Access("W", self.molecules.addr(molecule), pc_init_molecule)
+            yield ("W", self.molecules.addr(molecule), pc_init_molecule)
         cells_per_thread = self.space_cells // self.num_nodes
         for cell in range(tid * cells_per_thread, (tid + 1) * cells_per_thread):
-            yield Access("W", self.cells.addr(cell), pc_init_cell)
+            yield ("W", self.cells.addr(cell), pc_init_cell)
         yield Barrier()
 
         for step in range(self.steps):
@@ -119,19 +119,19 @@ class Mp3dWorkload(Workload):
                 behind = self.cells.addr((here - 1) % self.space_cells)
                 yield Atomic(
                     [
-                        Access("R", molecule_addr),
-                        Access("W", molecule_addr, pc_move),
-                        Access("R", cell_addr),
-                        Access("R", ahead),
-                        Access("R", behind),
-                        Access("W", cell_addr, pc_cell),
+                        ("R", molecule_addr, 0),
+                        ("W", molecule_addr, pc_move),
+                        ("R", cell_addr, 0),
+                        ("R", ahead, 0),
+                        ("R", behind, 0),
+                        ("W", cell_addr, pc_cell),
                     ]
                 )
                 partner = self.collision_partner[molecule][step]
                 if partner >= 0:
-                    yield Access("R", self.molecules.addr(partner))
+                    yield ("R", self.molecules.addr(partner), 0)
             # Per-step global bookkeeping on a random reservoir line.
             slot = rng.integers(0, self.reservoir.count)
             address = self.reservoir.addr(slot)
-            yield Atomic([Access("R", address), Access("W", address, pc_reservoir)])
+            yield Atomic([("R", address, 0), ("W", address, pc_reservoir)])
             yield Barrier()

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
-from repro.workloads.base import Access, Barrier, ThreadItem, Workload
+from repro.workloads.base import Barrier, ThreadItem, Workload
 from repro.workloads.layout import MemoryLayout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,8 +49,10 @@ class OceanWorkload(Workload):
             layout.array("grid_b", grid_size * grid_size, 8),
         )
 
-    def _point(self, grid: int, row: int, col: int) -> int:
-        return self.grids[grid].addr(row * self.grid_size + col)
+    def _row(self, grid: int, row: int) -> range:
+        """Addresses of one grid row's points, in column order."""
+        first = row * self.grid_size
+        return self.grids[grid].addr_range(first, first + self.grid_size)
 
     def _own_rows(self, tid: int) -> range:
         start = tid * self.rows_per_thread
@@ -67,23 +69,28 @@ class OceanWorkload(Workload):
         # Owners first-touch their strips in both grids.
         for grid in (0, 1):
             for row in self._own_rows(tid):
-                for col in range(size):
-                    yield Access("W", self._point(grid, row, col), pc_init)
+                for address in self._row(grid, row):
+                    yield ("W", address, pc_init)
         yield Barrier()
 
         for iteration in range(self.iterations):
             source = iteration % 2
             target = 1 - source
+            pc = pc_relax[target]
             for row in self._own_rows(tid):
+                above = self._row(source, row - 1) if row > 0 else None
+                below = self._row(source, row + 1) if row < size - 1 else None
+                here = self._row(source, row)
+                out = self._row(target, row)
                 for col in range(size):
-                    if row > 0:
-                        yield Access("R", self._point(source, row - 1, col))
-                    if row < size - 1:
-                        yield Access("R", self._point(source, row + 1, col))
+                    if above is not None:
+                        yield ("R", above[col], 0)
+                    if below is not None:
+                        yield ("R", below[col], 0)
                     if col > 0:
-                        yield Access("R", self._point(source, row, col - 1))
+                        yield ("R", here[col - 1], 0)
                     if col < size - 1:
-                        yield Access("R", self._point(source, row, col + 1))
-                    yield Access("R", self._point(source, row, col))
-                    yield Access("W", self._point(target, row, col), pc_relax[target])
+                        yield ("R", here[col + 1], 0)
+                    yield ("R", here[col], 0)
+                    yield ("W", out[col], pc)
             yield Barrier()

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
-from repro.workloads.base import Access, Atomic, Barrier, ThreadItem, Workload
+from repro.workloads.base import Atomic, Barrier, ThreadItem, Workload
 from repro.workloads.layout import MemoryLayout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,8 +98,8 @@ class UnstructWorkload(Workload):
         own_edges = [edge for edge in self.edges if self._owner(edge[0]) == tid]
 
         for mesh_node in self._own_mesh_nodes(tid):
-            yield Access("W", self.values.addr(mesh_node), pc_init_value)
-            yield Access("W", self.fluxes.addr(mesh_node), pc_init_flux)
+            yield ("W", self.values.addr(mesh_node), pc_init_value)
+            yield ("W", self.fluxes.addr(mesh_node), pc_init_flux)
         yield Barrier()
 
         # Which remote nodes this thread's fluxes reach is dictated by the
@@ -130,8 +130,8 @@ class UnstructWorkload(Workload):
             touched_remote: List[int] = []
             seen = set()
             for a, b in own_edges:
-                yield Access("R", self.values.addr(a))
-                yield Access("R", self.values.addr(b))
+                yield ("R", self.values.addr(a), 0)
+                yield ("R", self.values.addr(b), 0)
                 for endpoint in (a, b):
                     if endpoint in seen:
                         continue
@@ -145,10 +145,10 @@ class UnstructWorkload(Workload):
                         touched_remote.append(endpoint)
             for endpoint in touched_local:
                 flux = self.fluxes.addr(endpoint)
-                yield Atomic([Access("R", flux), Access("W", flux, pc_flux_a)])
+                yield Atomic([("R", flux, 0), ("W", flux, pc_flux_a)])
             for endpoint in touched_remote:
                 flux = self.fluxes.addr(endpoint)
-                yield Atomic([Access("R", flux), Access("W", flux, pc_flux_b)])
+                yield Atomic([("R", flux, 0), ("W", flux, pc_flux_b)])
             yield Barrier()
 
             # Mesh-quality scan: a sample of random remote values is read
@@ -156,11 +156,11 @@ class UnstructWorkload(Workload):
             # checks produce).
             total = self.num_nodes * self.mesh_nodes_per_thread
             for _ in range(int(self.mesh_nodes_per_thread * self.scan_rate)):
-                yield Access("R", self.values.addr(rng.integers(0, total)))
+                yield ("R", self.values.addr(rng.integers(0, total)), 0)
 
             # Node update: integrate flux into value, reset flux.
             for mesh_node in self._own_mesh_nodes(tid):
-                yield Access("R", self.fluxes.addr(mesh_node))
-                yield Access("W", self.values.addr(mesh_node), pc_update)
-                yield Access("W", self.fluxes.addr(mesh_node), pc_reset)
+                yield ("R", self.fluxes.addr(mesh_node), 0)
+                yield ("W", self.values.addr(mesh_node), pc_update)
+                yield ("W", self.fluxes.addr(mesh_node), pc_reset)
             yield Barrier()

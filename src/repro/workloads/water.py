@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, List, Optional
 
-from repro.workloads.base import Access, Atomic, Barrier, ThreadItem, Workload
+from repro.workloads.base import Atomic, Barrier, ThreadItem, Workload
 from repro.workloads.layout import MemoryLayout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -94,8 +94,8 @@ class WaterWorkload(Workload):
         pc_reset = self.pcs.site("reset_force")
 
         for molecule in self._own_molecules(tid):
-            yield Access("W", self.positions.addr(molecule), pc_init_pos)
-            yield Access("W", self.forces.addr(molecule), pc_init_force)
+            yield ("W", self.positions.addr(molecule), pc_init_pos)
+            yield ("W", self.forces.addr(molecule), pc_init_force)
         yield Barrier()
 
         # Whether a pair sits inside the cutoff persists between steps --
@@ -129,9 +129,9 @@ class WaterWorkload(Workload):
             touched: List[int] = []
             seen = set()
             for molecule in self._own_molecules(tid):
-                yield Access("R", self.positions.addr(molecule))
+                yield ("R", self.positions.addr(molecule), 0)
                 for slot, neighbor in enumerate(self.neighbors[molecule]):
-                    yield Access("R", self.positions.addr(neighbor))
+                    yield ("R", self.positions.addr(neighbor), 0)
                     key = (molecule, slot)
                     churn = churn_of[flickery[key]]
                     if in_cutoff[key]:
@@ -145,13 +145,13 @@ class WaterWorkload(Workload):
             for neighbor in touched:
                 force_addr = self.forces.addr(neighbor)
                 yield Atomic(
-                    [Access("R", force_addr), Access("W", force_addr, pc_accumulate)]
+                    [("R", force_addr, 0), ("W", force_addr, pc_accumulate)]
                 )
             yield Barrier()
 
             # Integration: consume own forces, publish new positions.
             for molecule in self._own_molecules(tid):
-                yield Access("R", self.forces.addr(molecule))
-                yield Access("W", self.positions.addr(molecule), pc_update)
-                yield Access("W", self.forces.addr(molecule), pc_reset)
+                yield ("R", self.forces.addr(molecule), 0)
+                yield ("W", self.positions.addr(molecule), pc_update)
+                yield ("W", self.forces.addr(molecule), pc_reset)
             yield Barrier()

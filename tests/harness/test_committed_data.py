@@ -9,6 +9,10 @@ computes it.
   is recomputed from the committed seed-0 traces and must equal the
   committed rows, so a change that moves a sweep number fails here rather
   than being served the stale rows from the result cache.
+* The seed-0 suite is regenerated from scratch and must equal the committed
+  traces and stats sidecars.  Trace fingerprints hash generation
+  parameters, not code, so this is what notices a workload, scheduler or
+  protocol change that moves a trace.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from repro.harness.experiments.sweeps import sweep_schemes
 from repro.harness.results import cached_result
 from repro.harness.runner import TraceSet
 from repro.telemetry import Telemetry, set_telemetry
+from repro.trace.io import load_trace
+from repro.trace.source import stream_fingerprint
 from repro.util.persist import load_json_checked
 from repro.util.rng import DeterministicRng
 
@@ -80,6 +86,27 @@ def test_committed_traces_load_without_discards(tmp_path, sink):
     assert sink.counters.get("cache.corrupt_discards", 0) == 0
     assert sink.counters.get("cache.trace.regenerations", 0) == 0
     assert sink.counters["cache.trace.disk_hits"] == len(named) // 2
+
+
+def test_seed0_suite_regenerates_equal(tmp_path, sink):
+    """Each regenerated seed-0 trace and sidecar equals the committed pair.
+
+    The sidecar is compared as well as the trace: a protocol change can
+    leave a benchmark's events alone and still move its counters (dropping
+    the LRU refresh on a read hit keeps barnes's trace and moves its
+    ``read_misses``).
+    """
+    fresh = TraceSet(seed=0, cache_dir=tmp_path)
+    committed = TraceSet(seed=0, cache_dir=DATA / "traces")
+    for benchmark in fresh.benchmarks:
+        trace = fresh.trace(benchmark)
+        reference = load_trace(committed._cache_path(benchmark))
+        assert stream_fingerprint(trace) == stream_fingerprint(reference), benchmark
+        assert load_json_checked(fresh._stats_path(benchmark)) == load_json_checked(
+            committed._stats_path(benchmark)
+        ), benchmark
+    assert sink.counters["cache.trace.regenerations"] == 7
+    assert sink.counters.get("cache.trace.disk_hits", 0) == 0
 
 
 @pytest.mark.parametrize("mode", ["direct", "forwarded"])

@@ -109,7 +109,7 @@ def test_capacity_never_exceeded(blocks):
     assert len(cache) <= 8
     resident = cache.resident_blocks()
     assert len(resident) == len(set(resident))
-    for cache_set in cache._sets:
+    for cache_set in cache.sets:
         assert len(cache_set) <= 2
 
 

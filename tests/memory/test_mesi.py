@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.memory.cache import EXCLUSIVE, MODIFIED, SHARED, CacheConfig
 from repro.memory.directory import DirState
 from repro.memory.system import MultiprocessorSystem, SystemConfig
+from tests.memory.test_protocol import assert_counter_identities
 
 
 def make_system(mesi=True, num_nodes=4, cache_bytes=4096, ways=4):
@@ -118,6 +119,7 @@ class TestTraceSemantics:
             st.sampled_from(["R", "W"]),
             st.integers(min_value=0, max_value=40),
         ),
+        min_size=40,
         max_size=250,
     )
 )
@@ -131,3 +133,4 @@ def test_mesi_invariants_property(accesses):
             system.write(node, line * 64, pc=1)
     system.protocol.check_invariants()
     system.finalize_trace().check_consistency()
+    assert_counter_identities(system.stats, accesses)

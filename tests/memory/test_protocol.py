@@ -1,5 +1,6 @@
 """MSI protocol engine: state transitions, events, epoch bookkeeping."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,13 +10,29 @@ from repro.memory.directory import DirState
 from repro.memory.system import MultiprocessorSystem, SystemConfig
 
 
-def make_system(num_nodes=4, cache_bytes=4096, ways=4):
+def make_system(num_nodes=4, cache_bytes=4096, ways=4, mesi=False):
     return MultiprocessorSystem(
         SystemConfig(
             num_nodes=num_nodes,
             cache=CacheConfig(size_bytes=cache_bytes, associativity=ways, line_size=64),
+            use_exclusive_state=mesi,
         )
     )
+
+
+def assert_counter_identities(stats, accesses):
+    """The counter identities any ``(node, op, line)`` stream must keep.
+
+    Every load is a hit or a miss; every store is silent, a miss or an
+    upgrade; a MESI silent E -> M upgrade is also a silent write, and needs
+    an earlier exclusive grant (MSI has neither).
+    """
+    assert stats.reads == sum(op == "R" for _, op, _ in accesses)
+    assert stats.writes == len(accesses) - stats.reads
+    assert stats.reads == stats.read_hits + stats.read_misses
+    assert stats.writes == stats.silent_writes + stats.write_misses + stats.write_upgrades
+    assert stats.exclusive_upgrades <= stats.silent_writes
+    assert stats.exclusive_upgrades <= stats.exclusive_grants
 
 
 class TestReads:
@@ -168,6 +185,7 @@ class TestInvariants:
             st.sampled_from(["R", "W"]),
             st.integers(min_value=0, max_value=40),
         ),
+        min_size=40,
         max_size=250,
     )
 )
@@ -181,6 +199,8 @@ def test_protocol_invariants_property(accesses):
             system.write(node, line * 64, pc=1)
     system.protocol.check_invariants()
     system.finalize_trace().check_consistency()
+    assert_counter_identities(system.stats, accesses)
+    assert system.stats.exclusive_grants == 0
 
 
 @settings(max_examples=30, deadline=None)
@@ -191,6 +211,7 @@ def test_protocol_invariants_property(accesses):
             st.sampled_from(["R", "W"]),
             st.integers(min_value=0, max_value=40),
         ),
+        min_size=40,
         max_size=250,
     )
 )
@@ -203,3 +224,65 @@ def test_event_count_equals_coherence_store_misses(accesses):
             system.write(node, line * 64, pc=1)
     trace = system.finalize_trace()
     assert len(trace) == system.stats.coherence_store_misses
+    assert_counter_identities(system.stats, accesses)
+
+
+def step_through_the_cache_methods(protocol, node, op, address, pc):
+    """One reference, spelled as ``read``/``write`` were before ``run``'s hit
+    paths: the cache's ``get_state``/``touch`` methods decide and refresh a
+    hit, and everything else goes to ``_read_miss``/``_store``."""
+    stats = protocol.stats
+    block = protocol.address_space.block_of(address)
+    cache = protocol.caches[node]
+    state = cache.get_state(block)
+    if op == "R":
+        stats.reads += 1
+        if state is None:
+            protocol._read_miss(node, block)
+        else:
+            cache.touch(block)
+            stats.read_hits += 1
+    else:
+        stats.writes += 1
+        stats.store_pcs_by_node[node].add(pc)
+        if state == MODIFIED:
+            cache.touch(block)
+            stats.silent_writes += 1
+        else:
+            protocol._store(node, block, pc, state)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.booleans(),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=3),
+            st.sampled_from(["R", "W"]),
+            # few lines per 4-line cache: hits on non-MRU lines, then evictions
+            st.integers(min_value=0, max_value=7),
+            st.integers(min_value=1, max_value=3),
+        ),
+        min_size=40,
+        max_size=250,
+    ),
+)
+def test_run_matches_the_cache_methods(mesi, accesses):
+    """``run``'s hit paths (one set lookup, one ``move_to_end``, counters
+    kept in locals) leave exactly the state of the same stream stepped
+    through the cache's methods, under MSI and MESI with 2-set caches."""
+    stream = [(node, op, line * 64, pc) for node, op, line, pc in accesses]
+    fast = make_system(num_nodes=4, cache_bytes=256, ways=2, mesi=mesi)
+    fast.run(stream)
+    spec = make_system(num_nodes=4, cache_bytes=256, ways=2, mesi=mesi)
+    for reference in stream:
+        step_through_the_cache_methods(spec.protocol, *reference)
+
+    assert fast.stats == spec.stats  # every counter and pc set
+    for ours, theirs in zip(fast.protocol.caches, spec.protocol.caches):
+        # contents, states and LRU order of every set
+        assert [list(s.items()) for s in ours.sets] == [list(s.items()) for s in theirs.sets]
+    assert fast.protocol.directory.entries == spec.protocol.directory.entries
+    ours, theirs = fast.finalize_trace(), spec.finalize_trace()
+    for column in ("writer", "pc", "home", "block", "truth", "inval", "has_inval", "close"):
+        assert np.array_equal(getattr(ours, column), getattr(theirs, column)), column

@@ -6,7 +6,7 @@ import pytest
 from repro.memory.cache import CacheConfig
 from repro.memory.system import MultiprocessorSystem, SystemConfig
 from repro.trace.stats import compute_trace_stats
-from repro.workloads.base import Access, Atomic, Barrier
+from repro.workloads.base import Atomic, Barrier
 from repro.workloads.registry import BENCHMARK_NAMES, default_workloads, make_workload
 
 #: small-scale parameter overrides so every model runs in well under a second
@@ -85,10 +85,25 @@ class TestEveryBenchmark:
         assert len(workload.thread_programs()) == workload.num_nodes
 
     def test_yields_valid_items(self, name):
+        """Every item is a Barrier, an Atomic of valid references, or a
+        reference ``(op, address, pc)``: op R or W, int address >= 0, int
+        pc >= 0."""
+
+        def check_reference(item):
+            assert type(item) is tuple and len(item) == 3, item
+            op, address, pc = item
+            assert op in ("R", "W"), item
+            assert type(address) is int and address >= 0, item
+            assert type(pc) is int and pc >= 0, item
+
         workload = make_workload(name, **SMALL[name])
         for program in workload.thread_programs():
             for item in program:
-                assert isinstance(item, (Access, Barrier, Atomic))
+                if isinstance(item, Atomic):
+                    for access in item.accesses:
+                        check_reference(access)
+                elif not isinstance(item, Barrier):
+                    check_reference(item)
 
     def test_produces_sharing_events(self, name):
         trace, _system = run_small(name)

@@ -1,7 +1,11 @@
-"""Interleaving scheduler: round-robin, barriers, atomic bursts."""
+"""Interleaving scheduler: round-robin, barriers, atomic bursts, validation."""
+
+import re
 
 import pytest
 
+from repro.memory.cache import CacheConfig
+from repro.memory.system import MultiprocessorSystem, SystemConfig
 from repro.workloads.base import Access, Atomic, Barrier
 from repro.workloads.scheduler import interleave
 
@@ -100,3 +104,68 @@ class TestAtomic:
         # thread 0's first burst fills its quantum; thread 1 runs before the
         # second burst
         assert [node for node, *_ in stream[:5]] == [0, 0, 0, 0, 1]
+
+
+#: thread 1's program: a good store, then one malformed item; the error each
+#: must raise, naming thread 1.  Thread 0 only reads, so thread 1's store is
+#: the one event recorded before the bad item.
+MALFORMED = {
+    "bad op": (Access("X", 128), ValueError, "thread 1: op must be 'R' or 'W', got 'X'"),
+    "negative address": (
+        Access("W", -64, 2),
+        ValueError,
+        "thread 1: address must be non-negative, got -64",
+    ),
+    "unknown item": ("bogus", TypeError, "thread 1: not a memory reference: 'bogus'"),
+    "too short a tuple": (("R", 64), TypeError, "thread 1: not a memory reference: ('R', 64)"),
+    "too long a tuple": (
+        (1, "W", 64, 2),
+        TypeError,
+        "thread 1: not a memory reference: (1, 'W', 64, 2)",
+    ),
+    "bad reference in an Atomic": (
+        Atomic([Access("R", 128), Access("W", 128, 2), Access("Y", 192)]),
+        ValueError,
+        "thread 1: op must be 'R' or 'W', got 'Y'",
+    ),
+    "negative address in an Atomic": (
+        Atomic([Access("W", 128, 2), Access("R", -8)]),
+        ValueError,
+        "thread 1: address must be non-negative, got -8",
+    ),
+    "unknown item in an Atomic": (
+        Atomic([Access("W", 128, 2), Barrier()]),
+        TypeError,
+        "thread 1: not a memory reference: Barrier()",
+    ),
+}
+
+
+def malformed_programs(bad_item):
+    return [
+        program([Access("R", 512)]),
+        program([Access("W", 64, 1), bad_item, Access("W", 256, 3)]),
+    ]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+class TestMalformedPrograms:
+    """A malformed item fails loudly before any of it reaches the stream."""
+
+    def test_interleave_raises_before_emitting_it(self, case):
+        bad_item, error, message = MALFORMED[case]
+        emitted = []
+        with pytest.raises(error, match=re.escape(message)):
+            for reference in interleave(malformed_programs(bad_item), quantum=4):
+                emitted.append(reference)
+        assert emitted == [(0, "R", 512, 0), (1, "W", 64, 1)]
+
+    def test_run_raises_before_recording_an_event_for_it(self, case):
+        bad_item, error, message = MALFORMED[case]
+        system = MultiprocessorSystem(
+            SystemConfig(num_nodes=2, cache=CacheConfig(size_bytes=1024, associativity=2))
+        )
+        with pytest.raises(error, match=re.escape(message)):
+            system.run(interleave(malformed_programs(bad_item), quantum=4))
+        assert len(system.protocol.builder) == 1
+        assert (system.stats.reads, system.stats.writes) == (1, 1)
