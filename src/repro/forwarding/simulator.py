@@ -1,7 +1,7 @@
 """The end-to-end forwarding-traffic simulator.
 
-:func:`replay_traffic` replays one sharing trace through the epoch-level
-directory protocol twice -- the baseline invalidate/request run and the
+:func:`replay_traffic` replays one sharing trace at epoch granularity for
+two protocols -- the baseline invalidate/request run and the
 prediction-driven forwarding run -- and tallies every coherence message
 into a :class:`~repro.metrics.traffic.TrafficReport`.  The per-event
 message model (all legs skipped when source == destination, i.e. the
@@ -27,6 +27,22 @@ plus ``hop_cost`` times the topology distance between its endpoints.  A
 consumed forward hides the reader's whole demand-read latency, credited to
 ``latency_hidden`` (per node and in aggregate).
 
+The two runs share one directory view: an epoch's legitimate copies are
+its writer and its true readers in either run (a staged forward that
+nobody reads expires without traffic), so the copies an event invalidates
+are the same in both.  The replay is numpy passes over a whole chunk of
+events.  A stable sort on block finds each event's previous epoch within
+the chunk, and a per-block carry of the last epoch's ``(owner, holders)``
+links chunks.  Every message total is counted per node position (loops
+run over nodes and bitmap words, never over events or set bits).  The
+ledger is kept as integers: messages per class, and per run the hops its
+messages cross (per node, too, for the reads that consumed forwards hid).
+:meth:`TrafficReplayState.finish` prices each latency once, as
+``request_messages * request_cost + data_messages * data_cost + hops *
+hop_cost``.  A trace fed in any number of chunks therefore gives exactly
+the report of one whole feed, under any cost model; with integer-valued
+costs (the default model) every latency is exact.
+
 Everything is derived from the same prediction arrays the evaluation
 engines score, so the report's confusion quad is bit-identical to the
 golden-fixture counts (``tests/golden/test_traffic_differential.py``).
@@ -41,12 +57,16 @@ from typing import TYPE_CHECKING, Sequence, Union
 import numpy as np
 
 from repro.forwarding.topology import Topology, make_topology
-from repro.memory.protocol import EpochProtocol
 from repro.metrics.confusion import ConfusionCounts
-from repro.metrics.traffic import MESSAGE_CLASSES, TrafficModel, TrafficReport
+from repro.metrics.traffic import (
+    DATA_CLASSES,
+    MESSAGE_CLASSES,
+    TrafficModel,
+    TrafficReport,
+)
 from repro.telemetry import get_telemetry
 from repro.trace.events import SharingTrace
-from repro.util.bitmaps import bitmap_mask, iter_set_bits
+from repro.util.bitmaps import bitmap_layout
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.schemes import Scheme
@@ -100,16 +120,57 @@ def demand_read_cost(
     return messages, latency
 
 
-class TrafficReplayState:
-    """The replay loop's cross-event state, feedable one event window at a time.
+_WORD_BITS = 64
+_WORD_MASK = (1 << _WORD_BITS) - 1
 
-    Both protocol replicas, the confusion quad, the message tallies, and
-    the latency accumulators live on the instance; :meth:`feed` runs the
-    per-event loop over one window and :meth:`finish` assembles the
-    :class:`TrafficReport`.  Feeding a trace as N chunks is *bit-identical*
-    (floats included) to feeding it whole, because the loop body and its
-    accumulation order are unchanged -- chunking only moves where the
-    columns are sliced.  :func:`replay_traffic` is this state fed one
+
+def _word_rows(column, n_words: int) -> np.ndarray:
+    """A bitmap column as word-major ``(n_words, events)`` ``uint64`` rows.
+
+    ``column`` is 1-D (one bitmap per event, up to 64 nodes) or a packed
+    ``(events, n_words)`` array; a 1-D column fills the first word.
+    """
+    column = np.asarray(column)
+    if column.ndim == 2:
+        return np.ascontiguousarray(column.T, dtype=np.uint64)
+    rows = np.zeros((n_words, len(column)), dtype=np.uint64)
+    rows[0] = column.astype(np.uint64)
+    return rows
+
+
+def _prediction_rows(predictions, n_words: int) -> np.ndarray:
+    """Raw forwarding bitmaps (an array, or a sequence of ints) as word rows."""
+    values = predictions
+    if not isinstance(values, np.ndarray):
+        try:
+            values = np.asarray(values, dtype=np.uint64)
+        except OverflowError:  # ints wider than 64 bits (packed machines)
+            values = np.asarray(values, dtype=object)
+    if values.dtype == object:
+        # split the Python ints one word at a time
+        return np.array(
+            [(values >> (_WORD_BITS * word)) & _WORD_MASK for word in range(n_words)],
+            dtype=np.uint64,
+        )
+    return _word_rows(values, n_words)
+
+
+def _row_int(row: np.ndarray) -> int:
+    """One event's word row as a Python int."""
+    return sum(int(word) << (_WORD_BITS * index) for index, word in enumerate(row.tolist()))
+
+
+class TrafficReplayState:
+    """The replay's cross-chunk state, feedable one event window at a time.
+
+    The confusion quad, the integer message ledger (messages per class and
+    hop sums for both runs; per node, the consumed forwards' saved
+    request-cost messages, data messages and hops) and the per-block carry
+    of each block's last epoch live on the instance.  :meth:`feed` replays
+    one window as numpy passes and :meth:`finish` prices the ledger into a
+    :class:`TrafficReport`.  Every tally is an integer sum, so feeding a
+    trace as N chunks gives exactly the report of feeding it whole, under
+    any cost model.  :func:`replay_traffic` is this state fed one
     whole-trace window of precomputed predictions;
     :func:`simulate_traffic_streamed` feeds it the prediction windows of
     :func:`repro.core.windowed.predict_stream`.
@@ -123,145 +184,239 @@ class TrafficReplayState:
         self.num_nodes = num_nodes
         self.topology = topology
         self.model = model
-        self.mask = bitmap_mask(num_nodes)
-        self.baseline = EpochProtocol(num_nodes)
-        self.forwarding = EpochProtocol(num_nodes)
+        self.layout = bitmap_layout(num_nodes)
+        self.mask = self.layout.mask_words[:, None]
+        self.hops = np.array(topology.matrix, dtype=np.int64)
         self.counts = ConfusionCounts()
         self.base_msgs = dict.fromkeys(MESSAGE_CLASSES, 0)
         self.fwd_msgs = dict.fromkeys(MESSAGE_CLASSES, 0)
-        self.base_latency = 0.0
-        self.fwd_latency = 0.0
-        self.saved_per_node = [0] * num_nodes
-        self.hidden_per_node = [0.0] * num_nodes
+        self.base_hops = 0
+        self.fwd_hops = 0
+        #: per node, over the demand reads its consumed forwards replaced:
+        #: request-cost messages (== messages saved), data messages, hops
+        self.saved_per_node = np.zeros(num_nodes, dtype=np.int64)
+        self.consumed_per_node = np.zeros(num_nodes, dtype=np.int64)
+        self.hidden_hops_per_node = np.zeros(num_nodes, dtype=np.int64)
+        # each block's last epoch so far, sorted by block: its owner and
+        # its holders (the owner plus the epoch's true readers)
+        self.blocks = np.zeros(0, dtype=np.int64)
+        self.owners = np.zeros(0, dtype=np.int64)
+        self.holders = np.zeros((self.layout.n_words, 0), dtype=np.uint64)
         self.events = 0
 
     def feed(self, chunk, predictions: Sequence[int]) -> None:
         """Replay one event window (a trace chunk or a whole trace).
 
         ``chunk`` is anything with the trace column surface --
-        ``writer``/``home``/``block``/``has_inval`` arrays,
-        ``truth_ints()``/``inval_ints()`` views, and ``layout`` -- so both
+        ``writer``/``home``/``block``/``truth``/``inval``/``has_inval``
+        columns in its machine width's layout -- so both
         :class:`~repro.trace.source.TraceChunk` and a whole
         :class:`SharingTrace` qualify.  ``predictions`` holds one raw
-        forwarding bitmap per event in the window.
+        forwarding bitmap per event in the window: a 1-D array, a packed
+        ``(events, n_words)`` array, or a sequence of ints.
+
+        Raises ``ValueError`` for the first event whose ``has_inval`` or
+        ``inval`` contradicts the epochs replayed before it.
         """
-        writers = chunk.writer.tolist()
-        homes = chunk.home.tolist()
-        blocks = chunk.block.tolist()
-        truths = chunk.truth_ints()
-        invals = chunk.inval_ints()
-        has_invals = chunk.has_inval.tolist()
-        if len(predictions) != len(writers):
-            raise ValueError(
-                f"got {len(predictions)} predictions for {len(writers)} events"
-            )
-        # Packed prediction columns (>64-node machines) arrive as 2-D word
-        # arrays from the evaluators; flatten them to Python ints up front
-        # so the replay loop is width-agnostic.
-        if isinstance(predictions, np.ndarray) and predictions.ndim > 1:
-            predictions = chunk.layout.to_int_list(predictions)
-        self.events += len(writers)
+        length = len(chunk.writer)
+        if len(predictions) != length:
+            raise ValueError(f"got {len(predictions)} predictions for {length} events")
+        if not length:
+            return
+        n_words = self.layout.n_words
+        writer = np.asarray(chunk.writer, dtype=np.int64)
+        home = np.asarray(chunk.home, dtype=np.int64)
+        truth = _word_rows(chunk.truth, n_words)
+        writer_bit = _word_rows(self.layout.writer_bits(writer), n_words)
+        # Forwarding to the writer is meaningless (it holds the line), so
+        # its bit is masked out of the prediction; like the evaluation
+        # engines, the bit still counts as a decision (a guaranteed true
+        # negative), keeping this quad bit-identical to theirs.
+        predicted = _prediction_rows(predictions, n_words) & self.mask & ~writer_bit
+        invalidated = self._close_epochs(chunk, writer, writer_bit, truth)
+        self.events += length
 
-        mask = self.mask
-        hops = self.topology.matrix
-        request_cost = self.model.request_cost
-        data_cost = self.model.data_cost
-        hop_cost = self.model.hop_cost
-        baseline = self.baseline
-        forwarding = self.forwarding
+        reads, consumed, forwards, closes = self._node_tallies(
+            writer, home, truth, predicted, invalidated
+        )
+        read_count, read_home, read_remote, read_hops = reads.sum(axis=1).tolist()
+        hit_count, hit_home, hit_remote, hit_hops = consumed.sum(axis=1).tolist()
+        pushed_count, pushed_hops = forwards.sum(axis=1).tolist()
+        close_count, close_home, close_hops = closes.sum(axis=1).tolist()
+        # write transaction: request writer -> home + data grant home -> writer
+        writes = int(np.count_nonzero(writer != home))
+        write_hops = int(self.hops[writer, home].sum() + self.hops[home, writer].sum())
+
+        true_positive = hit_count
+        false_positive = pushed_count - hit_count
+        false_negative = read_count - hit_count
         counts = self.counts
-        base_msgs = self.base_msgs
-        fwd_msgs = self.fwd_msgs
-        base_latency = self.base_latency
-        fwd_latency = self.fwd_latency
-        saved_per_node = self.saved_per_node
-        hidden_per_node = self.hidden_per_node
+        counts.true_positive += true_positive
+        counts.false_positive += false_positive
+        counts.false_negative += false_negative
+        counts.true_negative += (
+            length * self.num_nodes - true_positive - false_positive - false_negative
+        )
 
-        for position in range(len(writers)):
-            writer = writers[position]
-            home = homes[position]
-            block = blocks[position]
-            truth = truths[position]
-            inval = invals[position]
-            has_inval = has_invals[position]
-            # Forwarding to the writer is meaningless (it holds the line), so
-            # its bit is masked out of the prediction; like the evaluation
-            # engines, the bit still counts as a decision (a guaranteed true
-            # negative), keeping this quad bit-identical to theirs.
-            predicted = int(predictions[position]) & mask & ~(1 << writer)
-            counts.record(predicted, truth, mask)
+        base_msgs, fwd_msgs = self.base_msgs, self.fwd_msgs
+        base_msgs["requests"] += writes + read_count - read_home
+        base_msgs["interventions"] += read_remote
+        base_msgs["responses"] += writes + read_count
+        fwd_msgs["requests"] += writes + (read_count - read_home) - (hit_count - hit_home)
+        fwd_msgs["interventions"] += read_remote - hit_remote
+        fwd_msgs["responses"] += writes + read_count - hit_count
+        fwd_msgs["forwards"] += true_positive
+        fwd_msgs["useless_forwards"] += false_positive
+        for messages in (base_msgs, fwd_msgs):
+            messages["invalidations"] += close_count - close_home
+            messages["acks"] += close_count - close_home
+        self.base_hops += write_hops + close_hops + read_hops
+        self.fwd_hops += write_hops + close_hops + read_hops - hit_hops + pushed_hops
+        # a consumed forward saves its read's request and intervention legs
+        self.saved_per_node += consumed[0] - consumed[1] + consumed[2]
+        self.consumed_per_node += consumed[0]
+        self.hidden_hops_per_node += consumed[3]
 
-            base_transition = baseline.apply_event(
-                writer, block, truth, 0, inval, has_inval
+    def _node_tallies(self, writer, home, truth, predicted, invalidated):
+        """Tally the chunk per node position, over the events whose bitmap
+        holds that node.
+
+        Returns four ``(fields, num_nodes)`` arrays: over the true readers
+        and over the readers a forward covered, ``(events, events homed at
+        the node, events with a remote owner, hops of the demand read's
+        legs)``; over the forwards, ``(events, hops)``; over the
+        invalidated copies, ``(events, events homed at the node, hops of
+        the invalidation and its ack)``.  The topology's zero diagonal makes
+        a node-local leg cost 0 hops, so only the message counts need the
+        home and owner conditions.
+        """
+        hops = self.hops
+        remote = writer != home
+        intervention_hops = hops[home, writer]
+
+        def read_tally(events, reader, to_reader, from_reader):
+            # request reader -> home, intervention home -> owner, data owner -> reader
+            homes = home[events]
+            return (
+                len(events),
+                np.count_nonzero(homes == reader),
+                np.count_nonzero(remote[events]),
+                to_reader[writer[events]].sum()
+                + from_reader[homes].sum()
+                + intervention_hops[events].sum(),
             )
-            forwarding.apply_event(writer, block, truth, predicted, inval, has_inval)
 
-            # Write transaction: request + data grant, in both runs.
-            if writer != home:
-                cost = (
-                    request_cost
-                    + data_cost
-                    + hop_cost * (hops[writer][home] + hops[home][writer])
+        reads = np.zeros((4, self.num_nodes), dtype=np.int64)
+        consumed = np.zeros((4, self.num_nodes), dtype=np.int64)
+        forwards = np.zeros((2, self.num_nodes), dtype=np.int64)
+        closes = np.zeros((3, self.num_nodes), dtype=np.int64)
+        # the nodes each bitmap holds anywhere in the chunk (others tally 0)
+        in_truth, in_predicted, in_closed = (
+            _row_int(np.bitwise_or.reduce(rows, axis=1))
+            for rows in (truth, predicted, invalidated)
+        )
+        for node in range(self.num_nodes):
+            word = node // _WORD_BITS
+            bit = np.uint64(1 << (node % _WORD_BITS))
+            to_node = hops[:, node]
+            from_node = hops[node]
+            if in_truth >> node & 1:
+                readers = np.flatnonzero((truth[word] & bit) != 0)
+                reads[:, node] = read_tally(readers, node, to_node, from_node)
+                if in_predicted >> node & 1:
+                    covered = readers[(predicted[word][readers] & bit) != 0]
+                    consumed[:, node] = read_tally(covered, node, to_node, from_node)
+            if in_predicted >> node & 1:
+                pushed = np.flatnonzero((predicted[word] & bit) != 0)
+                forwards[:, node] = len(pushed), to_node[writer[pushed]].sum()
+            if in_closed >> node & 1:
+                # invalidation home -> copy, ack copy -> home
+                homes = home[np.flatnonzero((invalidated[word] & bit) != 0)]
+                closes[:, node] = (
+                    len(homes),
+                    np.count_nonzero(homes == node),
+                    to_node[homes].sum() + from_node[homes].sum(),
                 )
-                base_msgs["requests"] += 1
-                base_msgs["responses"] += 1
-                fwd_msgs["requests"] += 1
-                fwd_msgs["responses"] += 1
-                base_latency += cost
-                fwd_latency += cost
+        return reads, consumed, forwards, closes
 
-            # Epoch close: identical in both runs (staged copies expire free).
-            home_row = hops[home]
-            for copy in iter_set_bits(base_transition.invalidated):
-                if copy == home:
-                    continue
-                cost = 2 * request_cost + hop_cost * (home_row[copy] + hops[copy][home])
-                base_msgs["invalidations"] += 1
-                base_msgs["acks"] += 1
-                fwd_msgs["invalidations"] += 1
-                fwd_msgs["acks"] += 1
-                base_latency += cost
-                fwd_latency += cost
+    def _close_epochs(self, chunk, writer, writer_bit, truth) -> np.ndarray:
+        """Each event's invalidation set: the copies of the epoch it closes.
 
-            # Demand reads: the baseline serves every true reader; the
-            # forwarding run only those the predictor missed.  A consumed
-            # forward saves the whole three-leg read and hides its latency.
-            writer_row = hops[writer]
-            for reader in iter_set_bits(truth):
-                messages = 1
-                latency = data_cost + hop_cost * writer_row[reader]
-                if reader != home:
-                    messages += 1
-                    latency += request_cost + hop_cost * hops[reader][home]
-                if home != writer:
-                    messages += 1
-                    latency += request_cost + hop_cost * home_row[writer]
-                base_msgs["requests"] += reader != home
-                base_msgs["interventions"] += home != writer
-                base_msgs["responses"] += 1
-                base_latency += latency
-                if (predicted >> reader) & 1:
-                    saved_per_node[reader] += messages - 1
-                    hidden_per_node[reader] += latency
-                else:
-                    fwd_msgs["requests"] += reader != home
-                    fwd_msgs["interventions"] += home != writer
-                    fwd_msgs["responses"] += 1
-                    fwd_latency += latency
+        Checks the trace's epoch linkage (the readers the directory saw must
+        be what the closing event invalidates) and carries each block's
+        last epoch into the next chunk.  Returns word rows of the previous
+        epoch's holders minus the new writer.
+        """
+        block = np.asarray(chunk.block, dtype=np.int64)
+        holders = writer_bit | truth
+        order = np.argsort(block, kind="stable")
+        ordered = block[order]
+        opens = np.ones(len(block), dtype=bool)
+        opens[1:] = ordered[1:] != ordered[:-1]
+        # each event's previous event on its block within the chunk
+        previous = np.empty(len(block), dtype=np.int64)
+        previous[order[1:]] = order[:-1]
+        firsts = order[opens]
+        previous[firsts] = 0
+        owner = writer[previous]
+        prior = holders[:, previous]
+        # a block's first event in the chunk takes the carried epoch, if any
+        blocks = ordered[opens]
+        at = np.searchsorted(self.blocks, blocks)
+        carried = at < len(self.blocks)
+        carried[carried] = self.blocks[at[carried]] == blocks[carried]
+        owner[firsts[carried]] = self.owners[at[carried]]
+        prior[:, firsts[carried]] = self.holders[:, at[carried]]
+        prior[:, firsts[~carried]] = 0
+        seen = np.ones(len(block), dtype=bool)
+        seen[firsts[~carried]] = False
 
-            # Forwards: one pushed data message per predicted reader.
-            for target in iter_set_bits(predicted):
-                if (truth >> target) & 1:
-                    fwd_msgs["forwards"] += 1
-                else:
-                    fwd_msgs["useless_forwards"] += 1
-                fwd_latency += data_cost + hop_cost * writer_row[target]
+        n_words = self.layout.n_words
+        readers_seen = prior & ~_word_rows(self.layout.writer_bits(owner), n_words)
+        inval = _word_rows(chunk.inval, n_words)
+        has_inval = np.asarray(chunk.has_inval, dtype=bool)
+        bad = has_inval & ~(seen & (readers_seen == inval).all(axis=0))
+        if bad.any():
+            index = int(np.argmax(bad))
+            if not seen[index]:
+                raise ValueError(
+                    f"event on block {int(block[index])} closes an epoch the "
+                    "replay never saw"
+                )
+            raise ValueError(
+                f"block {int(block[index])}: directory saw readers "
+                f"{_row_int(readers_seen[:, index]):#x} but the closing event "
+                f"invalidates {_row_int(inval[:, index]):#x}"
+            )
 
-        self.base_latency = base_latency
-        self.fwd_latency = fwd_latency
+        lasts = order[np.append(opens[1:], True)]
+        self.owners[at[carried]] = writer[lasts[carried]]
+        self.holders[:, at[carried]] = holders[:, lasts[carried]]
+        fresh = ~carried
+        self.blocks = np.insert(self.blocks, at[fresh], blocks[fresh])
+        self.owners = np.insert(self.owners, at[fresh], writer[lasts[fresh]])
+        self.holders = np.insert(
+            self.holders, at[fresh], holders[:, lasts[fresh]], axis=1
+        )
+        return prior & ~writer_bit
+
+    def _latency(self, request_messages: int, data_messages: int, hops: int) -> float:
+        model = self.model
+        return float(
+            request_messages * model.request_cost
+            + data_messages * model.data_cost
+            + hops * model.hop_cost
+        )
+
+    def _run_latency(self, messages: dict, hops: int) -> float:
+        data = sum(messages[name] for name in DATA_CLASSES)
+        return self._latency(sum(messages.values()) - data, data, hops)
 
     def finish(self, scheme: str = "", trace_name: str = "") -> TrafficReport:
         """Assemble the report over everything fed so far."""
+        saved = self.saved_per_node.tolist()
+        consumed = self.consumed_per_node.tolist()
+        hidden_hops = self.hidden_hops_per_node.tolist()
         return TrafficReport(
             scheme=scheme,
             trace=trace_name,
@@ -272,14 +427,16 @@ class TrafficReplayState:
             false_positive=self.counts.false_positive,
             false_negative=self.counts.false_negative,
             true_negative=self.counts.true_negative,
-            baseline_messages=self.base_msgs,
-            forwarding_messages=self.fwd_msgs,
-            baseline_latency=self.base_latency,
-            forwarding_latency=self.fwd_latency,
-            messages_saved=sum(self.saved_per_node),
-            latency_hidden=sum(self.hidden_per_node),
-            per_node_messages_saved=tuple(self.saved_per_node),
-            per_node_latency_hidden=tuple(self.hidden_per_node),
+            baseline_messages=dict(self.base_msgs),
+            forwarding_messages=dict(self.fwd_msgs),
+            baseline_latency=self._run_latency(self.base_msgs, self.base_hops),
+            forwarding_latency=self._run_latency(self.fwd_msgs, self.fwd_hops),
+            messages_saved=sum(saved),
+            latency_hidden=self._latency(sum(saved), sum(consumed), sum(hidden_hops)),
+            per_node_messages_saved=tuple(saved),
+            per_node_latency_hidden=tuple(
+                self._latency(*node) for node in zip(saved, consumed, hidden_hops)
+            ),
         )
 
 

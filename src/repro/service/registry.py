@@ -31,8 +31,9 @@ socket server in front of it.  Either way the rules are the same:
 Jobs execute on a single dedicated thread: the parallel engine underneath
 provides the actual concurrency (one long-lived set of workers shared
 across jobs -- see ``ParallelEngine(persistent=True)``), and serializing
-job bodies keeps journal files, telemetry swaps, and the workers'
-installed traces single-writer by construction.
+job bodies keeps journal files, telemetry swaps, the workers' installed
+traces and the last suite job's loaded traces (reused while consecutive
+jobs name the same suite) single-writer by construction.
 """
 
 from __future__ import annotations
@@ -259,6 +260,8 @@ class JobRegistry:
             max_workers=1, thread_name_prefix="repro-job"
         )
         self._closed = False
+        #: the last suite job's ``(TraceSet.fingerprint(), traces)``
+        self._suite: Optional[Tuple[str, list]] = None
 
     # ------------------------------------------------------------------
     # Submission
@@ -527,7 +530,7 @@ class JobRegistry:
         if spec.kind == "scenario":
             return self._run_scenario(record, engine)
         if isinstance(spec.traces, TraceSuiteSpec):
-            trace_objs = spec.traces.build().traces()
+            trace_objs = self._suite_traces(spec.traces)
         elif isinstance(spec.traces, TraceFileSpec):
             # streamed: the engine consumes the sources chunk-wise (or
             # materializes them itself when it cannot stream)
@@ -562,6 +565,18 @@ class JobRegistry:
         finally:
             if journal is not None:
                 journal.close()
+
+    def _suite_traces(self, suite: TraceSuiteSpec) -> list:
+        """The suite's traces, reused while consecutive jobs name one suite.
+
+        One entry: a job on another suite replaces it.  Only the
+        ``repro-job`` thread runs jobs, so the entry needs no lock.
+        """
+        trace_set = suite.build()
+        fingerprint = trace_set.fingerprint()
+        if self._suite is None or self._suite[0] != fingerprint:
+            self._suite = (fingerprint, trace_set.traces())
+        return self._suite[1]
 
     def _run_scenario(self, record: JobRecord, engine) -> dict:
         from repro.harness.experiments.scenarios import run_grid_cells

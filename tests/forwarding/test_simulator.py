@@ -18,8 +18,12 @@ from repro.forwarding import (
     replay_traffic,
     simulate_forwarding,
 )
+from repro.forwarding.simulator import TrafficReplayState
 from repro.metrics.traffic import TrafficModel, TrafficReport, merge_reports
 from repro.trace.events import SharingTrace
+from repro.trace.source import ResidentTraceSource
+
+from tests.forwarding.loop_oracle import LoopReplayState
 
 
 def one_event_trace(writer, home, truth, num_nodes=4, name="micro"):
@@ -130,6 +134,77 @@ class TestValidation:
             replay_traffic(
                 tiny_trace, [0] * len(tiny_trace), topology=make_topology("mesh", 16)
             )
+
+
+def linked_trace(events, num_nodes=4):
+    """A trace from explicit ``(writer, block, truth, inval, has_inval)``
+    rows, linkage taken as given (unchecked)."""
+    return SharingTrace(
+        num_nodes=num_nodes,
+        writer=[event[0] for event in events],
+        pc=[1] * len(events),
+        home=[0] * len(events),
+        block=[event[1] for event in events],
+        truth=[event[2] for event in events],
+        inval=[event[3] for event in events],
+        has_inval=[event[4] for event in events],
+        close=[len(events)] * len(events),
+        name="linked",
+    )
+
+
+def replay_error(state_class, trace, chunk_events) -> str:
+    state = state_class(trace.num_nodes, FLAT, MODEL)
+    with pytest.raises(ValueError) as raised:
+        for chunk in ResidentTraceSource(trace, chunk_events).chunks():
+            state.feed(chunk, [0] * len(chunk))
+    return str(raised.value)
+
+
+class TestInconsistentTraces:
+    """A trace whose epoch linkage contradicts the replay fails loudly,
+    naming the first offending event, with the per-event loop's text."""
+
+    NEVER_SAW = "event on block 12 closes an epoch the replay never saw"
+    MISMATCH = (
+        "block 11: directory saw readers 0x6 but the closing event invalidates 0x2"
+    )
+
+    @pytest.mark.parametrize(
+        "events, chunk_events, message",
+        [
+            pytest.param(
+                [(0, 10, 0b0010, 0, False), (1, 12, 0, 0b0100, True)],
+                2, NEVER_SAW, id="first-event-of-block-has-inval",
+            ),
+            pytest.param(
+                [
+                    (0, 10, 0b0010, 0, False),
+                    (0, 11, 0b0110, 0, False),
+                    (1, 10, 0, 0b0010, True),
+                    (1, 11, 0, 0b0010, True),
+                    (1, 12, 0, 0b0100, True),
+                ],
+                5, MISMATCH, id="mismatch-inside-the-chunk",
+            ),
+            pytest.param(
+                [
+                    (0, 11, 0b0110, 0, False),
+                    (2, 10, 0b0010, 0, False),
+                    (1, 11, 0, 0b0010, True),
+                    (1, 12, 0, 0b0100, True),
+                ],
+                2, MISMATCH, id="mismatch-on-a-carried-epoch",
+            ),
+        ],
+    )
+    def test_first_offending_event_raises_the_loop_text(
+        self, events, chunk_events, message
+    ):
+        trace = linked_trace(events)
+        assert replay_error(LoopReplayState, trace, chunk_events) == message
+        assert replay_error(TrafficReplayState, trace, chunk_events) == message
+        assert replay_error(TrafficReplayState, trace, len(trace)) == message
 
 
 class TestReportPlumbing:

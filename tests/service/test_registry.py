@@ -291,3 +291,26 @@ class TestProgressEvents:
         names = {e["name"] for e in events if e["event"] == "telemetry"}
         assert any(name.startswith("journal.") for name in names)
         assert any(name.startswith(("plan.", "engine.")) for name in names)
+
+
+class TestSuiteReuse:
+    def test_consecutive_jobs_on_one_suite_load_it_once(self, telemetry, monkeypatch):
+        """The registry keeps the last suite's traces: a second job on the
+        committed seed-0 suite loads nothing, and a job on another seed
+        replaces the one entry."""
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        seed0, seed1 = TraceSuiteSpec(seed=0), TraceSuiteSpec(seed=1)
+        with JobRegistry(engine=VectorizedEngine()) as registry:
+
+            def run(scheme, suite):
+                record, origin = registry.submit(JobSpec.make("sweep", [scheme], suite))
+                assert origin == DEDUP_NEW
+                return LocalJobHandle(record).result(timeout=120)
+
+            run("last()1", seed0)
+            run("union(add4)2[direct]", seed0)
+            assert telemetry.counters["trace.io.loads"] == 7
+            run("last()1", seed1)
+            assert telemetry.counters["trace.io.loads"] == 14
+            run("union(add4)2[direct]", seed0)
+            assert telemetry.counters["trace.io.loads"] == 21
