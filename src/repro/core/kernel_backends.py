@@ -8,11 +8,18 @@ grains:
 * ``group_stream(schemes, num_nodes)``: every member of one (index group,
   update mode) over one trace.  Its ``evaluate(chunk, keys,
   exclude_writer)`` returns each member's confusion quad for the chunk,
-  carrying the predictor tables across calls.  This is what
+  carrying the predictor tables across calls; ``evaluate_ids(chunk,
+  entries, blocks, exclude_writer)`` does the same for keys (and blocks)
+  the caller already numbered by first appearance.  This is what
   :func:`repro.core.plan.evaluate_plan` runs.
 * ``stream(scheme, num_nodes)``: one scheme, whose ``feed(chunk, keys)``
   returns the chunk's raw predictions (traffic replay, the probe battery)
   and whose ``evaluate`` returns its quad.
+
+A backend also numbers one whole key stream by first appearance,
+``first_appearance_ids(keys)``: the ids ``evaluate_ids`` takes, and the
+canonical form of the key partition that lets
+:func:`~repro.core.plan.evaluate_plan` find members it already ran.
 
 A resident trace is simply one chunk, so ``predict`` / ``evaluate`` are
 one-chunk calls.  The registry decides which implementation a given
@@ -39,13 +46,18 @@ The contract every backend must honor -- and the conformance suite
 * Raw predictions are *unmasked* (writer-bit exclusion is a scoring
   concern) and delivered in the trace's
   :class:`~repro.util.bitmaps.BitmapLayout` representation.
+* A backend's numbering equals the normative numpy one,
+  :func:`first_appearance_ids`, on every key stream.
 
 Evaluations route through :func:`kernel_group_stream` or
 :func:`kernel_stream` (or its one-chunk conveniences
 :func:`kernel_predict` / :func:`kernel_evaluate`), which resolve the
 backend once per stream and record it under ``kernel.backend.<name>``
 telemetry -- including inside parallel-engine workers, whose counters
-merge home with the rest of the worker snapshot.
+merge home with the rest of the worker snapshot.  Numbering goes through
+the resolved backend too, so a run that resolves to pure Python (by
+choice, or because the native build is missing or failed its self-check)
+never touches compiled code.
 """
 
 from __future__ import annotations
@@ -100,6 +112,22 @@ def score_predictions(
     )
 
 
+def first_appearance_ids(keys: np.ndarray) -> np.ndarray:
+    """Dense int32 ids for one whole key stream, by first appearance.
+
+    The first distinct key gets 0, the next new one 1, and so on: the
+    canonical form of the partition the keys induce, so two streams split
+    the events alike exactly when their ids are equal.  The normative
+    numbering, which a backend's own ``first_appearance_ids`` must equal.
+    """
+    unique, first, inverse = np.unique(
+        np.asarray(keys, dtype=np.int64), return_index=True, return_inverse=True
+    )
+    rank = np.empty(len(unique), dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(len(unique), dtype=np.int32)
+    return rank[inverse.reshape(-1)]
+
+
 class PythonKernelStream:
     """The oracle's resumable state: a :class:`KernelStream` fed by chunk.
 
@@ -148,6 +176,14 @@ class PythonGroupStream:
         """The chunk's ``(tp, fp, fn, tn)`` quad for every member, in order."""
         return [stream.evaluate(chunk, keys, exclude_writer) for stream in self._streams]
 
+    def evaluate_ids(
+        self, chunk, entries: np.ndarray, blocks, exclude_writer: bool
+    ) -> List[Tuple[int, int, int, int]]:
+        """:meth:`evaluate` keyed by the caller's entry ids: the oracle's
+        tables are keyed by value, so ids split the events as the keys
+        did, and it reads raw blocks."""
+        return self.evaluate(chunk, entries, exclude_writer)
+
 
 class PythonKernelBackend:
     """The normative backend: :class:`PredictorKernel` over entry objects.
@@ -163,6 +199,10 @@ class PythonKernelBackend:
 
     def supports(self, scheme: Scheme) -> bool:
         return True
+
+    def first_appearance_ids(self, keys: np.ndarray) -> np.ndarray:
+        """One whole key stream numbered by first appearance (numpy)."""
+        return first_appearance_ids(keys)
 
     def group_stream(
         self, schemes: Sequence[Scheme], num_nodes: int
@@ -319,14 +359,24 @@ class _SplitGroupStream:
         self._parts = parts
         self._size = size
 
+    def _merge(self, run) -> List[Tuple[int, int, int, int]]:
+        quads: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)] * self._size
+        for stream, offsets in self._parts:
+            for offset, quad in zip(offsets, run(stream)):
+                quads[offset] = quad
+        return quads
+
     def evaluate(
         self, chunk, keys: np.ndarray, exclude_writer: bool
     ) -> List[Tuple[int, int, int, int]]:
-        quads: List[Tuple[int, int, int, int]] = [(0, 0, 0, 0)] * self._size
-        for stream, offsets in self._parts:
-            for offset, quad in zip(offsets, stream.evaluate(chunk, keys, exclude_writer)):
-                quads[offset] = quad
-        return quads
+        return self._merge(lambda stream: stream.evaluate(chunk, keys, exclude_writer))
+
+    def evaluate_ids(
+        self, chunk, entries: np.ndarray, blocks, exclude_writer: bool
+    ) -> List[Tuple[int, int, int, int]]:
+        return self._merge(
+            lambda stream: stream.evaluate_ids(chunk, entries, blocks, exclude_writer)
+        )
 
 
 def kernel_group_stream(schemes: Sequence[Scheme], num_nodes: int):
@@ -454,15 +504,33 @@ def kernel_probe_fingerprint(backend) -> str:
     return digest.hexdigest()[:16]
 
 
+def _numbers_probe_keys(backend) -> bool:
+    """Does ``backend`` number every probe key stream, and every probe
+    trace's blocks, as :func:`first_appearance_ids` does?"""
+    from repro.core.vectorized import compute_keys
+
+    for trace in probe_traces():
+        streams = [trace.block] + [
+            compute_keys(parse_scheme(text).index, trace) for text in PROBE_SCHEMES
+        ]
+        for keys in streams:
+            if not np.array_equal(
+                backend.first_appearance_ids(keys), first_appearance_ids(keys)
+            ):
+                return False
+    return True
+
+
 def kernel_selfcheck(backend) -> bool:
-    """Does ``backend`` reproduce the Python oracle's probe battery exactly?
+    """Does ``backend`` reproduce the Python oracle's probe battery exactly,
+    and number its keys as numpy does?
 
     This is the gate :meth:`NativeKernelBackend.available` runs before a
     compiled engine is allowed to serve evaluations.
     """
     return kernel_probe_fingerprint(backend) == kernel_probe_fingerprint(
         _REGISTRY["python"]
-    )
+    ) and _numbers_probe_keys(backend)
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -440,7 +440,15 @@ class TrafficReplayState:
         )
 
 
-def _report_telemetry(report: TrafficReport, events: int, started: float) -> None:
+def _report_telemetry(
+    report: TrafficReport,
+    events: int,
+    started: float,
+    replay_seconds: float,
+    predict_seconds: Optional[float] = None,
+) -> None:
+    """Count one report; ``forwarding.simulate_seconds`` spans the whole
+    call, of which the replay and any prediction are timed apart."""
     telemetry = get_telemetry()
     if telemetry.enabled:
         telemetry.count("forwarding.reports")
@@ -450,6 +458,9 @@ def _report_telemetry(report: TrafficReport, events: int, started: float) -> Non
         telemetry.timer_add(
             "forwarding.simulate_seconds", time.perf_counter() - started
         )
+        telemetry.timer_add("forwarding.replay_seconds", replay_seconds)
+        if predict_seconds is not None:
+            telemetry.timer_add("forwarding.predict_seconds", predict_seconds)
 
 
 def replay_traffic(
@@ -473,10 +484,12 @@ def replay_traffic(
         raise ValueError(
             f"got {len(predictions)} predictions for {len(trace)} events"
         )
+    replay_started = time.perf_counter()
     state = TrafficReplayState(num_nodes, topology, model)
     state.feed(trace, predictions)
     report = state.finish(scheme=scheme, trace_name=trace.name)
-    _report_telemetry(report, len(trace), started)
+    replay_seconds = time.perf_counter() - replay_started
+    _report_telemetry(report, len(trace), started, replay_seconds)
     return report
 
 
@@ -504,8 +517,19 @@ def simulate_traffic_streamed(
     if not isinstance(topology, Topology):
         topology = make_topology(topology, source.num_nodes)
     state = TrafficReplayState(source.num_nodes, topology, model)
-    for chunk, predictions in predict_stream(scheme, source, exclude_writer=True):
-        state.feed(chunk, predictions)
+    windows = predict_stream(scheme, source, exclude_writer=True)
+    predict_seconds = replay_seconds = 0.0
+    while True:
+        window_started = time.perf_counter()
+        window = next(windows, None)
+        fed = time.perf_counter()
+        predict_seconds += fed - window_started
+        if window is None:
+            break
+        state.feed(*window)
+        replay_seconds += time.perf_counter() - fed
+    finish_started = time.perf_counter()
     report = state.finish(scheme=scheme.full_name, trace_name=source.name)
-    _report_telemetry(report, state.events, started)
+    replay_seconds += time.perf_counter() - finish_started
+    _report_telemetry(report, state.events, started, replay_seconds, predict_seconds)
     return report

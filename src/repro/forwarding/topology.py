@@ -16,6 +16,7 @@ All built-in topologies are symmetric with a zero diagonal, and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -122,8 +123,14 @@ _BUILDERS = {
 }
 
 
+@functools.lru_cache(maxsize=32)
 def make_topology(spec: str, num_nodes: int) -> Topology:
-    """Resolve a topology spec string for a machine of ``num_nodes``."""
+    """Resolve a topology spec string for a machine of ``num_nodes``.
+
+    Built once per (spec, size): the hop table takes about a second to
+    fill and check in Python at 1024 nodes, and a :class:`Topology` is
+    immutable, so every replay can share it.
+    """
     builder = _BUILDERS.get(spec)
     if builder is None:
         raise ValueError(

@@ -27,6 +27,12 @@ Coverage axes:
   epoch) must reproduce the oracle's one-chunk predictions and confusion
   quads.
 
+Every backend numbers a key stream by first appearance; its numbering
+must equal the normative numpy one on adversarial keys, and the native
+streams' compiled numbering, carried across chunks, must equal it at any
+cuts.  Group streams are also fed keys and blocks numbered that way
+(``evaluate_ids``), which must give the same quads as raw keys.
+
 Registry *behavior* (resolution precedence, degradation, telemetry
 attribution) is tested at the bottom; pure kernel-loop edge semantics live
 in ``tests/core/test_kernel.py``.
@@ -34,8 +40,10 @@ in ``tests/core/test_kernel.py``.
 
 from __future__ import annotations
 
+import itertools
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -54,6 +62,7 @@ from repro.core.kernel_backends import (
     resolve_kernel_backend,
     set_kernel_backend,
 )
+from repro.core.kernel_native import KeyNumbering, compiled_library
 from repro.core.schemes import Scheme, parse_scheme
 from repro.core.update import UpdateMode
 from repro.core.vectorized import compute_keys
@@ -204,22 +213,38 @@ def assert_group_conforms(backend, trace, cuts, oracle_cache=None):
     """Assert ``backend``'s group stream over :data:`GROUP_MEMBERS`, fed
     ``trace`` cut at ``cuts``, gives every member the oracle's one-member
     one-chunk quad: all three update modes, with and without writer
-    exclusion.  Members the backend declines are left out of its group,
-    exactly as :func:`kernel_group_stream` routes them.  ``oracle_cache``
-    memoizes the oracle's quads for a trace that is checked repeatedly."""
+    exclusion, fed raw keys (``evaluate``) and fed keys and blocks numbered
+    by first appearance (``evaluate_ids``; the whole trace is numbered at
+    once, so the ids carry across chunks).  Members the backend declines
+    are left out of its group, exactly as :func:`kernel_group_stream`
+    routes them.  ``oracle_cache`` memoizes the oracle's quads for a trace
+    that is checked repeatedly."""
     oracle = get_kernel_backend("python")
     chunks = _chunks_at(trace, cuts)
     cache = {} if oracle_cache is None else oracle_cache
+    blocks = kb.first_appearance_ids(trace.block)
     for mode in UpdateMode:
         schemes = [scheme for scheme in group_schemes(mode) if backend.supports(scheme)]
         keys = compute_keys(schemes[0].index, trace)
-        for exclude_writer in (False, True):
+        entries = kb.first_appearance_ids(keys)
+        feeds = {
+            "evaluate": lambda stream, chunk, exclude_writer: stream.evaluate(
+                chunk, keys[chunk.start:chunk.end], exclude_writer
+            ),
+            "evaluate_ids": lambda stream, chunk, exclude_writer: stream.evaluate_ids(
+                chunk,
+                entries[chunk.start:chunk.end],
+                blocks[chunk.start:chunk.end],
+                exclude_writer,
+            ),
+        }
+        for (via, feed), exclude_writer in itertools.product(
+            feeds.items(), (False, True)
+        ):
             stream = backend.group_stream(schemes, trace.num_nodes)
             summed = [(0, 0, 0, 0)] * len(schemes)
             for chunk in chunks:
-                quads = stream.evaluate(
-                    chunk, keys[chunk.start:chunk.end], exclude_writer
-                )
+                quads = feed(stream, chunk, exclude_writer)
                 summed = [
                     tuple(a + b for a, b in zip(total, quad))
                     for total, quad in zip(summed, quads)
@@ -230,8 +255,8 @@ def assert_group_conforms(backend, trace, cuts, oracle_cache=None):
                     cache[key] = oracle.evaluate(scheme, trace, keys, exclude_writer)
                 assert got == cache[key], (
                     f"backend {backend.name!r} group stream diverged from the "
-                    f"python oracle on {scheme.full_name} over {trace.name} "
-                    f"({trace.num_nodes} nodes) cut at {cuts}"
+                    f"python oracle through {via} on {scheme.full_name} over "
+                    f"{trace.name} ({trace.num_nodes} nodes) cut at {cuts}"
                 )
 
 
@@ -447,6 +472,122 @@ class TestGroupConformance:
 
 
 # ----------------------------------------------------------------------
+# Key numbering: the compiled pass vs numpy
+# ----------------------------------------------------------------------
+
+_MASK64 = (1 << 64) - 1
+
+
+def _mix64(key: int) -> int:
+    """The C numbering's slot hash (splitmix64's finalizer), in Python."""
+    x = key & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def _colliding_keys(count: int, bits: int) -> np.ndarray:
+    """``count`` keys whose hashes agree in their low ``bits`` bits, so they
+    share a slot in every table up to ``2**bits`` slots."""
+    keys = []
+    candidate = -(1 << 40)
+    while len(keys) < count:
+        if _mix64(candidate) & ((1 << bits) - 1) == 0:
+            keys.append(candidate)
+        candidate += 1
+    return np.array(keys, dtype=np.int64)
+
+
+#: adversarial key streams for the numbering
+ADVERSARIAL_KEYS = {
+    "empty": np.zeros(0, dtype=np.int64),
+    "all-equal": np.full(300, 7, dtype=np.int64),
+    "all-distinct": np.arange(3000, 0, -1, dtype=np.int64),
+    "negative": np.array([-1, -5, -1, 0, -(1 << 63), 3, -5, -(1 << 63)], dtype=np.int64),
+    "past-32-bits": np.array(
+        [1 << 32, 1, (1 << 32) + 1, 1 << 32, (1 << 63) - 1, 1, (1 << 40)] * 3,
+        dtype=np.int64,
+    ),
+    # one slot in every table up to the default 1024 slots, repeated in
+    # reverse so every probe walks the whole cluster
+    "hash-collisions": np.concatenate(
+        [_colliding_keys(120, 10), _colliding_keys(120, 10)[::-1]]
+    ),
+}
+
+
+def _reference_ids(keys: np.ndarray) -> np.ndarray:
+    """First-appearance ids by a dict, the definition spelled out."""
+    seen = {}
+    return np.array(
+        [seen.setdefault(key, len(seen)) for key in keys.tolist()], dtype=np.int32
+    )
+
+
+@pytest.fixture(scope="module")
+def library():
+    built = compiled_library()
+    if built is None:
+        pytest.skip("the C kernel library cannot be built here")
+    return built
+
+
+def _numbered_at(library, keys, cuts, slots=4):
+    """``keys`` numbered by one carried numbering, fed cut at ``cuts``."""
+    numbering = KeyNumbering(library, slots)
+    bounds = [0, *cuts, len(keys)]
+    ids = [numbering(keys[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+    assert len(numbering) == len(np.unique(keys))
+    return np.concatenate(ids)
+
+
+class TestKeyNumbering:
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_KEYS))
+    def test_normative_numbering_is_first_appearance(self, name):
+        keys = ADVERSARIAL_KEYS[name]
+        want = kb.first_appearance_ids(keys)
+        assert want.dtype == np.int32
+        assert np.array_equal(want, _reference_ids(keys))
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_KEYS))
+    def test_backend_numbering_matches_numpy(self, backend, name):
+        keys = ADVERSARIAL_KEYS[name]
+        got = backend.first_appearance_ids(keys)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, kb.first_appearance_ids(keys))
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_KEYS))
+    def test_carried_numbering_at_cuts(self, library, name):
+        keys = ADVERSARIAL_KEYS[name]
+        want = kb.first_appearance_ids(keys)
+        for cuts in ([], [len(keys) // 2], sorted({1, len(keys) // 3, len(keys) - 1})):
+            cuts = [cut for cut in cuts if 0 < cut < len(keys)]
+            assert np.array_equal(_numbered_at(library, keys, cuts), want), cuts
+
+    @settings(max_examples=60)
+    @given(data=st.data())
+    def test_random_cuts_match_numpy(self, library, data):
+        keys = np.array(
+            data.draw(
+                st.lists(
+                    st.integers(-(1 << 63), (1 << 63) - 1) | st.integers(-4, 40),
+                    max_size=200,
+                ),
+                label="keys",
+            ),
+            dtype=np.int64,
+        )
+        cuts = sorted(
+            data.draw(st.sets(st.integers(1, max(1, len(keys) - 1)), max_size=6),
+                      label="cuts")
+        )
+        cuts = [cut for cut in cuts if cut < len(keys)]
+        want = _reference_ids(keys)
+        assert np.array_equal(kb.first_appearance_ids(keys), want)
+        assert np.array_equal(_numbered_at(library, keys, cuts), want)
+
+
+# ----------------------------------------------------------------------
 # Registration alone brings a backend under test
 # ----------------------------------------------------------------------
 
@@ -514,6 +655,34 @@ class _BitFlippingGroupStream:
     def evaluate(self, chunk, keys, exclude_writer):
         return [stream.evaluate(chunk, keys, exclude_writer) for stream in self.streams]
 
+    def evaluate_ids(self, chunk, entries, blocks, exclude_writer):
+        return self.evaluate(chunk, entries, exclude_writer)
+
+
+class _IdsFlippingBackend(_BitFlippingBackend):
+    """A backend whose group streams give the oracle's quads through
+    ``evaluate`` and flipped ones through ``evaluate_ids``."""
+
+    name = "idsflip-test"
+
+    def group_stream(self, schemes, num_nodes):
+        return _IdsFlippingGroupStream(
+            get_kernel_backend("python").group_stream(schemes, num_nodes),
+            super().group_stream(schemes, num_nodes),
+        )
+
+
+class _IdsFlippingGroupStream:
+    def __init__(self, honest, flipping):
+        self.honest = honest
+        self.flipping = flipping
+
+    def evaluate(self, chunk, keys, exclude_writer):
+        return self.honest.evaluate(chunk, keys, exclude_writer)
+
+    def evaluate_ids(self, chunk, entries, blocks, exclude_writer):
+        return self.flipping.evaluate_ids(chunk, entries, blocks, exclude_writer)
+
 
 @pytest.fixture
 def scratch_registration():
@@ -559,6 +728,14 @@ class TestHarnessCatchesNonconformance:
         backend = scratch_registration(_BitFlippingBackend())
         trace = make_random_trace(num_nodes=8, num_events=60, seed="bitflip")
         with pytest.raises(AssertionError, match="diverged from the python oracle"):
+            assert_group_conforms(backend, trace, _cuts(trace, {30}))
+
+    def test_group_harness_flags_divergence_through_ids_alone(
+        self, scratch_registration
+    ):
+        backend = scratch_registration(_IdsFlippingBackend())
+        trace = make_random_trace(num_nodes=8, num_events=60, seed="bitflip")
+        with pytest.raises(AssertionError, match="oracle through evaluate_ids"):
             assert_group_conforms(backend, trace, _cuts(trace, {30}))
 
 

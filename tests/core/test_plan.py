@@ -12,19 +12,29 @@ The planner's load-bearing promises, each pinned here:
 * shared group passes change wall-clock only: :func:`evaluate_plan` is
   bit-identical to per-scheme :func:`evaluate_scheme_fast` across every
   function family and update mode, and to itself at any chunking of the
-  traces.
+  traces;
+* the partition memo changes wall-clock only: batches built so that key
+  partitions repeat give every member the quad of its one-scheme plan and
+  of the oracle fed raw keys, under both kernels, on resident traces
+  (where the memo answers) and multi-chunk sources (where it stays off),
+  even when every digest collides.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.kernel_backends as kernel_backends
+import repro.core.kernel_native as kernel_native
 import repro.core.plan as plan_module
 from repro.core.indexing import IndexSpec
+from repro.core.kernel_backends import get_kernel_backend, set_kernel_backend
 from repro.core.plan import SweepPlan, evaluate_plan
 from repro.core.schemes import parse_scheme
-from repro.core.vectorized import evaluate_scheme_fast
+from repro.core.vectorized import compute_keys, evaluate_scheme_fast
+from repro.metrics.confusion import ConfusionCounts
 from repro.telemetry import Telemetry, set_telemetry
+from repro.trace.events import SharingTrace
 from repro.trace.source import ResidentTraceSource
 from tests.conftest import make_random_trace
 
@@ -307,3 +317,191 @@ class TestSharedPasses:
             assert per_trace == [
                 evaluate_scheme_fast(scheme, trace) for trace in traces
             ], scheme.full_name
+
+
+# ----------------------------------------------------------------------
+# The partition memo: repeated key partitions answered, never wrongly
+# ----------------------------------------------------------------------
+
+#: a batch whose key partitions repeat on :func:`memo_traces`: pc and addr
+#: widths past the traces' pc and block ranges, ``dir`` folded into an
+#: address that already fixes the home, ``pid`` vs ``pid+dir`` on the trace
+#: whose home tracks the writer, one (function, depth) under every update
+#: mode and at two depths, and a duplicate scheme
+REPEATING_SCHEMES = (
+    "union(add6)2[direct]",
+    "union(add8)2[direct]",
+    "union(add8)3[direct]",
+    "union(dir+add8)2[forwarded]",
+    "union(add12)2[ordered]",
+    "inter(pc4)2[direct]",
+    "inter(pc8)2[direct]",
+    "inter(pc8)2[forwarded]",
+    "pas(add4)2[forwarded]",
+    "pas(add6)2[forwarded]",
+    "pas(add8)1[forwarded]",
+    "cinter(add6)2[direct]",
+    "cunion(dir+add10)2[direct]",
+    "last(pid)1[forwarded]",
+    "last(pid+dir)1[forwarded]",
+    "overlap(pid)1[ordered]",
+    "overlap(pid+dir)1[ordered]",
+    "last()1[direct]",
+    "last()1[ordered]",
+    "union(add6)2[direct]",
+)
+
+
+def _writer_homed(trace: SharingTrace) -> SharingTrace:
+    """``trace`` with every event's home set to its writer."""
+    epochs = [
+        (writer, pc, writer, block, truth)
+        for writer, pc, block, truth in zip(
+            trace.writer.tolist(), trace.pc.tolist(), trace.block.tolist(),
+            trace.layout.to_int_list(trace.truth),
+        )
+    ]
+    return SharingTrace.from_epochs(trace.num_nodes, epochs, name=f"{trace.name}-homed")
+
+
+@pytest.fixture(scope="module")
+def memo_traces():
+    """Two traces of one length (a partition of one can repeat in the
+    other), blocks and pcs inside 4 bits, the second homed at its writers."""
+    return [
+        make_random_trace(num_nodes=8, num_events=160, num_blocks=12, seed="memo-a"),
+        _writer_homed(
+            make_random_trace(num_nodes=8, num_events=160, num_blocks=14, seed="memo-b")
+        ),
+    ]
+
+
+def _oracle_counts(scheme, trace) -> ConfusionCounts:
+    """The python oracle's one-scheme counts, fed raw keys."""
+    quad = get_kernel_backend("python").evaluate(
+        scheme, trace, compute_keys(scheme.index, trace), True
+    )
+    return ConfusionCounts(*quad)
+
+
+@pytest.fixture(scope="module")
+def memo_expected(memo_traces):
+    return {
+        text: [_oracle_counts(parse_scheme(text), trace) for trace in memo_traces]
+        for text in set(REPEATING_SCHEMES)
+    }
+
+
+@pytest.fixture(params=["python", "native"])
+def kernel(request):
+    """Run the test under one kernel backend, restored afterwards."""
+    if not get_kernel_backend(request.param).available():
+        pytest.skip(f"kernel backend {request.param!r} unavailable here")
+    previous = set_kernel_backend(request.param)
+    yield request.param
+    set_kernel_backend(previous)
+
+
+class TestPartitionMemo:
+    @pytest.mark.parametrize("chunk_events", [None, 1, 37], ids=["resident", "1", "37"])
+    def test_repeated_partitions_match_one_scheme_plans(
+        self, memo_traces, memo_expected, kernel, chunk_events, sink
+    ):
+        schemes = [parse_scheme(text) for text in REPEATING_SCHEMES]
+        traces = memo_traces if chunk_events is None else [
+            ResidentTraceSource(trace, chunk_events=chunk_events)
+            for trace in memo_traces
+        ]
+        planned = evaluate_plan(SweepPlan(schemes), traces)
+        hits = sink.counters.get("plan.partition_hits", 0)
+        for text, scheme, per_trace in zip(REPEATING_SCHEMES, schemes, planned):
+            assert per_trace == memo_expected[text], text
+            assert per_trace == [
+                evaluate_plan(SweepPlan([scheme]), [trace])[0][0] for trace in traces
+            ], text
+        if chunk_events is None:
+            assert hits > 0
+        else:
+            assert hits == 0
+
+    @pytest.mark.parametrize(
+        "texts,hits",
+        [
+            # add8 reads every block bit add6 does: the second group repeats
+            (["union(add6)2", "union(add8)2"], 2),
+            # a duplicate is answered inside its own group
+            (["union(add6)2", "union(add6)2"], 2),
+            # one partition, two depths and two modes: each runs once
+            (["inter(pc4)2", "inter(pc8)3", "inter(pc8)2[forwarded]",
+              "inter(pc4)2[forwarded]"], 2),
+        ],
+    )
+    def test_hits_count_members_answered(self, memo_traces, kernel, texts, hits, sink):
+        evaluate_plan(SweepPlan([parse_scheme(text) for text in texts]), memo_traces)
+        assert sink.counters["plan.partition_hits"] == hits
+
+    def test_writer_homed_trace_repeats_pid_as_pid_dir(self, memo_traces, kernel, sink):
+        plan = SweepPlan([parse_scheme("last(pid)1"), parse_scheme("last(pid+dir)1")])
+        evaluate_plan(plan, memo_traces[1:])
+        assert sink.counters["plan.partition_hits"] == 1
+        evaluate_plan(plan, memo_traces[:1])
+        assert sink.counters["plan.partition_hits"] == 1
+
+    def test_digest_collisions_are_confirmed_exactly(
+        self, memo_traces, memo_expected, kernel, monkeypatch, sink
+    ):
+        """Every partition's digest collides: only the exact comparison of
+        the numbered keys tells them apart."""
+        monkeypatch.setattr(plan_module, "_partition_digest", lambda ids: bytes(16))
+        schemes = [parse_scheme(text) for text in REPEATING_SCHEMES]
+        planned = evaluate_plan(SweepPlan(schemes), memo_traces)
+        for text, per_trace in zip(REPEATING_SCHEMES, planned):
+            assert per_trace == memo_expected[text], text
+        assert sink.counters["plan.partition_hits"] > 0
+
+    @pytest.mark.parametrize("selection", ["python", "failed-selfcheck"])
+    def test_python_kernel_numbers_in_numpy(
+        self, memo_traces, memo_expected, monkeypatch, selection, sink
+    ):
+        """A run that resolves to the python kernel, chosen or after the
+        native build fails its self-check, numbers keys in numpy and never
+        builds or calls compiled code; the memo answers exactly as ever."""
+
+        def compiled(*args):
+            raise AssertionError("compiled code reached from a python-kernel run")
+
+        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+        monkeypatch.setattr(kernel_native, "KeyNumbering", compiled)
+        if selection == "python":
+            monkeypatch.setattr(kernel_native, "compiled_library", compiled)
+            choice = "python"
+        else:
+            native = kernel_native.NativeKernelBackend()
+            monkeypatch.setitem(kernel_backends._REGISTRY, "native", native)
+            monkeypatch.setattr(kernel_backends, "kernel_selfcheck", lambda _: False)
+            choice = None  # auto: tries native first
+        previous = set_kernel_backend(choice)
+        try:
+            schemes = [parse_scheme(text) for text in REPEATING_SCHEMES]
+            planned = evaluate_plan(SweepPlan(schemes), memo_traces)
+        finally:
+            set_kernel_backend(previous)
+        for text, per_trace in zip(REPEATING_SCHEMES, planned):
+            assert per_trace == memo_expected[text], text
+        assert sink.counters["plan.partition_hits"] > 0
+        assert sink.counters["kernel.backend.python"] > 0
+        assert "kernel.backend.native" not in sink.counters
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        texts=st.lists(st.sampled_from(REPEATING_SCHEMES), min_size=1, max_size=10),
+        chunk_events=st.sampled_from([None, 5, 160]),
+    )
+    def test_any_batch_matches_the_oracle(self, memo_traces, memo_expected, texts,
+                                          chunk_events):
+        traces = memo_traces if chunk_events is None else [
+            ResidentTraceSource(trace, chunk_events=chunk_events)
+            for trace in memo_traces
+        ]
+        planned = evaluate_plan(SweepPlan([parse_scheme(t) for t in texts]), traces)
+        assert planned == [memo_expected[text] for text in texts]

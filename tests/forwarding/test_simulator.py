@@ -18,8 +18,10 @@ from repro.forwarding import (
     replay_traffic,
     simulate_forwarding,
 )
-from repro.forwarding.simulator import TrafficReplayState
+from repro.core.schemes import parse_scheme
+from repro.forwarding.simulator import TrafficReplayState, simulate_traffic_streamed
 from repro.metrics.traffic import TrafficModel, TrafficReport, merge_reports
+from repro.telemetry import Telemetry, set_telemetry
 from repro.trace.events import SharingTrace
 from repro.trace.source import ResidentTraceSource
 
@@ -244,3 +246,25 @@ class TestReportPlumbing:
 
         config = ForwardingConfig(topology="ring", model=MODEL)
         assert pickle.loads(pickle.dumps(config)) == config
+
+
+class TestTimers:
+    def test_prediction_and_replay_are_timed_apart(self, tiny_trace):
+        """``forwarding.simulate_seconds`` spans the whole call; the
+        prediction windows and the replay are recorded beside it."""
+        telemetry = Telemetry()
+        previous = set_telemetry(telemetry)
+        try:
+            simulate_traffic_streamed(
+                parse_scheme("union(dir+add6)2[forwarded]"),
+                ResidentTraceSource(tiny_trace, chunk_events=2),
+            )
+        finally:
+            set_telemetry(previous)
+        timers = telemetry.timers
+        predict, predict_calls = timers["forwarding.predict_seconds"]
+        replay, replay_calls = timers["forwarding.replay_seconds"]
+        simulate, _ = timers["forwarding.simulate_seconds"]
+        assert predict > 0 and replay > 0
+        assert predict_calls == replay_calls == 1
+        assert predict + replay <= simulate

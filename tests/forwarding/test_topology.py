@@ -63,6 +63,14 @@ class TestBuilders:
     def test_make_topology_rejects_unknown_spec(self):
         with pytest.raises(ValueError, match="unknown topology"):
             make_topology("torus", 16)
+        # a failed build is not remembered
+        with pytest.raises(ValueError, match="unknown topology"):
+            make_topology("torus", 16)
+
+    def test_make_topology_builds_once_per_spec_and_size(self):
+        assert make_topology("mesh", 64) is make_topology("mesh", 64)
+        assert make_topology("mesh", 16) is not make_topology("ring", 16)
+        assert make_topology("hypercube", 32).num_nodes == 32
 
 
 class TestValidation:
