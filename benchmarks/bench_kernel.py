@@ -11,8 +11,10 @@ with keys computed once per (index group, trace), as
   driving ``PasOps`` entries, one interpreted iteration per event;
 * **native**: :class:`~repro.core.kernel_native.NativeKernelBackend`, one
   compiled C call per group over dense int32 key/block ids, with the
-  members sharing one history register per (entry, node) and scored in
-  the same loop.
+  members sharing one history per entry as bit planes in the trace's word
+  layout, each keeping its counters as a plane pair per history pattern,
+  stepped and read a word and a non-empty history class at a time, and
+  scored in the same loop.
 
 A second measure times the resumable native stream: the same PAs slice
 through :func:`~repro.core.plan.evaluate_plan` over a synthesized
@@ -21,11 +23,22 @@ through :func:`~repro.core.plan.evaluate_plan` over a synthesized
 chunk, interleaved over :data:`STREAM_REPEATS` repeats; the artifact
 records each side's median and IQR and their median ratio.
 
-Every confusion quad is asserted bit-identical before any number is
-reported, so the emitted JSON can never describe a speedup bought with a
-semantics change.  Emits ``BENCH_kernel.json`` (the CI artifact) and, by
-default, fails if the compiled path is not at least 5x faster, or if the
-streamed run is more than 1.2x the one-chunk run::
+A third measure times the native backend by machine width: one PAs +
+gated group (:data:`WIDTH_MEMBERS`: PAs at depths 1, 2 and 4, ``cunion``
+2 and ``cinter`` 2, one index spec) through the native group stream over
+a synthesized trace at 16, 256 and 1,024 nodes, :data:`WIDTH_REPEATS`
+repeats each (median and IQR), and records the per-event time at each
+width and the ratio of the widest to the narrowest.  With no loop over
+nodes the cost grows with the machine's 64-node words and its history
+classes; per-node loops made it grow with the nodes.
+
+Every confusion quad is asserted bit-identical (to the oracle's, or
+between the streamed and one-chunk runs) before any number is reported,
+so the emitted JSON can never describe a speedup bought with a semantics
+change.  Emits ``BENCH_kernel.json`` (the CI artifact) and, by default,
+fails if the compiled path is not at least 5x faster, if the streamed
+run is more than 1.2x the one-chunk run, or if the per-event time at
+1,024 nodes is more than 25x the time at 16 nodes::
 
     PYTHONPATH=src python benchmarks/bench_kernel.py [--out PATH] [--no-strict]
 
@@ -74,6 +87,22 @@ STREAM_REPEATS = 7
 #: streamed PAs must stay within this factor of the one-chunk run
 MAX_STREAM_RATIO = 1.2
 
+#: the width measure: one PAs + gated group on one index spec, per machine
+#: width; stores per width's synthesized trace (the oracle's per-node loops
+#: bound the wide ones)
+WIDTH_MEMBERS = (
+    "pas(pid+add4)1[direct]",
+    "pas(pid+add4)2[direct]",
+    "pas(pid+add4)4[direct]",
+    "cunion(pid+add4)2[direct]",
+    "cinter(pid+add4)2[direct]",
+)
+WIDTH_STORES = {16: 20_000, 256: 8_000, 1024: 4_000}
+WIDTH_REPEATS = 9
+#: the per-event time at 1,024 nodes may be at most this multiple of the
+#: time at 16 nodes
+MAX_WIDTH_RATIO = 25.0
+
 
 def build_schemes():
     return [
@@ -100,17 +129,53 @@ def median_iqr(samples):
     return median, third - first
 
 
-def imported_trace():
+def imported_trace(stores=STREAM_STORES, num_nodes=STREAM_NODES):
     """A synthesized access CSV imported as ``.rtrace``, then materialized."""
     with tempfile.TemporaryDirectory() as directory:
         csv_path = Path(directory) / "accesses.csv"
         rtrace_path = Path(directory) / "accesses.rtrace"
         synthesize_csv(
-            csv_path, events=STREAM_STORES, num_nodes=STREAM_NODES,
-            blocks=STREAM_BLOCKS,
+            csv_path, events=stores, num_nodes=num_nodes, blocks=STREAM_BLOCKS,
         )
-        import_csv(csv_path, rtrace_path, num_nodes=STREAM_NODES)
+        import_csv(csv_path, rtrace_path, num_nodes=num_nodes)
         return FileTraceSource(rtrace_path).materialize()
+
+
+def width_measure(native, python):
+    """Time one PAs + gated group through the native group stream at each
+    machine width; every member's quad must equal the oracle's."""
+    schemes = [parse_scheme(text) for text in WIDTH_MEMBERS]
+    widths = {}
+    identical = True
+    for num_nodes, stores in WIDTH_STORES.items():
+        trace = imported_trace(stores, num_nodes)
+        keys = compute_keys(schemes[0].index, trace)
+        samples = []
+        for _ in range(WIDTH_REPEATS):
+            stream = native.group_stream(schemes, num_nodes)
+            started = time.perf_counter()
+            quads = stream.evaluate(trace, keys, True)
+            samples.append(time.perf_counter() - started)
+        identical &= quads == [
+            python.evaluate(scheme, trace, keys, True) for scheme in schemes
+        ]
+        median, iqr = median_iqr(samples)
+        widths[str(num_nodes)] = {
+            "events": len(trace),
+            "median_seconds": round(median, 5),
+            "iqr_seconds": round(iqr, 5),
+            "ns_per_event": round(median / len(trace) * 1e9, 1),
+        }
+    low, high = min(WIDTH_STORES), max(WIDTH_STORES)
+    ratio = widths[str(high)]["ns_per_event"] / widths[str(low)]["ns_per_event"]
+    return {
+        "members": list(WIDTH_MEMBERS),
+        "repeats": WIDTH_REPEATS,
+        "widths": widths,
+        "ratio": round(ratio, 2),
+        "max_ratio": MAX_WIDTH_RATIO,
+        "results_identical": identical,
+    }
 
 
 def streamed_measure(schemes):
@@ -154,8 +219,9 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-strict",
         action="store_true",
-        help=f"report without enforcing the {MIN_SPEEDUP}x speedup floor "
-        f"and the {MAX_STREAM_RATIO}x streamed ceiling",
+        help=f"report without enforcing the {MIN_SPEEDUP}x speedup floor, "
+        f"the {MAX_STREAM_RATIO}x streamed ceiling and the {MAX_WIDTH_RATIO}x "
+        "width ceiling",
     )
     args = parser.parse_args(argv)
 
@@ -222,6 +288,10 @@ def main(argv=None) -> int:
     if not streamed["results_identical"]:
         print("FATAL: streamed results differ from one-chunk results", file=sys.stderr)
         return 2
+    by_width = width_measure(native, python)
+    if not by_width["results_identical"]:
+        print("FATAL: native group quads differ from the oracle's", file=sys.stderr)
+        return 2
 
     artifact.update(
         {
@@ -229,6 +299,7 @@ def main(argv=None) -> int:
             "speedup": round(speedup, 2),
             "results_identical": True,
             "streamed_native": streamed,
+            "native_by_width": by_width,
         }
     )
     Path(args.out).write_text(json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
@@ -246,6 +317,13 @@ def main(argv=None) -> int:
         print(
             f"FAIL: streamed PAs at {streamed['ratio']:.2f}x the one-chunk run, "
             f"above the {MAX_STREAM_RATIO}x ceiling",
+            file=sys.stderr,
+        )
+        return 1
+    if by_width["ratio"] > MAX_WIDTH_RATIO:
+        print(
+            f"FAIL: a PAs + gated group costs {by_width['ratio']:.1f}x per event at "
+            f"1,024 nodes what it costs at 16, above the {MAX_WIDTH_RATIO}x ceiling",
             file=sys.stderr,
         )
         return 1

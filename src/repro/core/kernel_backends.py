@@ -62,6 +62,7 @@ never touches compiled code.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import logging
 import os
@@ -471,12 +472,29 @@ def _probe_trace(num_nodes: int, num_events: int, seed: str) -> SharingTrace:
     return SharingTrace.from_epochs(num_nodes, epochs, name=f"kernel-probe-{seed}")
 
 
-def probe_traces() -> List[SharingTrace]:
-    """The fixed probe traces: a paper-width machine and a packed-wide one."""
-    return [
+#: one mixed-family index group under one update mode: the probe battery
+#: runs one-member groups only, and this one shares what only groups share
+#: -- the ring at the widest window, the PAs history at the deepest depth
+#: (read by a shallower member too) and the per-member confidence counters
+PROBE_GROUP: Tuple[str, ...] = (
+    "union(pid+add4)3[forwarded]",
+    "inter(pid+add4)2[forwarded]",
+    "overlap(pid+add4)1[forwarded]",
+    "pas(pid+add4)1[forwarded]",
+    "pas(pid+add4)3[forwarded]",
+    "cunion(pid+add4)2[forwarded]",
+    "cinter(pid+add4)2[forwarded]",
+)
+
+
+@functools.lru_cache(maxsize=1)
+def probe_traces() -> Tuple[SharingTrace, ...]:
+    """The fixed probe traces: a paper-width machine and a packed-wide one
+    (built once per process; every self-check step reads them)."""
+    return (
         _probe_trace(num_nodes=16, num_events=240, seed="kernel-probe-16"),
         _probe_trace(num_nodes=80, num_events=64, seed="kernel-probe-80"),
-    ]
+    )
 
 
 def kernel_probe_fingerprint(backend) -> str:
@@ -521,16 +539,39 @@ def _numbers_probe_keys(backend) -> bool:
     return True
 
 
+def _runs_probe_group(backend) -> bool:
+    """Does ``backend``'s group stream over :data:`PROBE_GROUP` give every
+    member it supports the oracle's one-member quad on each probe trace?"""
+    from repro.core.vectorized import compute_keys
+
+    python = _REGISTRY["python"]
+    schemes = [
+        scheme for scheme in map(parse_scheme, PROBE_GROUP) if backend.supports(scheme)
+    ]
+    for trace in probe_traces():
+        keys = compute_keys(schemes[0].index, trace)
+        stream = backend.group_stream(schemes, trace.num_nodes)
+        if stream.evaluate(trace, keys, True) != [
+            python.evaluate(scheme, trace, keys, True) for scheme in schemes
+        ]:
+            return False
+    return True
+
+
 def kernel_selfcheck(backend) -> bool:
     """Does ``backend`` reproduce the Python oracle's probe battery exactly,
-    and number its keys as numpy does?
+    run the probe group's members as the oracle runs each alone, and number
+    its keys as numpy does?
 
     This is the gate :meth:`NativeKernelBackend.available` runs before a
     compiled engine is allowed to serve evaluations.
     """
-    return kernel_probe_fingerprint(backend) == kernel_probe_fingerprint(
-        _REGISTRY["python"]
-    ) and _numbers_probe_keys(backend)
+    return (
+        kernel_probe_fingerprint(backend)
+        == kernel_probe_fingerprint(_REGISTRY["python"])
+        and _runs_probe_group(backend)
+        and _numbers_probe_keys(backend)
+    )
 
 
 # ----------------------------------------------------------------------

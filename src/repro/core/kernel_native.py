@@ -13,8 +13,8 @@ The compiled loop never sees Python objects: predictor keys and blocks
 are numbered into dense entry indices, and bitmaps travel as bit-packed
 64-bit word rows in the trace's :class:`~repro.util.bitmaps.BitmapLayout`
 sense.
-Entry state is flat arrays (:class:`NativeState`), shared where the
-members allow it:
+Entry state is flat arrays (:class:`NativeState`) in that word layout,
+shared where the members allow it:
 
 * the bitmap-history members (``last``/``union``/``inter``/``overlap``)
   and the bases of the confidence-gated ``cunion``/``cinter`` share one
@@ -22,15 +22,26 @@ members allow it:
   event the loop builds the OR and the AND of the newest 1..len rows once;
   a member of window *w* reads row ``min(len, w)``, and ``overlap`` reads
   the newest row and the AND of the two newest;
-* PAs members share one history register per (entry, node), at the
-  group's largest depth.  A member of depth *d* indexes its own 2-bit
-  counters with the register's low *d* bits, which equal a depth-*d*
-  register;
-* each ``cunion``/``cinter`` member keeps its own confidence counter per
-  (entry, node).  A delivery first scores the member's base prediction
-  against the feedback, and only then does the ring absorb the feedback
-  -- the order of ``_ConfidenceGatedFunction.update``;
+* PAs members share one history per entry at the group's largest depth,
+  as bit planes: plane *k* holds every node's history bit *k* (newest
+  first).  A member's 2-bit counters are one plane pair per history
+  pattern -- the high bits, which predict, and the inverted low bits, so
+  zeroed planes hold the counters' initial value 1.  Per word the loop
+  splits the nodes, level by level, into the non-empty classes that agree
+  on their low history bits (at most min(2^d, 64) at level *d*, shared by
+  every member); a member of depth *d* steps, or reads, the plane pair of
+  each level-*d* class's pattern with a few bitwise operations;
+* each ``cunion``/``cinter`` member keeps one such plane pair of
+  confidence counters per word.  A delivery first steps them toward the
+  bits where the member's base prediction agreed with the feedback, and
+  only then does the ring absorb the feedback -- the order of
+  ``_ConfidenceGatedFunction.update``; the member predicts its base where
+  the high bit is set;
 * the FORWARDED pending-predictor slot per block, one per group.
+
+No loop runs over nodes: an event costs O(words x classes), and a counter
+plane pair takes 16 bytes per word -- a byte per node at 16 nodes, a
+quarter byte at 64.
 
 Scoring happens in the loop: per member it counts the true positives and
 the predicted positives of the prediction masked to the node mask with
@@ -114,9 +125,9 @@ _GATED = ("cunion", "cinter")
 #: cursors); deeper schemes fall back to the pure-Python kernel
 MAX_NATIVE_WINDOW = 255
 
-#: deepest PAs history the native layout supports (counters are indexed by
-#: ``node << depth | history``; 2**12 counters/node is already far past the
-#: paper's design space)
+#: deepest PAs history the native layout supports (the C loop's
+#: ``MAX_PAS_DEPTH``; a member keeps 2**depth plane pairs per word, and
+#: 2**12 is already far past the paper's design space)
 MAX_NATIVE_PAS_DEPTH = 12
 
 C_SOURCE = r"""
@@ -136,22 +147,35 @@ C_SOURCE = r"""
 #define FUNC_CUNION 5
 #define FUNC_CINTER 6
 
+/* deepest shared PAs history the class scratch is laid out for */
+#define MAX_PAS_DEPTH 12
+
+/* the nodes of one word whose low history bits equal `pattern` */
 typedef struct {
-    int64_t num_nodes;
+    uint64_t nodes;
+    int32_t pattern;
+} class_t;
+
+typedef struct {
+    int64_t n_words;
+    const uint64_t *valid;             /* per word: the machine's nodes */
     const int32_t *functions, *params; /* per member: code, window or depth */
-    const int64_t *offsets;            /* per member: counter offset in an entry */
+    const int64_t *offsets;            /* per member: counter word offset in an entry */
     int32_t window;                    /* shared ring slots (0: no ring) */
     uint64_t *ring;
     uint8_t *ring_len, *ring_pos;
-    int32_t depth;                     /* shared PAs history bits (0: none) */
-    uint32_t *pas_hist;
-    int64_t pas_stride;                /* PAs counter bytes per entry */
-    uint8_t *pas_counters;
-    int64_t conf_stride;               /* confidence counter bytes per entry */
-    uint8_t *conf_counters;
+    int32_t depth;                     /* shared PAs history planes (0: none) */
+    uint64_t *pas_hist;                /* plane k: every node's bit k, newest 0 */
+    int64_t pas_stride;                /* PAs counter words per entry */
+    uint64_t *pas_counters;            /* per member and word: a plane pair per
+                                          history pattern */
+    int64_t conf_stride;               /* confidence counter words per entry */
+    uint64_t *conf_counters;           /* per member: a plane pair per word */
     int32_t n_pas, n_conf;
     int32_t *pas_members, *conf_members;
     uint64_t *or_pref, *and_pref;      /* window + 1 rows each; row 0 is zero */
+    uint64_t *rows;                    /* one prediction row per member */
+    class_t *classes;                  /* one word's classes, level by level */
 } group_t;
 
 /* SWAR popcount: the compiler builtin is a library call without -mpopcnt */
@@ -163,23 +187,27 @@ static inline int64_t popcount64(uint64_t x)
     return (int64_t)((x * 0x0101010101010101ull) >> 56);
 }
 
-/* 2-bit saturating counter step: STEP[up << 2 | counter] (counters >= 2
-   predict or trust a bit) */
-static const uint8_t STEP[8] = {0, 0, 1, 2, 1, 2, 3, 3};
-
-static inline int bit_at(const uint64_t *row, int64_t node)
+/* Step the 2-bit saturating counters of the nodes in `sel` one toward their
+   bit of `toward`.  A word of counters is a plane pair: c[0] holds the high
+   bits (the prediction) and c[1] the inverted low bits, so zeroed planes
+   hold the initial value 1. */
+static inline void step(uint64_t *c, uint64_t toward, uint64_t sel)
 {
-    return (int)((row[node >> 6] >> (node & 63)) & 1u);
+    uint64_t hi = c[0], nlo = c[1];
+    /* the majorities of (hi, lo, toward) and (hi, ~lo, toward) */
+    uint64_t new_hi = (hi & ~nlo) | (toward & (hi | ~nlo));
+    uint64_t new_lo = (hi & nlo) | (toward & (hi | nlo));
+    c[0] = hi ^ ((hi ^ new_hi) & sel);
+    c[1] = nlo ^ ((nlo ^ ~new_lo) & sel);
 }
 
 /* Row k (1 <= k <= len) of or_pref / and_pref becomes the OR / AND of the
    entry's newest k feedback rows; returns len. */
-static inline int32_t build_prefixes(const group_t *g, int64_t n_words,
-                                            int64_t entry)
+static inline int32_t build_prefixes(const group_t *g, int64_t entry)
 {
+    int64_t n_words = g->n_words, w;
     int32_t window = g->window, len = g->ring_len[entry], pos = g->ring_pos[entry];
     const uint64_t *base = g->ring + entry * window * n_words;
-    int64_t w;
     int32_t k;
     for (k = 1; k <= len; k++) {
         const uint64_t *row = base + (int64_t)((pos - k + window) % window) * n_words;
@@ -194,33 +222,60 @@ static inline int32_t build_prefixes(const group_t *g, int64_t n_words,
 }
 
 /* the base row a bitmap-history or gated member reads (prefixes built) */
-static inline const uint64_t *base_row(const group_t *g, int64_t n_words,
-                                              int32_t m, int32_t len)
+static inline const uint64_t *base_row(const group_t *g, int32_t m, int32_t len)
 {
     int32_t k = len < g->params[m] ? len : g->params[m];
     int32_t f = g->functions[m];
     if (f == FUNC_INTER || f == FUNC_CINTER)
-        return g->and_pref + (int64_t)k * n_words;
-    return g->or_pref + (int64_t)k * n_words;
+        return g->and_pref + (int64_t)k * g->n_words;
+    return g->or_pref + (int64_t)k * g->n_words;
+}
+
+/* Split word w of an entry's nodes by their low history bits, level by
+   level: level j's non-empty classes (nodes agreeing on their low j bits)
+   land at classes[start[j] .. start[j + 1]), at most min(2^j, 64) of them.
+   Level 0 is the word's nodes. */
+static inline void split_word(const group_t *g, const uint64_t *hist, int64_t w,
+                              int32_t *start)
+{
+    class_t *cls = g->classes;
+    int32_t j, k, n = 1;
+    cls[0].nodes = g->valid[w];
+    cls[0].pattern = 0;
+    start[0] = 0;
+    start[1] = 1;
+    for (j = 1; j <= g->depth; j++) {
+        uint64_t h = hist[(int64_t)(j - 1) * g->n_words + w];
+        for (k = start[j - 1]; k < start[j]; k++) {
+            /* write both halves, keep the non-empty ones (no branches) */
+            uint64_t nodes = cls[k].nodes;
+            int32_t pattern = cls[k].pattern;
+            cls[n].nodes = nodes & ~h;
+            cls[n].pattern = pattern;
+            n += (nodes & ~h) != 0;
+            cls[n].nodes = nodes & h;
+            cls[n].pattern = pattern | (1 << (j - 1));
+            n += (nodes & h) != 0;
+        }
+        start[j + 1] = n;
+    }
 }
 
 /* Deliver one feedback row to an entry: gates score their base first,
-   then the ring and the PAs registers and counters absorb it. */
-static inline void deliver(const group_t *g, int64_t n_words, int64_t entry,
-                                  const uint64_t *fb)
+   then the ring and the PAs history and counters absorb it. */
+static inline void deliver(const group_t *g, int64_t entry, const uint64_t *fb)
 {
-    int64_t num_nodes = g->num_nodes, node, w;
-    int32_t j;
+    int64_t n_words = g->n_words, w;
+    int32_t j, k;
     if (g->n_conf) {
-        int32_t len = build_prefixes(g, n_words, entry);
+        int32_t len = build_prefixes(g, entry);
         for (j = 0; j < g->n_conf; j++) {
             int32_t m = g->conf_members[j];
-            const uint64_t *base = base_row(g, n_words, m, len);
-            uint8_t *c = g->conf_counters + entry * g->conf_stride + g->offsets[m];
-            for (node = 0; node < num_nodes; node++) {
-                int agree = bit_at(base, node) == bit_at(fb, node);
-                c[node] = STEP[(agree << 2) | c[node]];
-            }
+            const uint64_t *base = base_row(g, m, len);
+            uint64_t *c = g->conf_counters + entry * g->conf_stride + g->offsets[m];
+            /* confidence rises where the base agreed with the feedback */
+            for (w = 0; w < n_words; w++)
+                step(c + 2 * w, ~(base[w] ^ fb[w]), g->valid[w]);
         }
     }
     if (g->window) {
@@ -233,29 +288,51 @@ static inline void deliver(const group_t *g, int64_t n_words, int64_t entry,
             g->ring_len[entry] += 1;
     }
     if (g->depth) {
-        uint32_t *hist = g->pas_hist + entry * num_nodes;
-        uint8_t *counters = g->pas_counters + entry * g->pas_stride;
-        uint32_t full = (uint32_t)((1u << g->depth) - 1u);
-        for (node = 0; node < num_nodes; node++) {
-            uint32_t history = hist[node];
-            int bit = bit_at(fb, node);
+        uint64_t *hist = g->pas_hist + entry * g->depth * n_words;
+        uint64_t *counters = g->pas_counters + entry * g->pas_stride;
+        int32_t start[MAX_PAS_DEPTH + 2];
+        for (w = 0; w < n_words; w++) {
+            split_word(g, hist, w, start);
             for (j = 0; j < g->n_pas; j++) {
                 int32_t m = g->pas_members[j], d = g->params[m];
-                uint8_t *c = counters + g->offsets[m]
-                           + ((node << d) | (history & ((1u << d) - 1u)));
-                *c = STEP[(bit << 2) | *c];
+                uint64_t *c = counters + g->offsets[m] + (w << d) * 2;
+                for (k = start[d]; k < start[d + 1]; k++)
+                    step(c + 2 * g->classes[k].pattern, fb[w], g->classes[k].nodes);
             }
-            hist[node] = ((history << 1) | (uint32_t)bit) & full;
+            for (k = g->depth - 1; k > 0; k--)
+                hist[k * n_words + w] = hist[(k - 1) * n_words + w];
+            hist[w] = fb[w];
         }
     }
 }
 
-/* member m's raw prediction for an entry whose prefixes are built */
-static inline const uint64_t *member_row(const group_t *g, int64_t n_words,
-                                                int32_t m, int64_t entry,
-                                                int32_t len, uint64_t *scratch)
+/* Every PAs member's prediction row for an entry: per class, the high
+   counter bits its pattern selects. */
+static inline void predict_pas(const group_t *g, int64_t entry)
 {
-    int64_t num_nodes = g->num_nodes, node, w;
+    int64_t n_words = g->n_words, w;
+    const uint64_t *hist = g->pas_hist + entry * g->depth * n_words;
+    const uint64_t *counters = g->pas_counters + entry * g->pas_stride;
+    int32_t start[MAX_PAS_DEPTH + 2], j, k;
+    for (w = 0; w < n_words; w++) {
+        split_word(g, hist, w, start);
+        for (j = 0; j < g->n_pas; j++) {
+            int32_t m = g->pas_members[j], d = g->params[m];
+            const uint64_t *c = counters + g->offsets[m] + (w << d) * 2;
+            uint64_t row = 0;
+            for (k = start[d]; k < start[d + 1]; k++)
+                row |= c[2 * g->classes[k].pattern] & g->classes[k].nodes;
+            g->rows[m * n_words + w] = row;
+        }
+    }
+}
+
+/* member m's raw prediction for an entry whose prefixes are built (and
+   whose PAs rows are predicted) */
+static inline const uint64_t *member_row(const group_t *g, int32_t m,
+                                         int64_t entry, int32_t len)
+{
+    int64_t n_words = g->n_words, w;
     switch (g->functions[m]) {
     case FUNC_OVERLAP:
         /* the newest row when it overlaps the one before it; with one
@@ -266,49 +343,36 @@ static inline const uint64_t *member_row(const group_t *g, int64_t n_words,
             if (g->and_pref[2 * n_words + w])
                 return g->or_pref + n_words;
         return g->or_pref;
-    case FUNC_PAS: {
-        int32_t d = g->params[m];
-        uint32_t mask = (uint32_t)((1u << d) - 1u);
-        const uint32_t *hist = g->pas_hist + entry * num_nodes;
-        const uint8_t *c = g->pas_counters + entry * g->pas_stride + g->offsets[m];
-        for (w = 0; w < n_words; w++)
-            scratch[w] = 0;
-        for (node = 0; node < num_nodes; node++)
-            scratch[node >> 6] |= (uint64_t)(c[(node << d) | (hist[node] & mask)] >> 1)
-                                  << (node & 63);
-        return scratch;
-    }
+    case FUNC_PAS:
+        return g->rows + m * n_words;
     case FUNC_CUNION:
     case FUNC_CINTER: {
-        const uint64_t *base = base_row(g, n_words, m, len);
-        const uint8_t *c = g->conf_counters + entry * g->conf_stride + g->offsets[m];
+        /* the base where the confidence counter is high */
+        const uint64_t *base = base_row(g, m, len);
+        const uint64_t *c = g->conf_counters + entry * g->conf_stride + g->offsets[m];
+        uint64_t *row = g->rows + m * n_words;
         for (w = 0; w < n_words; w++)
-            scratch[w] = 0;
-        for (node = 0; node < num_nodes; node++)
-            scratch[node >> 6] |= (uint64_t)((c[node] >> 1) & bit_at(base, node))
-                                  << (node & 63);
-        return scratch;
+            row[w] = c[2 * w] & base[w];
+        return row;
     }
     default: /* FUNC_LAST / FUNC_UNION / FUNC_INTER */
-        return base_row(g, n_words, m, len);
+        return base_row(g, m, len);
     }
 }
 
 /* ---- the per-event loop: PredictorKernel.run for a group, compiled ---- */
 
-static inline int group_loop(const group_t *g, int64_t n_words,
-                                    int64_t n_events, int32_t mode,
-                                    int32_t n_members,
-                                    const int32_t *entries, const int32_t *blocks,
-                                    const uint8_t *has_inval,
-                                    const uint64_t *inval, const uint64_t *truth,
-                                    const int64_t *writers,
-                                    const uint64_t *mask_words,
-                                    int32_t exclude_writer, int32_t *pending,
-                                    int64_t *counts, uint64_t *pred,
-                                    uint64_t *scratch)
+static inline int group_loop(const group_t *g, int64_t n_events, int32_t mode,
+                             int32_t n_members,
+                             const int32_t *entries, const int32_t *blocks,
+                             const uint8_t *has_inval,
+                             const uint64_t *inval, const uint64_t *truth,
+                             const int64_t *writers,
+                             int32_t exclude_writer, int32_t *pending,
+                             int64_t *counts, uint64_t *pred)
 {
-    int64_t i, w, truth_bits = 0;
+    int64_t n_words = g->n_words, i, w, truth_bits = 0;
+    const uint64_t *mask_words = g->valid;
     int32_t m, status = 0;
     for (i = 0; i < n_events; i++) {
         int64_t entry = entries[i];
@@ -317,7 +381,7 @@ static inline int group_loop(const group_t *g, int64_t n_words,
         int32_t len = 0;
         if (mode == MODE_DIRECT) {
             if (has_inval[i])
-                deliver(g, n_words, entry, inval + i * n_words);
+                deliver(g, entry, inval + i * n_words);
         } else if (mode == MODE_FORWARDED) {
             int32_t block = blocks[i];
             if (has_inval[i]) {
@@ -328,31 +392,38 @@ static inline int group_loop(const group_t *g, int64_t n_words,
                     status = 1; /* inval with no open epoch */
                     break;
                 }
-                deliver(g, n_words, predictor, inval + i * n_words);
+                deliver(g, predictor, inval + i * n_words);
             }
             pending[block] = (int32_t)entry;
         }
         if (g->window)
-            len = build_prefixes(g, n_words, entry);
+            len = build_prefixes(g, entry);
+        if (g->depth)
+            predict_pas(g, entry);
+        /* sharing is sparse: words with nothing to count are skipped */
         for (w = 0; w < n_words; w++)
-            truth_bits += popcount64(t_row[w] & mask_words[w]);
+            if (t_row[w])
+                truth_bits += popcount64(t_row[w] & mask_words[w]);
         for (m = 0; m < n_members; m++) {
-            const uint64_t *row = member_row(g, n_words, m, entry, len, scratch);
+            const uint64_t *row = member_row(g, m, entry, len);
             int64_t tp = 0, predicted = 0;
+            if (pred != NULL)
+                memcpy(pred + (i * n_members + m) * n_words, row,
+                       (size_t)n_words * sizeof(uint64_t));
             for (w = 0; w < n_words; w++) {
                 uint64_t p = row[w] & mask_words[w];
-                if (pred != NULL)
-                    pred[(i * n_members + m) * n_words + w] = row[w];
                 if (exclude_writer && (writer >> 6) == w)
                     p &= ~(1ull << (writer & 63));
-                tp += popcount64(p & t_row[w]);
-                predicted += popcount64(p);
+                if (p) {
+                    tp += popcount64(p & t_row[w]);
+                    predicted += popcount64(p);
+                }
             }
             counts[2 * m] += tp;
             counts[2 * m + 1] += predicted;
         }
         if (mode == MODE_ORDERED)
-            deliver(g, n_words, entry, t_row);
+            deliver(g, entry, t_row);
     }
     counts[2 * n_members] += truth_bits;
     return status;
@@ -362,9 +433,9 @@ static inline int group_loop(const group_t *g, int64_t n_words,
    positives at 2m + 1, and the chunk's truth bits at 2 * n_members.  pred,
    when not NULL, gets member m's raw row of event i at row
    i * n_members + m.  Returns 1 on an inconsistent trace, 2 when out of
-   memory. */
+   memory, 3 for a PAs history deeper than MAX_PAS_DEPTH. */
 
-int repro_group_run(int64_t n_events, int64_t n_words, int64_t num_nodes,
+int repro_group_run(int64_t n_events, int64_t n_words,
                     int32_t mode, int32_t n_members,
                     const int32_t *functions, const int32_t *params,
                     const int64_t *offsets,
@@ -375,24 +446,35 @@ int repro_group_run(int64_t n_events, int64_t n_words, int64_t num_nodes,
                     int32_t exclude_writer,
                     int32_t window, uint64_t *ring, uint8_t *ring_len,
                     uint8_t *ring_pos,
-                    int32_t depth, int64_t pas_stride, uint32_t *pas_hist,
-                    uint8_t *pas_counters,
-                    int64_t conf_stride, uint8_t *conf_counters,
+                    int32_t depth, int64_t pas_stride, uint64_t *pas_hist,
+                    uint64_t *pas_counters,
+                    int64_t conf_stride, uint64_t *conf_counters,
                     int32_t *pending, int64_t *counts, uint64_t *pred)
 {
     group_t g;
-    int32_t *members = (int32_t *)malloc(2 * (size_t)n_members * sizeof(int32_t) + 1);
-    uint64_t *buffers = (uint64_t *)calloc(
-        (size_t)(2 * (window + 1) + 1) * (size_t)n_words, sizeof(uint64_t));
-    uint64_t *scratch;
-    int32_t m, status;
+    int32_t *members;
+    uint64_t *buffers;
+    class_t *classes;
+    int32_t m, j, status, n_classes = 1;
 
-    if (members == NULL || buffers == NULL) {
+    if (depth > MAX_PAS_DEPTH)
+        return 3;
+    /* one slot past the last class: a split writes both halves first */
+    for (j = 1; j <= depth; j++)
+        n_classes += j < 6 ? 1 << j : 64;
+    n_classes += 1;
+    members = (int32_t *)malloc(2 * (size_t)n_members * sizeof(int32_t) + 1);
+    buffers = (uint64_t *)calloc(
+        (size_t)(2 * (window + 1) + n_members) * (size_t)n_words, sizeof(uint64_t));
+    classes = (class_t *)malloc((size_t)n_classes * sizeof(class_t));
+    if (members == NULL || buffers == NULL || classes == NULL) {
         free(members);
         free(buffers);
+        free(classes);
         return 2;
     }
-    g.num_nodes = num_nodes;
+    g.n_words = n_words;
+    g.valid = mask_words;
     g.functions = functions;
     g.params = params;
     g.offsets = offsets;
@@ -418,13 +500,15 @@ int repro_group_run(int64_t n_events, int64_t n_words, int64_t num_nodes,
     }
     g.or_pref = buffers;
     g.and_pref = buffers + (int64_t)(window + 1) * n_words;
-    scratch = buffers + (int64_t)2 * (window + 1) * n_words;
+    g.rows = buffers + (int64_t)2 * (window + 1) * n_words;
+    g.classes = classes;
 
-    status = group_loop(&g, n_words, n_events, mode, n_members, entries, blocks,
-                        has_inval, inval, truth, writers, mask_words,
-                        exclude_writer, pending, counts, pred, scratch);
+    status = group_loop(&g, n_events, mode, n_members, entries, blocks,
+                        has_inval, inval, truth, writers,
+                        exclude_writer, pending, counts, pred);
     free(members);
     free(buffers);
+    free(classes);
     return status;
 }
 
@@ -526,7 +610,7 @@ _I32, _I64, _PTR = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
 #: as bare addresses
 _SIGNATURES = {
     "repro_group_run": (ctypes.c_int, (
-        _I64, _I64, _I64, _I32, _I32,  # events, words, nodes, mode, members
+        _I64, _I64, _I32, _I32,        # events, words, mode, members
         _PTR, _PTR, _PTR,              # functions, params, offsets
         _PTR, _PTR, _PTR,              # entries, blocks, has_inval
         _PTR, _PTR, _PTR,              # inval, truth, writers
@@ -634,9 +718,11 @@ class NativeState:
 
     One instance per (index group, update mode, trace) -- predictor tables
     never carry over between traces.  Arrays start empty and :meth:`grow`
-    appends fresh entries (and blocks) as the stream meets new ids, so
-    existing state never moves.  A family the group lacks keeps
-    zero-length arrays (the C side never dereferences them).
+    appends zeroed entries (and blocks) as the stream meets new ids, so
+    existing state never moves.  Every per-entry array starts at zero: the
+    PAs and confidence counters are bit planes whose zero value is the
+    counters' initial 1.  A family the group lacks keeps zero-length arrays
+    (the C side never dereferences them).
     """
 
     __slots__ = ("window", "depth", "pas_stride", "conf_stride", "ring",
@@ -644,30 +730,22 @@ class NativeState:
                  "conf_counters", "pending", "_per_entry", "_entries")
 
     def __init__(
-        self,
-        window: int,
-        depth: int,
-        pas_stride: int,
-        conf_stride: int,
-        num_nodes: int,
-        n_words: int,
+        self, window: int, depth: int, pas_stride: int, conf_stride: int, n_words: int
     ) -> None:
         self.window = window
         self.depth = depth
         self.pas_stride = pas_stride
         self.conf_stride = conf_stride
-        # (attribute, dtype, values per entry, initial value); PAs and
-        # confidence counters start at 1 (twolevel / confidence
-        # _COUNTER_INIT)
+        # (attribute, dtype, values per entry)
         layout = (
-            ("ring", np.uint64, window * n_words, 0),
-            ("ring_len", np.uint8, 1 if window else 0, 0),
-            ("ring_pos", np.uint8, 1 if window else 0, 0),
-            ("pas_hist", np.uint32, num_nodes if depth else 0, 0),
-            ("pas_counters", np.uint8, pas_stride, 1),
-            ("conf_counters", np.uint8, conf_stride, 1),
+            ("ring", np.uint64, window * n_words),
+            ("ring_len", np.uint8, 1 if window else 0),
+            ("ring_pos", np.uint8, 1 if window else 0),
+            ("pas_hist", np.uint64, depth * n_words),
+            ("pas_counters", np.uint64, pas_stride),
+            ("conf_counters", np.uint64, conf_stride),
         )
-        for attribute, dtype, _, _ in layout:
+        for attribute, dtype, _ in layout:
             setattr(self, attribute, np.zeros(0, dtype=dtype))
         self._per_entry = tuple(spec for spec in layout if spec[2])
         self.pending = np.zeros(0, dtype=np.int32)
@@ -677,8 +755,8 @@ class NativeState:
         """Append initial state for entries and blocks not yet allocated."""
         added = n_entries - self._entries
         if added > 0:
-            for attribute, dtype, size, initial in self._per_entry:
-                fresh = np.full(added * size, initial, dtype=dtype)
+            for attribute, dtype, size in self._per_entry:
+                fresh = np.zeros(added * size, dtype=dtype)
                 setattr(self, attribute, _append(getattr(self, attribute), fresh))
             self._entries = n_entries
         added = n_blocks - len(self.pending)
@@ -740,16 +818,18 @@ class NativeGroupStream:
             [_FUNC_CODES[scheme.function] for scheme in schemes], dtype=np.int32
         )
         self.params = np.array([_param(scheme) for scheme in schemes], dtype=np.int32)
-        # each PAs and each gated member owns a slice of its entry's counters
+        # each PAs and each gated member owns a slice of its entry's counter
+        # words: a plane pair per word and history pattern, or per word
+        n_words = self.layout.n_words
         offsets = []
         pas_stride = conf_stride = 0
         for scheme in schemes:
             if scheme.function == "pas":
                 offsets.append(pas_stride)
-                pas_stride += num_nodes << scheme.depth
+                pas_stride += (2 * n_words) << scheme.depth
             elif scheme.function in _GATED:
                 offsets.append(conf_stride)
-                conf_stride += num_nodes
+                conf_stride += 2 * n_words
             else:
                 offsets.append(0)
         self.offsets = np.array(offsets, dtype=np.int64)
@@ -761,8 +841,7 @@ class NativeGroupStream:
             depth=max((s.depth for s in schemes if s.function == "pas"), default=0),
             pas_stride=pas_stride,
             conf_stride=conf_stride,
-            num_nodes=num_nodes,
-            n_words=self.layout.n_words,
+            n_words=n_words,
         )
         # the numberings :meth:`evaluate` carries across chunks
         self._keys: Optional[KeyNumbering] = None
@@ -796,7 +875,7 @@ class NativeGroupStream:
         truth = _to_word_rows(chunk.truth, layout)
         writers = np.require(chunk.writer, dtype=np.int64, requirements="CA")
         status = self._library.repro_group_run(
-            len(entries), layout.n_words, layout.num_nodes, self.mode, size,
+            len(entries), layout.n_words, self.mode, size,
             _address(self.functions), _address(self.params), _address(self.offsets),
             _address(entries), _address(entries if blocks is None else blocks),
             _address(has_inval), _address(inval), _address(truth), _address(writers),
@@ -814,8 +893,12 @@ class NativeGroupStream:
                 "native kernel: has_inval set on an event whose block has no "
                 "open epoch (inconsistent trace)"
             )
-        if status:
+        if status == 2:
             raise MemoryError("native kernel: scratch allocation failed")
+        if status:
+            raise ValueError(
+                f"native kernel: PAs depth {state.depth} beyond the compiled cap"
+            )
         truth_bits = int(counts[-1])
         total = len(chunk) * self.layout.num_nodes
         quads = []

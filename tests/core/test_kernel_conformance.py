@@ -25,7 +25,11 @@ Coverage axes:
   ``group_stream`` fed the same trace cut at Hypothesis-drawn points
   (always with a one-event first chunk and a cut inside an open FORWARDED
   epoch) must reproduce the oracle's one-chunk predictions and confusion
-  quads.
+  quads, at 8, 16, 64, 65 and 80 nodes and with PAs members up to the
+  native depth cap;
+* the bits past the last node: the native bit-plane families (PAs and
+  the confidence-gated ones) never predict one, even when the feedback
+  sets them.
 
 Every backend numbers a key stream by first appearance; its numbering
 must equal the normative numpy one on adversarial keys, and the native
@@ -40,8 +44,10 @@ in ``tests/core/test_kernel.py``.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -62,7 +68,12 @@ from repro.core.kernel_backends import (
     resolve_kernel_backend,
     set_kernel_backend,
 )
-from repro.core.kernel_native import KeyNumbering, compiled_library
+from repro.core.kernel_native import (
+    C_SOURCE,
+    MAX_NATIVE_PAS_DEPTH,
+    KeyNumbering,
+    compiled_library,
+)
 from repro.core.schemes import Scheme, parse_scheme
 from repro.core.update import UpdateMode
 from repro.core.vectorized import compute_keys
@@ -199,6 +210,8 @@ GROUP_MEMBERS = (
     "pas(pid+add4)1",
     "pas(pid+add4)3",
     "pas(pid+add4)2",
+    "pas(pid+add4)6",
+    f"pas(pid+add4){MAX_NATIVE_PAS_DEPTH}",
     "cunion(pid+add4)2",
     "cinter(pid+add4)3",
     "cunion(pid+add4)1",
@@ -387,10 +400,18 @@ class TestHypothesisConformance:
         )
 
 
-#: one trace per layout kind for the chunked feeds: scalar words and packed
+#: traces for the chunked feeds: scalar words (8, 16), a full word (64),
+#: one node past it (65) and a packed pair of words (80)
 _CHUNKED_TRACES = {
+    8: make_random_trace(num_nodes=8, num_events=48, num_blocks=5, seed="kernel-chunked-8"),
     16: make_random_trace(
         num_nodes=16, num_events=64, num_blocks=6, seed="kernel-chunked-16"
+    ),
+    64: make_random_trace(
+        num_nodes=64, num_events=16, num_blocks=3, seed="kernel-chunked-64"
+    ),
+    65: make_random_trace(
+        num_nodes=65, num_events=16, num_blocks=3, seed="kernel-chunked-65"
     ),
     80: make_random_trace(
         num_nodes=80, num_events=24, num_blocks=4, seed="kernel-chunked-80"
@@ -469,6 +490,90 @@ class TestGroupConformance:
         stream = backend.group_stream(schemes, trace.num_nodes)
         keys = compute_keys(schemes[0].index, trace)
         assert stream.evaluate(trace, keys, True) == [(0, 0, 0, 0)] * len(schemes)
+
+
+# ----------------------------------------------------------------------
+# Word boundaries: the bits past the last node
+# ----------------------------------------------------------------------
+
+#: the families whose native state is per-node bit planes, on a coarse
+#: index so every entry absorbs many deliveries
+_PLANE_SCHEMES = tuple(
+    f"{function}(add2){depth}[{mode.value}]"
+    for function, depth in (("pas", 1), ("pas", 3), ("cunion", 2), ("cinter", 2))
+    for mode in UpdateMode
+)
+
+
+def _padding_set(trace):
+    """``trace`` as one chunk whose truth and inval bitmaps also set every
+    bit past the last node that their words hold."""
+    layout = trace.layout
+    padding = ~layout.mask
+    return TraceChunk(
+        num_nodes=trace.num_nodes,
+        start=0,
+        writer=trace.writer,
+        pc=trace.pc,
+        home=trace.home,
+        block=trace.block,
+        truth=trace.truth | padding,
+        inval=trace.inval | padding,
+        has_inval=trace.has_inval,
+        close=trace.close,
+        name=f"{trace.name}-padded",
+    )
+
+
+@pytest.fixture(scope="module")
+def native():
+    instance = get_kernel_backend("native")
+    if not instance.available():
+        pytest.skip("native kernel backend unavailable here")
+    return instance
+
+
+class TestWordBoundaries:
+    @pytest.mark.parametrize("num_nodes", (8, 65, 80))
+    @pytest.mark.parametrize("padded", (False, True), ids=("clean", "padding-set"))
+    def test_plane_families_never_predict_past_the_last_node(
+        self, native, num_nodes, padded
+    ):
+        """Raw rows equal the oracle's and keep every bit past ``num_nodes``
+        clear, also when the feedback sets those bits (which the oracle's
+        per-node state never reads)."""
+        trace = _CHUNKED_TRACES[num_nodes]
+        chunk = _padding_set(trace) if padded else _chunks_at(trace, [])[0]
+        layout = trace.layout
+        oracle = get_kernel_backend("python")
+        for text in _PLANE_SCHEMES:
+            scheme = parse_scheme(text)
+            keys = compute_keys(scheme.index, trace)
+            got = native.stream(scheme, num_nodes).feed(chunk, keys)
+            want = oracle.stream(scheme, num_nodes).feed(chunk, keys)
+            assert layout.to_int_list(got) == layout.to_int_list(want), text
+            assert not layout.has_excess_bits(got), f"{text} predicted a padding bit"
+
+    def test_c_depth_cap_is_the_supported_depth(self):
+        """The class scratch the C loop sizes by its cap must hold every
+        depth :meth:`NativeKernelBackend.supports` admits."""
+        [cap] = re.findall(r"#define MAX_PAS_DEPTH (\d+)", C_SOURCE)
+        assert int(cap) == MAX_NATIVE_PAS_DEPTH
+        native = get_kernel_backend("native")
+        index = IndexSpec(use_pid=True, addr_bits=4)
+        assert native.supports(Scheme("pas", index, depth=MAX_NATIVE_PAS_DEPTH))
+        assert not native.supports(Scheme("pas", index, depth=MAX_NATIVE_PAS_DEPTH + 1))
+
+    def test_group_past_the_depth_cap_is_refused(self, native):
+        """A group stream built around :meth:`supports` fails loudly rather
+        than overrun the class scratch."""
+        scheme = Scheme(
+            "pas", IndexSpec(use_pid=True, addr_bits=4), depth=MAX_NATIVE_PAS_DEPTH + 1
+        )
+        trace = _CHUNKED_TRACES[8]
+        stream = native.group_stream([scheme], trace.num_nodes)
+        with pytest.raises(ValueError, match="beyond the compiled cap"):
+            stream.evaluate(trace, compute_keys(scheme.index, trace), True)
 
 
 # ----------------------------------------------------------------------
@@ -684,6 +789,29 @@ class _IdsFlippingGroupStream:
         return self.flipping.evaluate_ids(chunk, entries, blocks, exclude_writer)
 
 
+class _DeepestHistoryBackend(kb.PythonKernelBackend):
+    """A backend wrong only in multi-member groups: every PAs member reads
+    the history at the group's deepest PAs depth (a shallower member
+    indexing its counters by the deepest level's classes).  Everything
+    else is the oracle's."""
+
+    name = "deepest-history-test"
+
+    def group_stream(self, schemes, num_nodes):
+        deepest = max(
+            (scheme.depth for scheme in schemes if scheme.function == "pas"), default=1
+        )
+        return super().group_stream(
+            [
+                dataclasses.replace(scheme, depth=deepest)
+                if scheme.function == "pas"
+                else scheme
+                for scheme in schemes
+            ],
+            num_nodes,
+        )
+
+
 @pytest.fixture
 def scratch_registration():
     """Register a backend for one test, guaranteed unregistered after."""
@@ -716,6 +844,31 @@ class TestHarnessCatchesNonconformance:
     def test_probe_fingerprint_flags_bit_divergence(self, scratch_registration):
         backend = scratch_registration(_BitFlippingBackend())
         assert not kb.kernel_selfcheck(backend)
+
+    def test_selfcheck_flags_divergence_in_groups_alone(self, scratch_registration):
+        backend = scratch_registration(_DeepestHistoryBackend())
+        oracle = get_kernel_backend("python")
+        # the one-member battery and the numbering pass; the probe group fails
+        assert kernel_probe_fingerprint(backend) == kernel_probe_fingerprint(oracle)
+        assert kb._numbers_probe_keys(backend)
+        assert not kb._runs_probe_group(backend)
+        assert not kb.kernel_selfcheck(backend)
+
+    def test_probe_group_shares_what_only_groups_share(self):
+        schemes = [parse_scheme(text) for text in kb.PROBE_GROUP]
+        assert len({(scheme.index, scheme.update) for scheme in schemes}) == 1
+        functions = [scheme.function for scheme in schemes]
+        assert {"union", "inter", "overlap", "cunion", "cinter"} <= set(functions)
+        assert len({scheme.depth for scheme in schemes if scheme.function == "pas"}) >= 2
+        assert len({scheme.depth for scheme in schemes if scheme.function != "pas"}) >= 2
+
+    def test_native_passes_its_selfcheck_where_it_builds(self):
+        """A compiler that builds the library must give a backend that passes
+        the self-check: a failure would otherwise only skip the native rows."""
+        if compiled_library() is None:
+            pytest.skip("the C kernel library cannot be built here")
+        assert kb.kernel_selfcheck(get_kernel_backend("native"))
+        assert get_kernel_backend("native").available()
 
     def test_chunked_harness_flags_bit_divergence(self, scratch_registration):
         backend = scratch_registration(_BitFlippingBackend())
