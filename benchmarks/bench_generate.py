@@ -3,24 +3,33 @@
 Each repeat points a fresh :class:`TraceSet` at an empty cache directory and
 asks it for every benchmark's trace, so every trace is generated (workload
 generators, scheduler, protocol simulation) and stored with its stats
-sidecar, exactly as a cold ``repro-bench`` run does.  Per benchmark it
-records:
+sidecar, exactly as a cold ``repro-bench`` run does.  A repeat does this
+twice:
 
-* ``generate_s``: :func:`~repro.harness.runner.generate_trace` alone (the
-  ``cache.trace.generate_seconds`` timer);
-* ``cold_s``: the whole cache miss, generation plus storing the pair;
+* one benchmark at a time (``TraceSet.trace``), which always runs in this
+  process.  Per benchmark it records ``generate_s``,
+  :func:`~repro.harness.runner.generate_trace` alone (the
+  ``cache.trace.generate_seconds`` timer), and ``cold_s``, the whole cache
+  miss, generation plus storing the pair;
+* the whole suite through ``TraceSet.traces()``, which generates the
+  missing traces in this process and up to (usable CPUs - 1) spawned
+  workers.  It records ``traces_s``, the call's wall time, and
+  ``traces_generate_s``, ``cache.trace.generate_seconds`` summed over the
+  processes that generated.
 
-and reports each as median, IQR and samples, with the median's accesses per
-second.  Before any number is written, every regenerated trace and sidecar
-is compared with the committed seed-0 pair under ``data/traces``
-(``stream_fingerprint`` and the sidecar's JSON); a difference fails the run,
-so the artifact can never describe a speedup bought with a semantics change.
-Emits ``BENCH_generate.json``::
+Each figure is reported as median, IQR and samples, with the median's
+accesses per second, and the host's usable CPUs.  Before any number is
+written, every regenerated trace and sidecar, from both kinds of round, is
+compared with the committed seed-0 pair under ``data/traces``
+(``stream_fingerprint`` and the sidecar's JSON); a difference fails the
+run, so the artifact can never describe a speedup bought with a semantics
+change.  Emits ``BENCH_generate.json``::
 
     PYTHONPATH=src python benchmarks/bench_generate.py [--out PATH]
 
-There is no time floor: generation speed depends on the host, so the JSON
-records the host next to the numbers.
+There is no time floor: generation speed depends on the host, and the
+suite call's on its CPU count, so the JSON records the host next to the
+numbers.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.harness.runner import TraceSet
+from repro.harness.runner import TraceSet, _usable_cpus
 from repro.telemetry import Telemetry, set_telemetry
 from repro.trace.io import load_trace
 from repro.trace.source import stream_fingerprint
@@ -56,11 +65,21 @@ def summarize(samples):
     }
 
 
+def _differs(fresh: TraceSet, committed: TraceSet, name: str, trace) -> bool:
+    """Whether ``fresh``'s trace or sidecar for ``name`` differs from the committed pair."""
+    summary = json.loads(fresh._stats_path(name).read_text())
+    expected = json.loads(committed._stats_path(name).read_text())
+    reference = load_trace(committed._cache_path(name))
+    return summary != expected or stream_fingerprint(trace) != stream_fingerprint(
+        reference
+    )
+
+
 def cold_round(committed: TraceSet):
-    """Generate the suite into an empty cache; compare it with ``committed``.
+    """Generate the suite one trace at a time into an empty cache.
 
     Returns ``{benchmark: (generate_s, cold_s, accesses)}`` and the names
-    whose trace or sidecar differs from the committed pair.
+    whose trace or sidecar differs from ``committed``.
     """
     timings = {}
     mismatches = []
@@ -77,15 +96,37 @@ def cold_round(committed: TraceSet):
                 set_telemetry(previous)
             assert telemetry.counters["cache.trace.regenerations"] == 1, name
             generate_s = telemetry.timers["cache.trace.generate_seconds"][0]
-            summary = json.loads(fresh._stats_path(name).read_text())
-            expected = json.loads(committed._stats_path(name).read_text())
-            reference = load_trace(committed._cache_path(name))
-            if summary != expected or stream_fingerprint(trace) != stream_fingerprint(
-                reference
-            ):
+            if _differs(fresh, committed, name, trace):
                 mismatches.append(name)
-            timings[name] = (generate_s, cold_s, summary["accesses"])
+            accesses = json.loads(fresh._stats_path(name).read_text())["accesses"]
+            timings[name] = (generate_s, cold_s, accesses)
     return timings, mismatches
+
+
+def suite_round(committed: TraceSet):
+    """Generate the suite through ``traces()`` into an empty cache.
+
+    Returns the call's wall seconds, ``cache.trace.generate_seconds`` summed
+    over every process that generated, and the names whose trace or
+    sidecar differs from ``committed``.
+    """
+    with tempfile.TemporaryDirectory(prefix="bench-generate-") as tmp:
+        fresh = TraceSet(seed=committed.seed, cache_dir=Path(tmp))
+        telemetry = Telemetry()
+        previous = set_telemetry(telemetry)
+        try:
+            started = time.perf_counter()
+            traces = fresh.traces()
+            suite_s = time.perf_counter() - started
+        finally:
+            set_telemetry(previous)
+        assert telemetry.counters["cache.trace.regenerations"] == len(traces)
+        mismatches = [
+            name
+            for name, trace in zip(fresh.benchmarks, traces)
+            if _differs(fresh, committed, name, trace)
+        ]
+    return suite_s, telemetry.timers["cache.trace.generate_seconds"][0], mismatches
 
 
 def main(argv=None) -> int:
@@ -97,8 +138,12 @@ def main(argv=None) -> int:
 
     committed = TraceSet(seed=0, cache_dir=DATA_TRACES)
     rounds = []
+    suite_samples = []
+    summed_samples = []
     for repeat in range(REPEATS):
         timings, mismatches = cold_round(committed)
+        suite_s, summed_s, suite_mismatches = suite_round(committed)
+        mismatches += suite_mismatches
         if mismatches:
             print(
                 f"FAIL: regenerated {', '.join(mismatches)} differ from the "
@@ -107,8 +152,13 @@ def main(argv=None) -> int:
             )
             return 1
         rounds.append(timings)
+        suite_samples.append(suite_s)
+        summed_samples.append(summed_s)
         total = sum(generate_s for generate_s, _, _ in timings.values())
-        print(f"round {repeat + 1}/{REPEATS}: suite generate_s {total:.2f}")
+        print(
+            f"round {repeat + 1}/{REPEATS}: suite generate_s {total:.2f}, "
+            f"traces() {suite_s:.2f} s"
+        )
 
     benchmarks = {}
     for name in committed.benchmarks:
@@ -124,6 +174,7 @@ def main(argv=None) -> int:
         [sum(entry[0] for entry in timings.values()) for timings in rounds]
     )
     accesses = sum(entry["accesses"] for entry in benchmarks.values())
+    suite_traces = summarize(suite_samples)
     report = {
         "benchmark": "cold-suite-generation",
         "seed": 0,
@@ -131,6 +182,7 @@ def main(argv=None) -> int:
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
+            "usable_cpus": _usable_cpus(),
             "python": platform.python_version(),
         },
         "suite": {
@@ -140,6 +192,9 @@ def main(argv=None) -> int:
                 [sum(entry[1] for entry in timings.values()) for timings in rounds]
             ),
             "accesses_per_s": round(accesses / suite_generate["median"]),
+            "traces_s": suite_traces,
+            "traces_generate_s": summarize(summed_samples),
+            "traces_accesses_per_s": round(accesses / suite_traces["median"]),
         },
         "benchmarks": benchmarks,
         "traces_identical": True,
@@ -148,8 +203,10 @@ def main(argv=None) -> int:
     print(
         f"suite generate_s median {suite_generate['median']:.2f} s "
         f"(IQR {suite_generate['iqr']:.2f}), "
-        f"{report['suite']['accesses_per_s']:,} accesses/s; "
-        f"all traces equal the committed seed-0 suite; wrote {args.out}"
+        f"{report['suite']['accesses_per_s']:,} accesses/s; traces() median "
+        f"{suite_traces['median']:.2f} s (IQR {suite_traces['iqr']:.2f}) on "
+        f"{_usable_cpus()} usable CPUs; all traces equal the committed seed-0 "
+        f"suite; wrote {args.out}"
     )
     return 0
 

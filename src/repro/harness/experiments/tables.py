@@ -100,8 +100,7 @@ def table5(trace_set: TraceSet, use_cache: bool = True) -> ExperimentResult:
                 "store_misses",
             ],
         )
-        for name in trace_set.benchmarks:
-            trace = trace_set.trace(name)
+        for name, trace in zip(trace_set.benchmarks, trace_set.traces()):
             stats = compute_trace_stats(trace)
             summary = trace_set.protocol_summary(name)
             result.rows.append(
@@ -146,8 +145,8 @@ def table6(trace_set: TraceSet, use_cache: bool = True) -> ExperimentResult:
             ],
         )
         prevalences = []
-        for name in trace_set.benchmarks:
-            stats = compute_trace_stats(trace_set.trace(name))
+        for name, trace in zip(trace_set.benchmarks, trace_set.traces()):
+            stats = compute_trace_stats(trace)
             prevalences.append(stats.prevalence)
             result.rows.append(
                 {

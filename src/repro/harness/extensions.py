@@ -47,8 +47,8 @@ def ext_patterns(trace_set: TraceSet, use_cache: bool = True) -> ExperimentResul
                 "dominant",
             ],
         )
-        for name in trace_set.benchmarks:
-            tally = census(trace_set.trace(name))
+        for name, trace in zip(trace_set.benchmarks, trace_set.traces()):
+            tally = census(trace)
             result.rows.append(
                 {
                     "benchmark": name,

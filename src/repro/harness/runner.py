@@ -25,6 +25,7 @@ experiments) decides whether journals are written, read, or skipped.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import logging
@@ -158,25 +159,29 @@ class TraceSet:
         stale format) is logged, deleted, and regenerated -- corruption is a
         cache miss, never a crash.
         """
+        trace = self._cached(benchmark)
+        if trace is None:
+            trace = self._generate_and_store(benchmark)
+        return trace
+
+    def _cached(self, benchmark: str) -> Optional[SharingTrace]:
+        """The trace from memory or the disk cache; ``None`` means generate it."""
         telemetry = get_telemetry()
         cached = self._traces.get(benchmark)
         if cached is not None:
             telemetry.count("cache.trace.memory_hits")
             return cached
         path = self._cache_path(benchmark)
-        trace: Optional[SharingTrace] = None
-        if path.exists():
-            try:
-                trace = load_trace(path)
-                telemetry.count("cache.trace.disk_hits")
-            except CacheCorruptionError as error:
-                discard_corrupt(path, str(error))
-                telemetry.count("cache.trace.corrupt_regenerations")
-                trace = None
-        else:
+        if not path.exists():
             telemetry.count("cache.trace.misses")
-        if trace is None:
-            trace = self._generate_and_store(benchmark)
+            return None
+        try:
+            trace = load_trace(path)
+        except CacheCorruptionError as error:
+            discard_corrupt(path, str(error))
+            telemetry.count("cache.trace.corrupt_regenerations")
+            return None
+        telemetry.count("cache.trace.disk_hits")
         self._traces[benchmark] = trace
         return trace
 
@@ -265,8 +270,24 @@ class TraceSet:
         return summary
 
     def traces(self) -> List[SharingTrace]:
-        """All benchmark traces, in suite order."""
-        return [self.trace(name) for name in self.benchmarks]
+        """All benchmark traces, in suite order.
+
+        Each trace is looked up as :meth:`trace` looks it up.  When more than
+        one is missing and more than one CPU is usable, the missing traces
+        are generated concurrently (:class:`_SuiteGeneration`); whatever
+        that leaves is generated here, in suite order.
+        """
+        missing: List[str] = []
+        for name in self.benchmarks:
+            if name not in missing and self._cached(name) is None:
+                missing.append(name)
+        workers = min(len(missing), _usable_cpus()) - 1
+        if workers > 0:
+            _SuiteGeneration(self, missing).run(workers)
+        for name in missing:
+            if name not in self._traces:
+                self._generate_and_store(name)
+        return [self._traces[name] for name in self.benchmarks]
 
     def fingerprint(self) -> str:
         """A stable id for this trace set (used to key derived result caches)."""
@@ -274,6 +295,221 @@ class TraceSet:
             f"{name}:{self._fingerprint(name)}" for name in self.benchmarks
         )
         return hashlib.sha256(parts.encode("utf-8")).hexdigest()[:16]
+
+
+# ----------------------------------------------------------------------
+# Concurrent suite generation
+# ----------------------------------------------------------------------
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _SuiteGeneration:
+    """Generate a suite's missing traces here and in spawned workers.
+
+    The benchmarks share no state, so each is generated in whichever
+    process takes it.  This process (slot 0) and each worker (slots 1..n)
+    take the next index of ``names`` from one shared cursor, so benchmarks
+    start in suite order, and ``claims`` records which slot took each.  A
+    worker runs the same :meth:`TraceSet._generate_and_store` and sends each
+    trace back with the telemetry it recorded; this process keeps the trace
+    and merges the telemetry, so the counts equal the serial loop's.
+
+    Once the cursor runs out, a worker owing no trace is stopped at once,
+    even one still starting up, and this process waits only for the rest.
+    Whatever no process delivered (a dead worker's benchmark, or one a
+    worker failed on) is left to the serial loop in :meth:`TraceSet.traces`,
+    which runs after every worker has stopped and raises the error the
+    serial path would raise.
+
+    Workers are spawned, not forked: the service reaches ``traces()`` from a
+    job thread, and forking a process that has threads is unsafe.
+    """
+
+    #: seconds between liveness checks while this process waits for the
+    #: cursor's lock, which a worker killed while holding it never releases
+    LOCK_POLL_S = 0.1
+
+    def __init__(self, trace_set: TraceSet, names: List[str]):
+        import multiprocessing  # here, not at import time: only a cold suite needs it
+
+        self.ctx = multiprocessing.get_context("spawn")
+        self.trace_set = trace_set
+        self.names = names
+        self.cursor = None
+        self.claims = None
+        #: slot -> (process, the read end of its result pipe)
+        self.workers: Dict[int, tuple] = {}
+
+    def run(self, workers: int) -> None:
+        try:
+            self._start(workers)
+            if not self.workers:
+                return
+            limit = len(self.names)
+            while True:
+                index = self._claim()
+                if index is None:
+                    break
+                try:
+                    self.trace_set._generate_and_store(self.names[index])
+                except Exception:  # noqa: BLE001 - the serial loop raises it again
+                    # An earlier benchmark a worker holds may fail too: the
+                    # serial loop regenerates this one after it, so the
+                    # error raised is the one suite order meets first.
+                    limit = index
+                    break
+            self._collect(limit)
+        finally:
+            for slot in list(self.workers):
+                self._stop(slot)
+
+    def _start(self, count: int) -> None:
+        """Start up to ``count`` workers; a failure to start one is logged."""
+        worker_set = copy.copy(self.trace_set)
+        worker_set._traces = {}  # a worker sends its traces back and keeps none
+        try:
+            self.cursor = self.ctx.Value("i", 0)
+            self.claims = self.ctx.Array("i", [-1] * len(self.names), lock=False)
+            for slot in range(1, count + 1):
+                reader, writer = self.ctx.Pipe(duplex=False)
+                with writer:  # the worker holds the write end from here on
+                    process = self.ctx.Process(
+                        target=_generation_worker,
+                        args=(worker_set, self.names, self.cursor, self.claims, slot, writer),
+                        name=f"trace-generation-{slot}",
+                        daemon=True,
+                    )
+                    try:
+                        process.start()
+                    except BaseException:
+                        reader.close()
+                        raise
+                self.workers[slot] = (process, reader)
+        except Exception as error:  # noqa: BLE001 - generation goes on without it
+            logger.warning(
+                "could not start a trace generation worker (%s: %s); going on with %d",
+                type(error).__name__,
+                error,
+                len(self.workers),
+            )
+
+    def _claim(self) -> Optional[int]:
+        lock = self.cursor.get_lock()
+        while not lock.acquire(timeout=self.LOCK_POLL_S):
+            if not all(process.is_alive() for process, _ in self.workers.values()):
+                return None  # a worker may have died holding the lock
+        try:
+            return _take_next(self.cursor, self.claims, 0)
+        finally:
+            lock.release()
+
+    def _collect(self, limit: int) -> None:
+        """Receive the workers' traces below ``limit``, stopping idle workers."""
+        from multiprocessing.connection import wait
+
+        telemetry = get_telemetry()
+        while True:
+            owed = {
+                self.claims[index]
+                for index in range(limit)
+                if self.names[index] not in self.trace_set._traces
+            }
+            for slot in [slot for slot in self.workers if slot not in owed]:
+                self._stop(slot)
+            if not self.workers:
+                return
+            # A worker's sentinel as well as its pipe: a process forked by
+            # another thread may hold the pipe's write end and withhold EOF.
+            handles = {}
+            for slot, (process, reader) in self.workers.items():
+                handles[reader] = handles[process.sentinel] = slot
+            for slot in {handles[handle] for handle in wait(list(handles))}:
+                reader = self.workers[slot][1]
+                try:
+                    if not reader.poll():
+                        raise EOFError  # exited with nothing more to send
+                    index, trace, recorded = reader.recv()
+                except (EOFError, OSError):
+                    logger.warning(
+                        "trace generation worker %d ended (exit code %s) owing a "
+                        "trace; generating it here",
+                        slot,
+                        self._stop(slot),
+                    )
+                    continue
+                telemetry.merge(recorded)
+                telemetry.count("cache.trace.worker_regenerations")
+                self.trace_set._traces[self.names[index]] = trace
+
+    def _stop(self, slot: int) -> Optional[int]:
+        """Stop and reap one worker; returns its exit code."""
+        process, reader = self.workers.pop(slot)
+        process.terminate()
+        process.join()
+        code = process.exitcode
+        process.close()
+        reader.close()
+        return code
+
+
+def _take_next(cursor, claims, slot: int) -> Optional[int]:
+    """Advance the shared cursor (its lock held) and record who took the index."""
+    index = cursor.value
+    if index >= len(claims):
+        return None
+    cursor.value = index + 1
+    claims[index] = slot
+    return index
+
+
+def _generation_worker(
+    trace_set: TraceSet, names: List[str], cursor, claims, slot: int, results
+) -> None:
+    """A spawned worker of :class:`_SuiteGeneration`: claim, generate, send."""
+    import queue
+    import signal
+    import threading
+
+    from repro.telemetry import Telemetry, set_telemetry
+
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the calling process stops its workers
+    # A trace outgrows the pipe, and the calling process reads only once its
+    # own share is done, so a thread sends while this one generates.
+    outbox: "queue.SimpleQueue" = queue.SimpleQueue()
+    sender = threading.Thread(target=_send_each, args=(outbox, results))
+    sender.start()
+    try:
+        while sender.is_alive():
+            with cursor.get_lock():
+                index = _take_next(cursor, claims, slot)
+            if index is None:
+                return
+            recorded = Telemetry()
+            set_telemetry(recorded)
+            try:
+                trace = trace_set._generate_and_store(names[index])
+            except Exception:  # noqa: BLE001 - the caller's serial loop raises it
+                return
+            outbox.put((index, trace, recorded))
+    finally:
+        outbox.put(None)
+        sender.join()
+        results.close()
+
+
+def _send_each(outbox, results) -> None:
+    try:
+        for message in iter(outbox.get, None):
+            results.send(message)
+    except OSError:
+        pass  # the calling process has gone; the worker's loop sees this thread end
 
 
 def default_trace_set() -> TraceSet:

@@ -762,6 +762,30 @@ def import_csv(
 def _parse_csv_row(
     line: str, lineno: int, src: PathLike, num_nodes: int
 ) -> Optional[Tuple[int, str, int, int]]:
+    """One CSV line as ``(node, op, addr, pc)``, or ``None`` for a line to skip.
+
+    A well-formed row takes one split, the four conversions and the range
+    checks (``int`` strips the same whitespace ``str.strip`` does).  Any
+    other line -- blank, comment, header or malformed -- goes to
+    :func:`_checked_csv_row`, which skips it or raises the diagnostic.
+    """
+    try:
+        cycle, node, op, addr, pc = line.split(",")
+        if "#" not in cycle:
+            node = int(node)
+            op = _CSV_OPS[op.strip().upper()]
+            addr = int(addr, 0)
+            pc = int(pc, 0)
+            if 0 <= node < num_nodes and addr >= 0 and pc >= 0:
+                return node, op, addr, pc
+    except (KeyError, ValueError):
+        pass
+    return _checked_csv_row(line, lineno, src, num_nodes)
+
+
+def _checked_csv_row(
+    line: str, lineno: int, src: PathLike, num_nodes: int
+) -> Optional[Tuple[int, str, int, int]]:
     text = line.strip()
     if not text or text.startswith("#"):
         return None

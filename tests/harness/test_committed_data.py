@@ -9,6 +9,10 @@ computes it.
   is recomputed from the committed seed-0 traces and must equal the
   committed rows, so a change that moves a sweep number fails here rather
   than being served the stale rows from the result cache.
+* The Tables 8-11 top-10 lists, served from the committed sweeps, hold
+  the paper's claims: deep intersection tops PVP, deep union tops
+  sensitivity, no PAs scheme ranks, and forwarded update beats direct
+  update on median sensitivity.
 * The seed-0 suite is regenerated from scratch and must equal the committed
   traces and stats sidecars.  Trace fingerprints hash generation
   parameters, not code, so this is what notices a workload, scheduler or
@@ -17,12 +21,17 @@ computes it.
 
 from __future__ import annotations
 
+import multiprocessing
 import shutil
+import statistics
 from pathlib import Path
 
 import pytest
 
+from repro.core.schemes import parse_scheme
 from repro.core.update import UpdateMode
+from repro.harness import runner
+from repro.harness.experiments import run_experiment
 from repro.harness.experiments.base import batch_scheme_stats, scheme_row
 from repro.harness.experiments.sweeps import sweep_schemes
 from repro.harness.results import cached_result
@@ -88,18 +97,24 @@ def test_committed_traces_load_without_discards(tmp_path, sink):
     assert sink.counters["cache.trace.disk_hits"] == len(named) // 2
 
 
-def test_seed0_suite_regenerates_equal(tmp_path, sink):
+@pytest.mark.parametrize("how", ["one-at-a-time", "suite"])
+def test_seed0_suite_regenerates_equal(how, tmp_path, sink, monkeypatch):
     """Each regenerated seed-0 trace and sidecar equals the committed pair.
 
     The sidecar is compared as well as the trace: a protocol change can
     leave a benchmark's events alone and still move its counters (dropping
     the LRU refresh on a read hit keeps barnes's trace and moves its
-    ``read_misses``).
+    ``read_misses``).  ``suite`` regenerates through ``traces()`` with a
+    worker process beside the caller, on any host.
     """
     fresh = TraceSet(seed=0, cache_dir=tmp_path)
     committed = TraceSet(seed=0, cache_dir=DATA / "traces")
-    for benchmark in fresh.benchmarks:
-        trace = fresh.trace(benchmark)
+    if how == "suite":
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        traces = fresh.traces()
+    else:
+        traces = [fresh.trace(benchmark) for benchmark in fresh.benchmarks]
+    for benchmark, trace in zip(fresh.benchmarks, traces):
         reference = load_trace(committed._cache_path(benchmark))
         assert stream_fingerprint(trace) == stream_fingerprint(reference), benchmark
         assert load_json_checked(fresh._stats_path(benchmark)) == load_json_checked(
@@ -107,6 +122,37 @@ def test_seed0_suite_regenerates_equal(tmp_path, sink):
         ), benchmark
     assert sink.counters["cache.trace.regenerations"] == 7
     assert sink.counters.get("cache.trace.disk_hits", 0) == 0
+    assert multiprocessing.active_children() == []
+
+
+def test_top10_tables_hold_the_papers_claims(tmp_path, sink, monkeypatch):
+    """Tables 8-11 from the committed sweeps: deep intersection tops PVP,
+    deep union tops sensitivity, no PAs scheme ranks, and forwarded update
+    beats direct update on sensitivity."""
+    shutil.copytree(DATA / "results", tmp_path / "results")
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    tables = {
+        name: run_experiment(name).rows
+        for name in ("table8", "table9", "table10", "table11")
+    }
+    assert sink.counters["cache.result.hits"] == 4
+    assert sink.counters.get("cache.trace.regenerations", 0) == 0
+    for name, rows in tables.items():
+        assert len(rows) == 10, name
+        schemes = [parse_scheme(row["scheme"]) for row in rows]
+        assert not any(scheme.function == "pas" for scheme in schemes), name
+        if name in ("table8", "table9"):
+            assert all(scheme.function == "inter" for scheme in schemes), name
+        else:
+            assert all(
+                scheme.function == "union" and scheme.depth >= 3 for scheme in schemes
+            ), name
+
+    def median_sens(name):
+        return statistics.median(row["sens"] for row in tables[name])
+
+    assert median_sens("table9") > median_sens("table8")  # 0.474 vs 0.377
+    assert median_sens("table11") > median_sens("table10")  # 0.606 vs 0.599
 
 
 @pytest.mark.parametrize("mode", ["direct", "forwarded"])

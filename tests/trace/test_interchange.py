@@ -20,11 +20,13 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.trace.events import SharingTrace
 from repro.trace.interchange import (
+    _CSV_COLUMNS,
+    _CSV_OPS,
     MAGIC,
     RTRACE_SCHEMA,
     FileTraceSource,
@@ -32,6 +34,7 @@ from repro.trace.interchange import (
     TraceReader,
     TraceWriter,
     import_csv,
+    _parse_csv_row,
     import_text,
     synthesize_csv,
     write_source,
@@ -296,7 +299,115 @@ cycle,node,op,addr,pc
 """
 
 
+def reference_parse_csv_row(line, lineno, src, num_nodes):
+    """The CSV row parser before its fast path, kept as the reference."""
+    text = line.strip()
+    if not text or text.startswith("#"):
+        return None
+    fields = [field.strip() for field in text.split(",")]
+    if [field.lower() for field in fields] == list(_CSV_COLUMNS):
+        return None  # the optional literal header row
+    if len(fields) != len(_CSV_COLUMNS):
+        raise TraceFormatError(
+            f"{os.fspath(src)}:{lineno}: expected "
+            f"{','.join(_CSV_COLUMNS)}, got {text!r}"
+        )
+    try:
+        node = int(fields[1])
+        op = _CSV_OPS[fields[2].upper()]
+        addr = int(fields[3], 0)
+        pc = int(fields[4], 0)
+    except (KeyError, ValueError) as error:
+        raise TraceFormatError(
+            f"{os.fspath(src)}:{lineno}: malformed row {text!r}: {error}"
+        ) from error
+    if not 0 <= node < num_nodes:
+        raise TraceFormatError(
+            f"{os.fspath(src)}:{lineno}: node {node} out of range "
+            f"[0, {num_nodes})"
+        )
+    if addr < 0 or pc < 0:
+        raise TraceFormatError(
+            f"{os.fspath(src)}:{lineno}: negative addr/pc in {text!r}"
+        )
+    return node, op, addr, pc
+
+
+_OP_SPELLINGS = sorted(
+    {spelling for op in _CSV_OPS for spelling in (op, op.lower(), op.title())}
+)
+#: per column: values the fast path must accept, then values it must hand
+#: to the checked parser
+_CSV_FIELDS = {
+    "cycle": ("1", "7", "", "1#", "x", "# 3"),
+    "node": ("0", "3", "15", "+2", "1_0", "16", "-1", "x", "0x1"),
+    "op": tuple(_OP_SPELLINGS) + ("FROB", ""),
+    "addr": ("0", "64", "0x40", "0X4f", "0b11", "0o17", "1_000", "-64", "-0x40",
+             "12abc", "0x"),
+}
+_CSV_FIELDS["pc"] = _CSV_FIELDS["addr"]
+_PADS = ("", " ", "\t ")
+
+
+def _csv_field(name):
+    """One column's text, padded; numbers also drawn at random."""
+    texts = [
+        f"{left}{value}{right}"
+        for value in _CSV_FIELDS[name]
+        for left in _PADS
+        for right in _PADS
+    ]
+    if name in ("addr", "pc"):
+        return st.one_of(st.sampled_from(texts), st.integers(0, 2**40).map(hex))
+    return st.sampled_from(texts)
+
+
+_ROW = st.tuples(*[_csv_field(name) for name in _CSV_COLUMNS]).map(",".join)
+_HEADER = st.tuples(
+    *[
+        st.sampled_from([f"{pad}{spelling}" for spelling in (name, name.upper(), name.title())
+                         for pad in _PADS])
+        for name in _CSV_COLUMNS
+    ]
+).map(",".join)
+_OTHER_LINE = st.one_of(
+    _ROW.map(lambda row: "#" + row),
+    _ROW.map(lambda row: " # " + row),
+    _HEADER,
+    st.sampled_from(["", " ", "\t"]),
+    st.lists(_csv_field("addr"), min_size=1, max_size=7).map(",".join),
+)
+#: three lines in four are rows, most of them well formed
+_CSV_LINE = st.tuples(
+    st.integers(0, 3).flatmap(lambda kind: _ROW if kind else _OTHER_LINE),
+    st.sampled_from(["\n", "\r\n", ""]),
+).map("".join)
+
+
 class TestCsvImport:
+    @settings(max_examples=200)
+    @given(line=_CSV_LINE)
+    @example(line="1, 3 , st ,0X4F, 1_000\n")
+    @example(line="1,-1,W,0x40,0x400\n")
+    @example(line="1,16,W,0x40,0x400\n")
+    @example(line="1,3,W,-64,0x400\n")
+    @example(line="1,3,W,64,-0x1\n")
+    @example(line="#1,3,W,64,0x40\n")
+    @example(line=" Cycle , NODE,op,Addr,PC\r\n")
+    @example(line="1,3,W,64\n")
+    @example(line="\n")
+    def test_row_parser_matches_the_reference(self, line):
+        """The fast path accepts exactly the rows the reference accepts, and
+        every other line is skipped or fails with the reference's text."""
+
+        def outcome(parse):
+            try:
+                return "row", parse(line, 7, "t.csv", 16)
+            except TraceFormatError as error:
+                return "error", str(error)
+
+        assert outcome(_parse_csv_row) == outcome(reference_parse_csv_row)
+
     def test_documented_column_contract(self, tmp_path):
         """Aliases, hex, comments, blank lines, and the epoch semantics:
         stores open epochs, foreign loads accumulate truth, a store on an
