@@ -8,7 +8,8 @@ with keys computed once per (index group, trace), as
 :func:`~repro.core.plan.evaluate_plan` runs a sweep:
 
 * **python**: one :class:`~repro.core.kernel.PredictorKernel` per member
-  driving ``PasOps`` entries, one interpreted iteration per event;
+  driving :class:`~repro.core.twolevel.PAsFunction` entries, one
+  interpreted iteration per event;
 * **native**: :class:`~repro.core.kernel_native.NativeKernelBackend`, one
   compiled C call per group over dense int32 key/block ids, with the
   members sharing one history per entry as bit planes in the trace's word

@@ -160,56 +160,3 @@ class PredictorKernel:
         return KernelStream(self.mode, self.ops).feed(
             keys, blocks, has_inval, inval, truth
         )
-
-
-class PasOps:
-    """Flat-state PAs entry operations for the shared kernel.
-
-    An entry is ``[histories list, counters bytearray]`` (one history int
-    per node, one byte per 2-bit saturating counter) rather than a
-    :class:`~repro.core.twolevel.PAsFunction` deque entry: this path is the
-    cost ceiling of the whole design-space sweep, so entry state stays flat
-    and the loops bind to locals.  The update timing itself comes from
-    :class:`PredictorKernel` -- this class only defines what a PAs entry
-    *is*.  It is also the pure-Python kernel backend's PAs implementation
-    (:mod:`repro.core.kernel_backends`), which keeps it differentially
-    tested against the :class:`~repro.core.twolevel.PAsFunction` oracle by
-    the kernel conformance suite.
-    """
-
-    __slots__ = ("num_nodes", "depth", "mask", "counters_per_entry", "node_range")
-
-    def __init__(self, num_nodes: int, depth: int) -> None:
-        self.num_nodes = num_nodes
-        self.depth = depth
-        self.mask = (1 << depth) - 1
-        self.counters_per_entry = num_nodes << depth
-        self.node_range = range(num_nodes)
-
-    def new_entry(self) -> list:
-        return [[0] * self.num_nodes, bytearray([1]) * self.counters_per_entry]
-
-    def update(self, entry: list, feedback: int) -> None:
-        histories, counters = entry
-        depth = self.depth
-        mask = self.mask
-        for node in self.node_range:
-            history = histories[node]
-            slot = (node << depth) | history
-            if (feedback >> node) & 1:
-                if counters[slot] < 3:
-                    counters[slot] += 1
-                histories[node] = ((history << 1) | 1) & mask
-            else:
-                if counters[slot] > 0:
-                    counters[slot] -= 1
-                histories[node] = (history << 1) & mask
-
-    def predict(self, entry: list) -> int:
-        histories, counters = entry
-        depth = self.depth
-        prediction = 0
-        for node in self.node_range:
-            if counters[(node << depth) | histories[node]] >= 2:
-                prediction |= 1 << node
-        return prediction

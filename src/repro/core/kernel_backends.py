@@ -70,7 +70,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.kernel import KernelStream, PasOps
+from repro.core.kernel import KernelStream
 from repro.core.schemes import Scheme, parse_scheme
 from repro.telemetry import get_telemetry
 from repro.trace.events import SharingTrace
@@ -130,21 +130,15 @@ def first_appearance_ids(keys: np.ndarray) -> np.ndarray:
 
 
 class PythonKernelStream:
-    """The oracle's resumable state: a :class:`KernelStream` fed by chunk.
-
-    PAs schemes run on the flat-state :class:`~repro.core.kernel.PasOps`;
-    everything else gets its real
-    :class:`~repro.core.functions.PredictionFunction` object.
-    """
+    """The oracle's resumable state: a :class:`KernelStream` fed by chunk,
+    driving the scheme's real
+    :class:`~repro.core.functions.PredictionFunction` object, as the
+    reference evaluator does."""
 
     __slots__ = ("_stream",)
 
     def __init__(self, scheme: Scheme, num_nodes: int) -> None:
-        if scheme.function == "pas":
-            ops = PasOps(num_nodes, scheme.depth)
-        else:
-            ops = scheme.make_function(num_nodes)
-        self._stream = KernelStream(scheme.update, ops)
+        self._stream = KernelStream(scheme.update, scheme.make_function(num_nodes))
 
     def feed(self, chunk, keys: np.ndarray) -> np.ndarray:
         """Raw (unmasked) predictions for the chunk, in the trace's layout."""

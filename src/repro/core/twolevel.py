@@ -53,6 +53,7 @@ class PAsFunction(PredictionFunction):
     def __init__(self, depth: int, num_nodes: int):
         super().__init__(depth=depth, num_nodes=num_nodes)
         self._history_mask = (1 << depth) - 1
+        self._nodes = range(num_nodes)
 
     def new_entry(self) -> PAsEntry:
         return PAsEntry(self.num_nodes, self.depth)
@@ -62,7 +63,7 @@ class PAsFunction(PredictionFunction):
         counters = entry.counters
         depth = self.depth
         prediction = 0
-        for node in range(self.num_nodes):
+        for node in self._nodes:
             if counters[(node << depth) | histories[node]] >= 2:
                 prediction |= 1 << node
         return prediction
@@ -72,11 +73,12 @@ class PAsFunction(PredictionFunction):
         counters = entry.counters
         depth = self.depth
         mask = self._history_mask
-        for node in range(self.num_nodes):
+        counter_max = _COUNTER_MAX
+        for node in self._nodes:
             history = histories[node]
             slot = (node << depth) | history
             if (feedback >> node) & 1:
-                if counters[slot] < _COUNTER_MAX:
+                if counters[slot] < counter_max:
                     counters[slot] += 1
                 histories[node] = ((history << 1) | 1) & mask
             else:

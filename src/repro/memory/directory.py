@@ -2,13 +2,13 @@
 
 Each block that has ever been referenced has a :class:`DirectoryEntry`
 recording protocol state (uncached / shared / exclusive), the owner, and the
-sharer bitmap -- plus the *epoch bookkeeping* the prediction study needs:
-which event opened the block's current write epoch and which nodes have
-truly read during it (the paper's access-bit mechanism, Section 3.4, which
-lets the directory distinguish true readers from forwarding pollution).
+sharer bitmap.  The paper's access bits (Section 3.4), which let the
+directory tell true readers from forwarding pollution, are the truth
+bitmaps of the epoch builder (:mod:`repro.trace.builder`): the protocol
+reports every read miss and coherence store to it.
 
 Eviction of a reader's cached copy removes its presence bit but *not* its
-epoch-reader bit: it did read the value, which is what the predictors must
+access bit: it did read the value, which is what the predictors must
 learn.
 """
 
@@ -39,11 +39,6 @@ class DirectoryEntry:
     owner: Optional[int] = None
     sharers: int = 0  # presence bitmap of caches holding a copy
 
-    # Epoch bookkeeping for sharing traces.
-    epoch_event: Optional[int] = None  # index of the event that opened the epoch
-    epoch_writer: Optional[int] = None
-    epoch_readers: int = 0  # access-bit bitmap of true readers this epoch
-
     def add_sharer(self, node: int) -> None:
         self.sharers |= 1 << node
 
@@ -61,10 +56,6 @@ class DirectoryEntry:
     def sharer_nodes(self) -> List[int]:
         """Node ids holding a copy, in increasing order."""
         return list(iter_set_bits(self.sharers))
-
-    def epoch_reader_nodes(self) -> List[int]:
-        """True readers of the current epoch, in increasing order."""
-        return list(iter_set_bits(self.epoch_readers))
 
 
 @dataclass

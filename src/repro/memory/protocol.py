@@ -4,8 +4,9 @@ The first half of this module processes per-node reads and writes against
 the caches and directory, generating the machine's coherence behaviour:
 
 * **read miss** — fetch a shared copy; a modified owner is downgraded to
-  shared (sharing writeback).  The reader's access bit is set in the open
-  epoch (unless it is the epoch's own writer).
+  shared (sharing writeback).  The read is reported to the epoch builder,
+  which sets the reader's access bit in the open epoch (unless it is the
+  epoch's own writer).
 * **write** — silent if the writer already holds the line modified;
   otherwise a coherence store (write miss, or write fault when the writer
   holds a shared copy), which invalidates every other copy, closes the
@@ -42,8 +43,9 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.machine import MachineSpec
 from repro.memory.address import AddressSpace
 from repro.memory.cache import EXCLUSIVE, MODIFIED, SHARED, CacheConfig, SetAssociativeCache
-from repro.memory.directory import Directory, DirectoryEntry, DirState
-from repro.trace.builder import SharingTraceBuilder
+from repro.memory.directory import Directory, DirState
+from repro.trace.builder import ColumnCollector, StreamingTraceBuilder
+from repro.trace.events import SharingTrace
 from repro.util.bitmaps import iter_set_bits, popcount
 
 
@@ -91,7 +93,6 @@ class CoherenceProtocol:
         trace_name: str = "trace",
         use_exclusive_state: bool = False,
         machine: "MachineSpec | None" = None,
-        builder=None,
     ):
         if address_space.num_nodes != num_nodes:
             raise ValueError(
@@ -108,13 +109,8 @@ class CoherenceProtocol:
         self.address_space = address_space
         self.caches = [SetAssociativeCache(cache_config) for _ in range(num_nodes)]
         self.directory = Directory()
-        # Any object with the builder surface (add_event / add_reader /
-        # __len__ / finalize) works -- a StreamingTraceBuilder here is how
-        # workload traces flow straight into a TraceWriter sink without
-        # ever being resident.
-        if builder is None:
-            builder = SharingTraceBuilder(num_nodes, name=trace_name, machine=machine)
-        self.builder = builder
+        self._collected = ColumnCollector(num_nodes, name=trace_name, machine=machine)
+        self.builder = StreamingTraceBuilder(self._collected)
         self.stats = ProtocolStats(
             store_pcs_by_node=[set() for _ in range(num_nodes)],
             predicted_pcs_by_node=[set() for _ in range(num_nodes)],
@@ -211,8 +207,6 @@ class CoherenceProtocol:
                 entry.owner = None
 
         entry.add_sharer(node)
-        if entry.epoch_writer is not None and entry.epoch_writer != node:
-            entry.epoch_readers |= 1 << node
         self.builder.add_reader(block, node)
         self._fill(node, block, fill_state)
 
@@ -251,9 +245,6 @@ class CoherenceProtocol:
         entry.state = DirState.EXCLUSIVE
         entry.owner = node
         entry.sharers = 1 << node
-        entry.epoch_writer = node
-        entry.epoch_readers = 0
-        entry.epoch_event = len(self.builder) - 1
         self._fill(node, block, MODIFIED)
 
     # ------------------------------------------------------------------
@@ -280,16 +271,20 @@ class CoherenceProtocol:
             # Replacement hint emptied the sharer set.
             victim_entry.state = DirState.UNCACHED
             victim_entry.owner = None
-        # Note: the epoch bookkeeping survives eviction on purpose; sharing
-        # epochs are delimited by writes, not by residency.
+        # Note: the builder's access bits survive eviction on purpose;
+        # sharing epochs are delimited by writes, not by residency.
 
     # ------------------------------------------------------------------
     # Results
     # ------------------------------------------------------------------
 
-    def finalize_trace(self):
-        """Build the immutable sharing trace for everything processed so far."""
-        return self.builder.finalize()
+    def finalize_trace(self) -> SharingTrace:
+        """End the trace: close the open epochs, return the checked trace.
+
+        A run has one trace; call this once, after its last reference.
+        """
+        self.builder.finalize()
+        return self._collected.trace()
 
     def check_invariants(self) -> None:
         """Cross-check caches against the directory (used by tests).

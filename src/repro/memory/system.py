@@ -24,6 +24,7 @@ from repro.memory.protocol import (
     EpochTransition,
     ProtocolStats,
 )
+from repro.trace.events import SharingTrace
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,6 @@ class MultiprocessorSystem:
         config: Optional[SystemConfig] = None,
         trace_name: str = "trace",
         machine: Optional[MachineSpec] = None,
-        trace_sink=None,
     ):
         if config is None:
             config = machine.system_config() if machine is not None else SystemConfig()
@@ -78,23 +78,11 @@ class MultiprocessorSystem:
             )
         self.config = config
         self.machine = machine
-        self.trace_sink = trace_sink
         self.address_space = AddressSpace(
             num_nodes=config.num_nodes,
             line_size=config.cache.line_size,
             home_policy=config.home_policy,
         )
-        builder = None
-        if trace_sink is not None:
-            # Stream the trace into the sink (typically a TraceWriter) as
-            # epochs settle instead of materializing it; finalize_trace then
-            # returns the event count, and the trace lives wherever the sink
-            # put it.
-            from repro.trace.builder import StreamingTraceBuilder
-
-            builder = StreamingTraceBuilder(
-                config.num_nodes, trace_sink, name=trace_name, machine=machine
-            )
         self.protocol = CoherenceProtocol(
             num_nodes=config.num_nodes,
             cache_config=config.cache,
@@ -102,7 +90,6 @@ class MultiprocessorSystem:
             trace_name=trace_name,
             use_exclusive_state=config.use_exclusive_state,
             machine=machine,
-            builder=builder,
         )
 
     @property
@@ -128,13 +115,8 @@ class MultiprocessorSystem:
         """
         self.protocol.run(accesses)
 
-    def finalize_trace(self):
-        """Finish and return the sharing trace for everything run so far.
-
-        With a ``trace_sink`` the events were streamed out as they settled,
-        so this returns the total event count instead of a trace (matching
-        :meth:`~repro.trace.builder.StreamingTraceBuilder.finalize`).
-        """
+    def finalize_trace(self) -> SharingTrace:
+        """End the run and return its sharing trace (once, after the last reference)."""
         return self.protocol.finalize_trace()
 
     def replay_trace(

@@ -53,10 +53,12 @@ class SweepServer:
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stopped: Optional[asyncio.Event] = None
 
     async def start(self) -> None:
         """Bind the socket (resolving port 0 to the real one)."""
+        self._loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port,
@@ -73,8 +75,17 @@ class SweepServer:
             await self._stopped.wait()
 
     def stop(self) -> None:
-        if self._stopped is not None:
-            self._stopped.set()
+        """Make :meth:`serve_until_stopped` return; safe from any thread.
+
+        The event is set on the server's loop, which is woken even when
+        the call comes from another thread.
+        """
+        if self._stopped is None:
+            return
+        try:
+            self._loop.call_soon_threadsafe(self._stopped.set)
+        except RuntimeError:  # the loop has closed: nothing left to stop
+            pass
 
     # ------------------------------------------------------------------
     # Connection handling

@@ -1,10 +1,17 @@
-"""Incremental construction of sharing traces from protocol activity.
+"""The one epoch-chain builder: sharing traces from protocol activity.
 
-The protocol engine reports two things as it runs: "node W wrote block B
-under pc P (a coherence store)" and "node R read block B".  The builder
-threads these into per-block epoch chains -- truth bitmaps, invalidation
-bitmaps, close indices -- and finalizes into an immutable
-:class:`~repro.trace.events.SharingTrace`.
+A sharing trace is a chain of per-block write epochs.  A coherence store
+opens an epoch, the true readers accumulate in it (the directory's access
+bits, paper Section 3.4), and the next store to the block closes it;
+epochs still open when the program ends are resolved from the final
+memory state (Section 5.1).  :class:`StreamingTraceBuilder` is the only
+code that threads these chains -- truth bitmaps, invalidation bitmaps,
+close indices.  It flushes every settled prefix into a column sink: a
+:class:`~repro.trace.interchange.TraceWriter` streams the trace into an
+``.rtrace`` file (``repro-trace import``), and a :class:`ColumnCollector`
+keeps it resident and hands back the checked
+:class:`~repro.trace.events.SharingTrace` (the protocol engine,
+``SharingTrace.from_epochs``).
 """
 
 from __future__ import annotations
@@ -17,11 +24,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.machine import MachineSpec
 
 
-class SharingTraceBuilder:
-    """Accumulates prediction events and their epoch reader sets.
+class ColumnCollector:
+    """A column sink that keeps everything a builder flushes, resident.
 
-    ``machine`` (optional) is stamped onto the finalized trace so the spec
-    travels with the data it produced.
+    Like a :class:`~repro.trace.interchange.TraceWriter`, it owns the
+    trace's identity (node count, name, machine spec); :meth:`trace`
+    builds the result once the builder is finalized.
     """
 
     def __init__(
@@ -33,114 +41,47 @@ class SharingTraceBuilder:
         self.num_nodes = num_nodes
         self.name = name
         self.machine = machine
-        self._writer: List[int] = []
-        self._pc: List[int] = []
-        self._home: List[int] = []
-        self._block: List[int] = []
-        self._truth: List[int] = []
-        self._inval: List[int] = []
-        self._has_inval: List[bool] = []
-        self._close: List[int] = []
-        self._open_event_by_block: Dict[int, int] = {}
+        self.columns: Optional[List[list]] = [[] for _ in range(8)]
 
-    def __len__(self) -> int:
-        return len(self._writer)
+    def write_columns(self, *columns) -> None:
+        for collected, column in zip(self.columns, columns):
+            collected.extend(column)
 
-    def add_event(self, writer: int, pc: int, home: int, block: int) -> int:
-        """Record a coherence store: closes the block's open epoch, opens a new one.
+    def trace(self) -> SharingTrace:
+        """The collected events as a resident trace, linkage-checked.
 
-        Returns the new event's index.
+        The columns move into the trace, so it can be taken only once.
         """
-        index = len(self._writer)
-        previous = self._open_event_by_block.get(block)
-        if previous is None:
-            inval, has_inval = 0, False
-        else:
-            inval, has_inval = self._truth[previous], True
-            self._close[previous] = index
-        self._writer.append(writer)
-        self._pc.append(pc)
-        self._home.append(home)
-        self._block.append(block)
-        self._truth.append(0)
-        self._inval.append(inval)
-        self._has_inval.append(has_inval)
-        self._close.append(-1)  # patched when the epoch closes / at finalize
-        self._open_event_by_block[block] = index
-        return index
-
-    def add_reader(self, block: int, node: int) -> None:
-        """Record that ``node`` truly read ``block`` during its open epoch.
-
-        Reads before the block's first coherence store (cold data) have no
-        epoch to credit and are ignored -- see DESIGN.md on why pre-write
-        reader sets are excluded from predictor feedback.
-        """
-        event = self._open_event_by_block.get(block)
-        if event is None:
-            return
-        if node == self._writer[event]:
-            return  # the producer re-reading its own data is not sharing
-        self._truth[event] |= 1 << node
-
-    def finalize(self) -> SharingTrace:
-        """Close all open epochs at end-of-trace and build the trace.
-
-        Mirrors the paper's use of "the final state of the memory" to
-        resolve sharing information for epochs still open when the program
-        ends (Section 5.1).
-        """
-        length = len(self._writer)
-        close = [length if value < 0 else value for value in self._close]
-        trace = SharingTrace(
-            num_nodes=self.num_nodes,
-            writer=self._writer,
-            pc=self._pc,
-            home=self._home,
-            block=self._block,
-            truth=self._truth,
-            inval=self._inval,
-            has_inval=self._has_inval,
-            close=close,
-            name=self.name,
-            machine=self.machine,
-        )
+        if self.columns is None:
+            raise RuntimeError("the collected trace was already taken")
+        columns, self.columns = self.columns, None
+        trace = SharingTrace(self.num_nodes, *columns, name=self.name, machine=self.machine)
+        del columns  # the lists go before the check builds its own
         trace.check_consistency()
         return trace
 
 
 class StreamingTraceBuilder:
-    """A trace builder that flushes finished events into a column sink.
+    """Threads coherence stores and true reads into per-block epoch chains.
 
-    Same epoch-threading semantics as :class:`SharingTraceBuilder`, but
-    instead of materializing the whole trace it pushes every *closed
-    prefix* -- events whose truth and close index can no longer change --
-    into ``sink.write_columns(...)`` (typically a
-    :class:`~repro.trace.interchange.TraceWriter`).  An event is final
-    exactly when it precedes every still-open epoch, so the in-memory
-    buffer spans from the oldest open epoch to the present: bounded by
-    block-reuse distance, not trace length.  (A block written once and
-    never again pins its suffix resident -- the worst case degrades to
-    the materializing builder, never to wrong output.)
+    Every *settled* event -- one whose truth and close index can no
+    longer change -- is pushed into ``sink.write_columns(...)`` in the
+    canonical column order (``writer pc home block truth inval has_inval
+    close``).  An event is settled exactly when it precedes every
+    still-open epoch, so the in-memory buffer spans from the oldest open
+    epoch to the present: bounded by block-reuse distance, not trace
+    length.  (A block written once and never again pins its suffix
+    resident -- the worst case buffers the whole trace, never produces
+    wrong output.)  Flushes are tried every ``flush_events`` events.
 
-    ``finalize`` closes the remaining epochs at end-of-trace, flushes the
-    tail, and returns the total event count; sealing the sink (e.g.
-    ``TraceWriter.close``) stays the caller's job.
+    ``finalize`` ends the trace: it closes the remaining epochs at
+    end-of-trace, flushes the tail, and returns the total event count;
+    sealing the sink (e.g. ``TraceWriter.close``) stays the caller's job.
     """
 
-    def __init__(
-        self,
-        num_nodes: int,
-        sink,
-        name: str = "trace",
-        machine: Optional["MachineSpec"] = None,
-        flush_events: int = 65536,
-    ):
+    def __init__(self, sink, flush_events: int = 65536):
         if flush_events < 1:
             raise ValueError(f"flush_events must be positive, got {flush_events}")
-        self.num_nodes = num_nodes
-        self.name = name
-        self.machine = machine
         self.sink = sink
         self.flush_events = flush_events
         # buffered length at which add_event next tries a flush: a flush
@@ -165,7 +106,10 @@ class StreamingTraceBuilder:
         return self._base + len(self._writer)
 
     def add_event(self, writer: int, pc: int, home: int, block: int) -> int:
-        """Record a coherence store (see :meth:`SharingTraceBuilder.add_event`)."""
+        """Record a coherence store: closes the block's open epoch, opens a new one.
+
+        Returns the new event's index.
+        """
         index = self._base + len(self._writer)
         previous = self._open_event_by_block.get(block)
         if previous is None:
@@ -181,7 +125,7 @@ class StreamingTraceBuilder:
         self._truth.append(0)
         self._inval.append(inval)
         self._has_inval.append(has_inval)
-        self._close.append(-1)
+        self._close.append(-1)  # patched when the epoch closes / at finalize
         self._open_event_by_block[block] = index
         if len(self._writer) >= self._next_flush:
             self._flush()
@@ -194,7 +138,12 @@ class StreamingTraceBuilder:
         return index
 
     def add_reader(self, block: int, node: int) -> None:
-        """Record a true read (see :meth:`SharingTraceBuilder.add_reader`)."""
+        """Record that ``node`` truly read ``block`` during its open epoch.
+
+        Reads before the block's first coherence store (cold data) have no
+        epoch to credit and are ignored -- see DESIGN.md on why pre-write
+        reader sets are excluded from predictor feedback.
+        """
         event = self._open_event_by_block.get(block)
         if event is None:
             return
@@ -213,32 +162,28 @@ class StreamingTraceBuilder:
         count = boundary - self._base
         if count <= 0:
             return
-        self.sink.write_columns(
-            self._writer[:count],
-            self._pc[:count],
-            self._home[:count],
-            self._block[:count],
-            self._truth[:count],
-            self._inval[:count],
-            self._has_inval[:count],
-            self._close[:count],
+        columns = (
+            self._writer, self._pc, self._home, self._block,
+            self._truth, self._inval, self._has_inval, self._close,
         )
-        del self._writer[:count]
-        del self._pc[:count]
-        del self._home[:count]
-        del self._block[:count]
-        del self._truth[:count]
-        del self._inval[:count]
-        del self._has_inval[:count]
-        del self._close[:count]
+        if count == len(self._writer):
+            # everything buffered has settled (always so at finalize): hand
+            # the buffers themselves to the sink rather than copies
+            (
+                self._writer, self._pc, self._home, self._block,
+                self._truth, self._inval, self._has_inval, self._close,
+            ) = ([] for _ in columns)
+            self.sink.write_columns(*columns)
+        else:
+            self.sink.write_columns(*(column[:count] for column in columns))
+            for column in columns:
+                del column[:count]
         self._base += count
 
     def finalize(self) -> int:
         """Close open epochs at end-of-trace, flush everything; event count."""
         length = self._base + len(self._writer)
-        for slot in range(len(self._close)):
-            if self._close[slot] < 0:
-                self._close[slot] = length
+        self._close = [length if close < 0 else close for close in self._close]
         self._open_event_by_block.clear()
         self._flush(boundary=length)
         return length

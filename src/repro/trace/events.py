@@ -183,39 +183,27 @@ class SharingTrace:
     ) -> "SharingTrace":
         """Build a trace from bare ``(writer, pc, home, block, truth)`` tuples.
 
-        The per-block linkage (invalidation bitmaps, ``has_inval`` flags, and
-        close indices) is derived automatically -- this is the convenient
-        constructor for tests and synthetic traces.
+        Each tuple is a coherence store followed by one true read per truth
+        bit, fed to the epoch builder, which derives the per-block linkage
+        (invalidation bitmaps, ``has_inval`` flags, and close indices) --
+        the convenient constructor for tests and synthetic traces.
         """
-        length = len(epochs)
-        inval: List[int] = [0] * length
-        has_inval: List[bool] = [False] * length
-        close: List[int] = [length] * length
-        previous_event_on_block: dict = {}
+        from repro.trace.builder import ColumnCollector, StreamingTraceBuilder
+
+        collected = ColumnCollector(num_nodes, name=name, machine=machine)
+        builder = StreamingTraceBuilder(collected)
         for index, (writer, pc, home, block, truth) in enumerate(epochs):
             if truth & (1 << writer):
                 raise ValueError(
                     f"epoch {index}: truth bitmap includes writer {writer}"
                 )
-            previous = previous_event_on_block.get(block)
-            if previous is not None:
-                inval[index] = epochs[previous][4]
-                has_inval[index] = True
-                close[previous] = index
-            previous_event_on_block[block] = index
-        return cls(
-            num_nodes=num_nodes,
-            writer=[epoch[0] for epoch in epochs],
-            pc=[epoch[1] for epoch in epochs],
-            home=[epoch[2] for epoch in epochs],
-            block=[epoch[3] for epoch in epochs],
-            truth=[epoch[4] for epoch in epochs],
-            inval=inval,
-            has_inval=has_inval,
-            close=close,
-            name=name,
-            machine=machine,
-        )
+            builder.add_event(writer, pc, home, block)
+            while truth:
+                low = truth & -truth
+                builder.add_reader(block, low.bit_length() - 1)
+                truth ^= low
+        builder.finalize()
+        return collected.trace()
 
     def check_consistency(self) -> None:
         """Verify the per-block linkage invariants.
@@ -223,33 +211,14 @@ class SharingTrace:
         For every event *i* that closes an epoch *j* (``close[j] == i``):
         ``block[i] == block[j]`` and ``inval[i] == truth[j]``; and events are
         the only closers of their block's previous epoch.  Raises
-        ``ValueError`` on any violation.  Used by property tests and the
-        trace loader.
+        ``ValueError`` on any violation.  The trace is fed to the one
+        linkage checker, :class:`~repro.trace.source.StreamingConsistencyChecker`,
+        in default-size windows, so a long trace never becomes full-length
+        Python lists.  Used by property tests and the trace loader.
         """
-        last_event_on_block: dict = {}
-        for index in range(len(self)):
-            block = int(self.block[index])
-            previous = last_event_on_block.get(block)
-            if previous is None:
-                if bool(self.has_inval[index]):
-                    raise ValueError(f"event {index}: first on block but has_inval set")
-            else:
-                if int(self.close[previous]) != index:
-                    raise ValueError(
-                        f"event {previous}: close={int(self.close[previous])}, "
-                        f"expected {index}"
-                    )
-                if not bool(self.has_inval[index]):
-                    raise ValueError(f"event {index}: closes an epoch but has_inval unset")
-                if self.layout.to_int(self.inval[index]) != self.layout.to_int(
-                    self.truth[previous]
-                ):
-                    raise ValueError(
-                        f"event {index}: inval != truth of closed epoch {previous}"
-                    )
-            last_event_on_block[block] = index
-        for block, last in last_event_on_block.items():
-            if int(self.close[last]) != len(self):
-                raise ValueError(
-                    f"event {last}: last on block {block} but close != len(trace)"
-                )
+        from repro.trace.source import ResidentTraceSource, StreamingConsistencyChecker
+
+        checker = StreamingConsistencyChecker(self.num_nodes)
+        for chunk in ResidentTraceSource(self).chunks():
+            checker.feed(chunk)
+        checker.finish()

@@ -731,13 +731,7 @@ def import_csv(
     if name is None:
         name = os.path.splitext(os.path.basename(os.fspath(src)))[0]
     writer = TraceWriter(dst, num_nodes, name=name, machine=machine)
-    builder = StreamingTraceBuilder(
-        num_nodes,
-        sink=writer,
-        name=name,
-        machine=machine,
-        flush_events=chunk_events,
-    )
+    builder = StreamingTraceBuilder(writer, flush_events=chunk_events)
     try:
         with open(src, "r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):

@@ -2,8 +2,8 @@
 
 Traces are expensive to generate (a full protocol simulation) and cheap to
 store, so the harness caches them as ``.npz`` files.  A human-readable text
-format is also provided for debugging and for importing traces produced by
-other tools.
+format is also provided for debugging; ``repro-trace import``
+(:func:`~repro.trace.interchange.import_text`) reads it back into ``.rtrace``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.trace.events import SharingTrace
 from repro.trace.source import (
     CHUNK_FIELDS,
     DEFAULT_CHUNK_EVENTS,
-    StreamingConsistencyChecker,
     TraceChunk,
     TraceSource,
     as_source,
@@ -194,9 +193,8 @@ class TextTraceReader:
     Consumes header lines up front (so ``num_nodes``/``name``/``machine``
     are available before any data is read), then yields the event rows as
     columnar :class:`~repro.trace.source.TraceChunk` windows.  Malformed
-    lines raise :class:`TraceFormatError` -- a :class:`ValueError`
-    subclass, so callers of the old materializing parser keep working --
-    as does a missing ``nodes=`` header.
+    lines raise :class:`TraceFormatError` (a :class:`ValueError`), as
+    does a missing ``nodes=`` header.
     """
 
     def __init__(self, handle: IO[str], path: Union[str, os.PathLike] = "<text>"):
@@ -288,47 +286,3 @@ class TextTraceReader:
                 columns = [[] for _ in CHUNK_FIELDS]
         if columns[0]:
             yield build()
-
-
-def parse_text(path: Union[str, os.PathLike]) -> SharingTrace:
-    """Read a trace written by :func:`dump_text`.
-
-    Streams line-by-line through :class:`TextTraceReader` -- rows land
-    directly in columnar chunks (never a per-row tuple list), and the
-    trace invariants are verified by the single-pass streaming checker
-    as chunks arrive.
-    """
-    parts: dict = {field: [] for field in CHUNK_FIELDS}
-    with open(path, "r", encoding="utf-8") as handle:
-        reader = TextTraceReader(handle, path=path)
-        checker = StreamingConsistencyChecker(reader.num_nodes)
-        try:
-            for chunk in reader.chunks():
-                checker.feed(chunk)
-                for field in CHUNK_FIELDS:
-                    parts[field].append(getattr(chunk, field))
-            checker.finish()
-        except TraceFormatError:
-            raise
-        except ValueError as error:
-            raise TraceFormatError(
-                f"trace text {path} violates trace invariants: {error}"
-            ) from error
-    layout = reader.layout
-    if parts["writer"]:
-        columns = {field: np.concatenate(parts[field]) for field in CHUNK_FIELDS}
-    else:
-        columns = {
-            field: (
-                layout.zeros(0)
-                if field in ("truth", "inval")
-                else np.zeros(0, dtype=bool if field == "has_inval" else np.int64)
-            )
-            for field in CHUNK_FIELDS
-        }
-    return SharingTrace(
-        num_nodes=reader.num_nodes,
-        name=reader.name,
-        machine=reader.machine,
-        **columns,
-    )

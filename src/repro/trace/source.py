@@ -411,11 +411,11 @@ def stream_fingerprint(source: Union[SharingTrace, TraceSource]) -> str:
 class StreamingConsistencyChecker:
     """Single-pass per-block linkage verification over chunked events.
 
-    The chunked twin of :meth:`SharingTrace.check_consistency`: the same
-    invariants (every closer matches its epoch's block and truth; close
-    indices are patched exactly once; open epochs close at end of trace),
-    checked as chunks arrive with O(distinct blocks) state.  Raises
-    ``ValueError`` on the first violation.
+    The one linkage check: every closer matches its epoch's block and
+    truth, close indices are patched exactly once, and open epochs close
+    at end of trace, checked as chunks arrive with O(distinct blocks)
+    state.  :meth:`SharingTrace.check_consistency` feeds it a resident
+    trace's windows.  Raises ``ValueError`` on the first violation.
     """
 
     def __init__(self, num_nodes: int):

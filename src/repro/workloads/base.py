@@ -154,49 +154,6 @@ class Workload(ABC):
 
         return interleave(self.thread_programs(), quantum=quantum)
 
-    def system_config(self):
-        """The :class:`~repro.memory.system.SystemConfig` this model expects.
-
-        Uses the workload's suggested (scaled) cache geometry -- the same
-        defaults :func:`repro.harness.runner.generate_trace` applies -- so
-        traces produced through any entry point agree byte for byte.
-        """
-        from repro.memory.cache import CacheConfig
-        from repro.memory.system import SystemConfig
-
-        cache_bytes = getattr(self, "suggested_cache_bytes", 32 * 1024)
-        associativity = getattr(self, "suggested_cache_associativity", 4)
-        return SystemConfig(
-            num_nodes=self.num_nodes,
-            cache=CacheConfig(
-                size_bytes=cache_bytes, associativity=associativity, line_size=64
-            ),
-        )
-
-    def stream_trace(self, sink, quantum: int = 4) -> int:
-        """Run the protocol simulation, emitting trace events into ``sink``.
-
-        ``sink`` is any ``write_columns`` column consumer -- typically a
-        :class:`~repro.trace.interchange.TraceWriter`, making this the
-        generate-to-disk path that never materializes the trace.  Returns
-        the total event count; sealing the sink stays the caller's job.
-        The emitted event stream is identical to what
-        :func:`repro.harness.runner.generate_trace` materializes for the
-        same parameters (same system construction, same scheduler).
-        """
-        from repro.memory.system import MultiprocessorSystem
-
-        if self.machine is not None:
-            system = MultiprocessorSystem(
-                machine=self.machine, trace_name=self.name, trace_sink=sink
-            )
-        else:
-            system = MultiprocessorSystem(
-                self.system_config(), trace_name=self.name, trace_sink=sink
-            )
-        system.run(self.accesses(quantum=quantum))
-        return system.finalize_trace()
-
 
 @dataclass
 class WorkloadScale:

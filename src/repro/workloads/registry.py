@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import os
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Type
 
 from repro.workloads.base import Workload
 from repro.workloads.barnes import BarnesWorkload
@@ -42,43 +41,6 @@ def make_workload(
     if name not in _WORKLOADS:
         raise ValueError(f"unknown benchmark {name!r}; known: {BENCHMARK_NAMES}")
     return _WORKLOADS[name](num_nodes=num_nodes, seed=seed, machine=machine, **params)
-
-
-def stream_benchmark_trace(
-    name: str,
-    path: Union[str, os.PathLike],
-    num_nodes: int = 16,
-    seed: int = 0,
-    quantum: int = 4,
-    machine: Optional["MachineSpec"] = None,
-    **params,
-) -> Tuple[int, str]:
-    """Generate one benchmark's trace straight into an ``.rtrace`` file.
-
-    The protocol simulation streams settled events through a
-    :class:`~repro.trace.interchange.TraceWriter`, so peak memory is the
-    open-epoch span, not the trace length.  Returns ``(events,
-    fingerprint)``; the fingerprint equals
-    :func:`~repro.trace.source.stream_fingerprint` of the equivalent
-    resident trace, so caches keyed on it are agnostic to how the trace
-    was produced.
-    """
-    from repro.trace.interchange import TraceWriter
-
-    workload = make_workload(
-        name, num_nodes=num_nodes, seed=seed, machine=machine, **params
-    )
-    writer = TraceWriter(
-        path, workload.num_nodes, name=workload.name or name,
-        machine=workload.machine,
-    )
-    try:
-        events = workload.stream_trace(writer, quantum=quantum)
-        fingerprint = writer.close()
-    except BaseException:
-        writer.abort()
-        raise
-    return events, fingerprint
 
 
 def default_workloads(

@@ -15,21 +15,12 @@ than a downstream bit mismatch:
   its own prediction;
 * ORDERED: an entry's feedback lands after its own prediction but before
   the entry's next use.
-
-``PasOps`` (the flat-state PAs entry implementation the python kernel
-backend runs) is unit-tested below and held differentially to the
-:class:`~repro.core.twolevel.PAsFunction` oracle under all three modes.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.kernel import KernelStream, PasOps, PredictorKernel
-from repro.core.schemes import parse_scheme
+from repro.core.kernel import PredictorKernel
 from repro.core.update import UpdateMode
-from repro.core.vectorized import compute_keys
-from tests.conftest import make_random_trace
 
 
 class RecordingOps:
@@ -237,63 +228,3 @@ class TestTableIdentity:
         first, _ = run(UpdateMode.DIRECT, **columns)
         second, _ = run(UpdateMode.DIRECT, **columns)
         assert first == second == [0, 0b0001]
-
-
-# ----------------------------------------------------------------------
-# PasOps: the flat-state PAs entry implementation
-# ----------------------------------------------------------------------
-
-
-class TestPasOps:
-    def test_fresh_entry_predicts_nothing(self):
-        # counters initialize to 1 (weakly not-sharing): below the >=2
-        # prediction threshold for every node and history.
-        ops = PasOps(num_nodes=4, depth=2)
-        assert ops.predict(ops.new_entry()) == 0
-
-    def test_one_positive_feedback_reaches_threshold(self):
-        # history 0 counter goes 1 -> 2 (predict), and the node's history
-        # register shifts to 1, whose counter is still 1 (no predict).
-        ops = PasOps(num_nodes=2, depth=1)
-        entry = ops.new_entry()
-        ops.update(entry, 0b01)
-        histories, counters = entry
-        assert histories == [1, 0]
-        assert counters[(0 << 1) | 0] == 2
-        # node 0 now indexes history=1 whose counter is untouched
-        assert ops.predict(entry) == 0
-        # a second positive round under history=1 trains that slot too
-        ops.update(entry, 0b01)
-        assert ops.predict(entry) & 0b01
-
-    def test_counters_saturate_at_bounds(self):
-        ops = PasOps(num_nodes=1, depth=1)
-        entry = ops.new_entry()
-        for _ in range(6):
-            ops.update(entry, 0b1)
-        histories, counters = entry
-        assert max(counters) == 3  # saturated high
-        for _ in range(6):
-            ops.update(entry, 0)
-        histories, counters = entry
-        assert min(counters) == 0  # saturated low, never wraps
-
-    @pytest.mark.parametrize("mode", list(UpdateMode))
-    def test_matches_pas_function_oracle_under_kernel(self, mode):
-        # PasOps is a representation change, not a semantic one: driving
-        # the kernel with PasOps must reproduce the deque-entry PAsFunction
-        # stream exactly, under every update mode.
-        scheme = parse_scheme("pas(pid+add4)2").with_update(mode)
-        trace = make_random_trace(num_nodes=16, num_events=300, seed="pasops")
-        keys = list(compute_keys(scheme.index, trace))
-        flat = list(
-            KernelStream(mode, PasOps(trace.num_nodes, scheme.depth)).feed_chunk(
-                trace, keys
-            )
-        )
-        oracle = list(
-            KernelStream(mode, scheme.make_function(trace.num_nodes)).feed_chunk(
-                trace, keys
-            )
-        )
-        assert flat == oracle

@@ -9,7 +9,6 @@ class TestDirectoryEntry:
         assert entry.state is DirState.UNCACHED
         assert entry.owner is None
         assert entry.sharers == 0
-        assert entry.epoch_writer is None
 
     def test_sharer_bitmap(self):
         entry = DirectoryEntry(block=5, home=2)

@@ -10,6 +10,7 @@ and scenario rows included), identical submissions coalesce across
 
 import asyncio
 import threading
+import time
 
 import pytest
 
@@ -32,17 +33,8 @@ def suite_spec():
     )
 
 
-@pytest.fixture(scope="class")
-def service(tmp_path_factory):
-    """One live server per test class: registry + socket + telemetry sink."""
-    tmp = tmp_path_factory.mktemp("service")
-    import os
-
-    previous_cache = os.environ.get("REPRO_CACHE_DIR")
-    os.environ["REPRO_CACHE_DIR"] = str(tmp / "traces")
-    previous_sink = set_telemetry(Telemetry())
-    registry = JobRegistry(engine=VectorizedEngine(), state_dir=tmp / "state")
-    server = SweepServer(registry, port=0)
+def serve_in_thread(server):
+    """Run ``server`` on its own event loop in a daemon thread, once bound."""
     ready = threading.Event()
 
     def run():
@@ -56,10 +48,26 @@ def service(tmp_path_factory):
     thread = threading.Thread(target=run, daemon=True)
     thread.start()
     assert ready.wait(timeout=10), "server never came up"
+    return thread
+
+
+@pytest.fixture(scope="class")
+def service(tmp_path_factory):
+    """One live server per test class: registry + socket + telemetry sink."""
+    tmp = tmp_path_factory.mktemp("service")
+    import os
+
+    previous_cache = os.environ.get("REPRO_CACHE_DIR")
+    os.environ["REPRO_CACHE_DIR"] = str(tmp / "traces")
+    previous_sink = set_telemetry(Telemetry())
+    registry = JobRegistry(engine=VectorizedEngine(), state_dir=tmp / "state")
+    server = SweepServer(registry, port=0)
+    thread = serve_in_thread(server)
     client = ServiceClient(port=server.port)
     yield client
     server.stop()
     thread.join(timeout=10)
+    assert not thread.is_alive(), "server thread outlived stop()"
     registry.close()
     set_telemetry(previous_sink)
     if previous_cache is None:
@@ -195,3 +203,25 @@ class TestStreaming:
         first = list(service.stream(handle.job_id))
         second = list(service.stream(handle.job_id))
         assert first == second
+
+
+class TestShutdown:
+    @pytest.fixture
+    def idle_server(self, tmp_path):
+        registry = JobRegistry(engine=VectorizedEngine(), state_dir=tmp_path / "state")
+        server = SweepServer(registry, port=0)
+        thread = serve_in_thread(server)
+        yield server, thread
+        server.stop()
+        thread.join(timeout=10)
+        registry.close()
+
+    def test_stop_from_another_thread_ends_serving(self, idle_server):
+        """``stop`` wakes the server's loop from a foreign thread: serving
+        ends at once, not at the next socket event."""
+        server, thread = idle_server
+        started = time.monotonic()
+        server.stop()
+        thread.join(timeout=2)
+        assert not thread.is_alive()
+        assert time.monotonic() - started < 2

@@ -1,10 +1,14 @@
 """SharingTrace: construction, validation, epoch linkage."""
 
+import re
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.trace.events import SharingEvent, SharingTrace
+from repro.trace.source import DEFAULT_CHUNK_EVENTS
 
 
 class TestFromEpochs:
@@ -96,6 +100,82 @@ class TestValidation:
         )
         with pytest.raises(ValueError):
             trace.check_consistency()
+
+
+def broken_trace(block, truth, inval, has_inval, close):
+    """A 4-node trace that passes construction but not the linkage check."""
+    return SharingTrace(
+        num_nodes=4,
+        writer=[index % 2 for index in range(len(block))],
+        pc=[1] * len(block),
+        home=[0] * len(block),
+        block=block,
+        truth=truth,
+        inval=inval,
+        has_inval=has_inval,
+        close=close,
+    )
+
+
+class TestLinkageErrors:
+    """check_consistency raises each of its five texts on a broken trace."""
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            pytest.param(
+                dict(block=[5], truth=[0], inval=[0], has_inval=[True], close=[1]),
+                "event 0: first on block but has_inval set",
+                id="first-with-inval",
+            ),
+            pytest.param(
+                dict(block=[5, 5], truth=[0, 0], inval=[0, 0],
+                     has_inval=[False, True], close=[2, 2]),
+                "event 0: close=2, expected 1",
+                id="wrong-close",
+            ),
+            pytest.param(
+                dict(block=[5, 5], truth=[0, 0], inval=[0, 0],
+                     has_inval=[False, False], close=[1, 2]),
+                "event 1: closes an epoch but has_inval unset",
+                id="closer-without-inval",
+            ),
+            pytest.param(
+                dict(block=[5, 5], truth=[0b0100, 0], inval=[0, 0b1000],
+                     has_inval=[False, True], close=[1, 2]),
+                "event 1: inval != truth of closed epoch 0",
+                id="inval-not-closed-truth",
+            ),
+            pytest.param(
+                dict(block=[5], truth=[0], inval=[0], has_inval=[False], close=[0]),
+                "event 0: last on block 5 but close != len(trace)",
+                id="open-epoch-not-closed-at-end",
+            ),
+        ],
+    )
+    def test_each_violation_has_its_message(self, columns, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            broken_trace(**columns).check_consistency()
+
+    def test_violation_past_the_first_window(self):
+        # two alternating block chains across more than one checker window;
+        # the error names absolute event indices
+        length = DEFAULT_CHUNK_EVENTS + 10
+        index = np.arange(length)
+        columns = dict(
+            block=index % 2,
+            truth=np.zeros(length, dtype=np.int64),
+            inval=np.zeros(length, dtype=np.int64),
+            has_inval=index >= 2,
+            close=np.minimum(index + 2, length),
+        )
+        broken_trace(**columns).check_consistency()
+        columns["inval"][length - 3] = 0b0100
+        with pytest.raises(
+            ValueError,
+            match=f"^event {length - 3}: inval != truth of closed epoch {length - 5}$",
+        ):
+            broken_trace(**columns).check_consistency()
 
 
 class TestSequenceProtocol:

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.trace.io import dump_text, load_trace, parse_text, save_trace
+from repro.trace.interchange import FileTraceSource, import_text
+from repro.trace.io import dump_text, load_trace, save_trace
 from tests.conftest import make_random_trace
 
 
@@ -48,24 +49,29 @@ class TestNpzRoundtrip:
 
 
 class TestTextRoundtrip:
+    """``dump_text`` output reads back through ``import_text``."""
+
     def test_roundtrip(self, tmp_path):
         trace = make_random_trace(num_events=50, seed="text")
         path = tmp_path / "trace.txt"
         dump_text(trace, path)
-        parsed = parse_text(path)
+        import_text(path, tmp_path / "trace.rtrace")
+        parsed = FileTraceSource(tmp_path / "trace.rtrace").materialize()
         assert traces_equal(trace, parsed)
 
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("0 1 0 5 0x0 0x0 0 1\n")
         with pytest.raises(ValueError):
-            parse_text(path)
+            import_text(path, tmp_path / "bad.rtrace")
+        assert not (tmp_path / "bad.rtrace").exists()
 
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("# nodes=4\n0 1 0\n")
         with pytest.raises(ValueError):
-            parse_text(path)
+            import_text(path, tmp_path / "bad.rtrace")
+        assert not (tmp_path / "bad.rtrace").exists()
 
     def test_text_is_human_readable(self, tmp_path, tiny_trace):
         path = tmp_path / "tiny.txt"
