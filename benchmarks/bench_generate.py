@@ -44,10 +44,11 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.harness.runner import TraceSet, _usable_cpus
+from repro.harness.runner import TraceSet
 from repro.telemetry import Telemetry, set_telemetry
 from repro.trace.io import load_trace
 from repro.trace.source import stream_fingerprint
+from repro.util import usable_cpus
 
 DATA_TRACES = Path(__file__).resolve().parents[1] / "data" / "traces"
 
@@ -182,7 +183,7 @@ def main(argv=None) -> int:
         "host": {
             "machine": platform.machine(),
             "cpus": os.cpu_count(),
-            "usable_cpus": _usable_cpus(),
+            "usable_cpus": usable_cpus(),
             "python": platform.python_version(),
         },
         "suite": {
@@ -205,7 +206,7 @@ def main(argv=None) -> int:
         f"(IQR {suite_generate['iqr']:.2f}), "
         f"{report['suite']['accesses_per_s']:,} accesses/s; traces() median "
         f"{suite_traces['median']:.2f} s (IQR {suite_traces['iqr']:.2f}) on "
-        f"{_usable_cpus()} usable CPUs; all traces equal the committed seed-0 "
+        f"{usable_cpus()} usable CPUs; all traces equal the committed seed-0 "
         f"suite; wrote {args.out}"
     )
     return 0

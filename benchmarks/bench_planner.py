@@ -16,13 +16,21 @@ reported, and the planned path must be at least 2x faster.
 
 Part two is the ledger of the paper's Section 5.4 sweep: the direct and
 forwarded Tables 8-9 sweeps (1,294 schemes each) over the committed seed-0
-suite, each timed over :data:`SWEEP_ROUNDS` rounds (median and IQR),
-with the group passes run and the members the partition memo answered
+suite, each timed at one lane and at the default lanes (one per usable
+CPU, as the vectorized engine runs a batch) over :data:`SWEEP_PAIRS`
+pairs of runs, the lane counts alternating which goes first (median and
+IQR of wall seconds each, beside the process CPU seconds), with the group
+passes run and the members the partition memo answered
 (``plan.trace_passes``, ``plan.partition_hits``).  Every row must equal
-the committed ``data/results/sweep-<mode>-*.json`` row.
+the committed ``data/results/sweep-<mode>-*.json`` row at both lane
+counts, and where two or more CPUs are usable the default lanes must run
+each sweep at least :data:`MIN_LANE_SPEEDUP` times faster than one lane.
+The CPU seconds tell a failure's cause: lanes that keep fewer than
+1.25 CPUs busy found the other CPUs taken (a loaded host) or held the
+GIL; busy lanes that still miss the floor spent more CPU than one lane.
 
 Emits ``BENCH_planner.json`` (the CI artifact) and exits non-zero on a
-result mismatch or, by default, a speedup under the floor::
+result mismatch or, by default, a speedup under a floor::
 
     PYTHONPATH=src python benchmarks/bench_planner.py [--out PATH] [--no-strict]
 
@@ -50,6 +58,7 @@ from repro.harness.experiments import scheme_row, screening_summary, sweep_schem
 from repro.harness.results import RESULT_SCHEMA
 from repro.harness.runner import TraceSet
 from repro.telemetry import Telemetry, set_telemetry
+from repro.util import usable_cpus
 
 #: the committed results the sweep rows must equal
 RESULTS_DIR = Path(__file__).resolve().parents[1] / "data" / "results"
@@ -65,8 +74,10 @@ MODES = ("direct", "forwarded")
 
 MIN_SPEEDUP = 2.0
 REPEATS = 3
-#: timed rounds per Tables 8-9 sweep
-SWEEP_ROUNDS = 5
+#: timed (one lane, default lanes) pairs per Tables 8-9 sweep
+SWEEP_PAIRS = 10
+#: the default lanes must beat one lane by this much where 2+ CPUs are usable
+MIN_LANE_SPEEDUP = 1.25
 
 
 def build_schemes():
@@ -89,45 +100,69 @@ def best_of(repeats, run):
     return best, result
 
 
-def sweep_ledger(trace_set: TraceSet, traces, update: UpdateMode):
-    """Time one Tables 8-9 sweep :data:`SWEEP_ROUNDS` times; returns its
-    ledger entry and whether every row equals the committed one."""
+def _spread(samples, cpu):
+    """Median and IQR of wall seconds, and the process CPU seconds (every
+    thread's) beside them."""
+    quartiles = statistics.quantiles(samples, n=4)
+    return {
+        "median_s": round(statistics.median(samples), 4),
+        "iqr_s": round(quartiles[2] - quartiles[0], 4),
+        "samples_s": [round(sample, 4) for sample in samples],
+        "cpu_median_s": round(statistics.median(cpu), 4),
+        "cpu_samples_s": [round(sample, 4) for sample in cpu],
+        # CPUs kept busy on average: CPU seconds over wall seconds
+        "busy_cpus": round(
+            statistics.median(used / wall for used, wall in zip(cpu, samples)), 3
+        ),
+    }
+
+
+def sweep_ledger(trace_set: TraceSet, traces, update: UpdateMode, lanes: int):
+    """Time one Tables 8-9 sweep over :data:`SWEEP_PAIRS` pairs of runs at
+    one lane and at ``lanes``, alternating which runs first; returns its
+    ledger entry and whether every row equals the committed one at both."""
     schemes = sweep_schemes(update, trace_set.num_nodes)
-    samples = []
-    for _ in range(SWEEP_ROUNDS):
-        sink = Telemetry()
-        previous = set_telemetry(sink)
-        try:
-            started = time.perf_counter()
-            counts = evaluate_plan(SweepPlan(schemes), traces)
-            samples.append(time.perf_counter() - started)
-        finally:
-            set_telemetry(previous)
-    rows = [
-        scheme_row(scheme, screening_summary(per_trace), trace_set.num_nodes)
-        for scheme, per_trace in zip(schemes, counts)
-    ]
     committed_path = (
         RESULTS_DIR
         / f"sweep-{update.value}-{trace_set.fingerprint()}-v{RESULT_SCHEMA}.json"
     )
     committed = json.loads(committed_path.read_text(encoding="utf-8"))["rows"]
-    quartiles = statistics.quantiles(samples, n=4)
+    samples = {1: [], lanes: []}
+    cpu = {1: [], lanes: []}
+    equal = {}
+    for pair in range(SWEEP_PAIRS):
+        for count in sorted(samples, reverse=pair % 2 == 1):
+            sink = Telemetry()
+            previous = set_telemetry(sink)
+            try:
+                started, used = time.perf_counter(), time.process_time()
+                counts = evaluate_plan(SweepPlan(schemes), traces, lanes=count)
+                samples[count].append(time.perf_counter() - started)
+                cpu[count].append(time.process_time() - used)
+            finally:
+                set_telemetry(previous)
+            rows = [
+                scheme_row(scheme, screening_summary(per_trace), trace_set.num_nodes)
+                for scheme, per_trace in zip(schemes, counts)
+            ]
+            equal[count] = equal.get(count, True) and rows == committed
+    one = _spread(samples[1], cpu[1])
+    default = _spread(samples[lanes], cpu[lanes])
     entry = {
         "schemes": len(schemes),
         "index_groups": SweepPlan(schemes).num_groups,
-        "rounds": SWEEP_ROUNDS,
-        "median_s": round(statistics.median(samples), 4),
-        "iqr_s": round(quartiles[2] - quartiles[0], 4),
-        "samples_s": [round(sample, 4) for sample in samples],
-        # the last round's counters (every round runs the same passes)
+        "pairs": SWEEP_PAIRS,
+        # the last run's counters (every run makes the same passes)
         "member_evaluations": len(schemes) * len(traces),
         "trace_passes": sink.counters.get("plan.trace_passes", 0),
         "partition_hits": sink.counters.get("plan.partition_hits", 0),
-        "rows_equal_committed": rows == committed,
+        "one_lane": {**one, "rows_equal_committed": equal[1]},
+        "default_lanes": {"lanes": lanes, **default,
+                          "rows_equal_committed": equal[lanes]},
+        "lane_speedup": round(one["median_s"] / default["median_s"], 3),
         "committed": committed_path.name,
     }
-    return entry, rows == committed
+    return entry, equal[1] and equal[lanes]
 
 
 def main(argv=None) -> int:
@@ -138,7 +173,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--no-strict",
         action="store_true",
-        help=f"report the speedup without enforcing the {MIN_SPEEDUP}x floor",
+        help=f"report the speedups without enforcing the {MIN_SPEEDUP}x and "
+        f"{MIN_LANE_SPEEDUP}x floors",
     )
     args = parser.parse_args(argv)
 
@@ -184,9 +220,10 @@ def main(argv=None) -> int:
 
     suite = TraceSet()
     suite_traces = suite.traces()
+    cpus = usable_cpus()
     sweeps = {}
     for update in SWEEP_MODES:
-        entry, equal = sweep_ledger(suite, suite_traces, update)
+        entry, equal = sweep_ledger(suite, suite_traces, update, cpus)
         sweeps[update.value] = entry
         if not equal:
             print(
@@ -214,21 +251,53 @@ def main(argv=None) -> int:
         "trace_passes": sink.counters.get("plan.trace_passes", 0) // REPEATS,
         "per_scheme_trace_passes": len(schemes) * len(traces),
         "partition_hits": sink.counters.get("plan.partition_hits", 0) // REPEATS,
-        # the Tables 8-9 sweeps over the seed-0 suite, rows equal to the
-        # committed results
+        # the Tables 8-9 sweeps over the seed-0 suite at one lane and at
+        # one lane per usable CPU, rows equal to the committed results
         "suite_events": sum(len(trace) for trace in suite_traces),
+        "usable_cpus": cpus,
+        "min_lane_speedup": MIN_LANE_SPEEDUP,
         "sweeps": sweeps,
     }
     Path(args.out).write_text(json.dumps(artifact, indent=2) + "\n", encoding="utf-8")
     print(json.dumps(artifact, indent=2))
 
-    if speedup < MIN_SPEEDUP and not args.no_strict:
+    if args.no_strict:
+        return 0
+    failed = False
+    if speedup < MIN_SPEEDUP:
         print(
             f"FAIL: planner speedup {speedup:.2f}x below the {MIN_SPEEDUP}x floor",
             file=sys.stderr,
         )
-        return 1
-    return 0
+        failed = True
+    for mode, entry in sweeps.items():
+        if cpus >= 2 and entry["lane_speedup"] < MIN_LANE_SPEEDUP:
+            print(
+                f"FAIL: the {mode} sweep at {cpus} lanes is {entry['lane_speedup']}x "
+                f"one lane, below the {MIN_LANE_SPEEDUP}x floor; "
+                f"{_lane_diagnosis(entry)}",
+                file=sys.stderr,
+            )
+            failed = True
+    return 1 if failed else 0
+
+
+def _lane_diagnosis(entry) -> str:
+    """What the CPU seconds say about a sweep below the lane floor.
+
+    The speedup is the CPUs the lanes kept busy times one lane's CPU
+    seconds over theirs, so a low one has one of two causes."""
+    one, default = entry["one_lane"], entry["default_lanes"]
+    measured = (
+        f"{default['busy_cpus']} CPUs busy, {default['cpu_median_s']} CPU-s at "
+        f"{default['lanes']} lanes against {one['cpu_median_s']} at one"
+    )
+    if default["busy_cpus"] < MIN_LANE_SPEEDUP:
+        return (
+            f"{measured}: the lanes ran on about one CPU, so the other CPUs "
+            "were taken (a loaded host: rerun) or the passes held the GIL"
+        )
+    return f"{measured}: the passes cost more CPU side by side (a loss in the code)"
 
 
 if __name__ == "__main__":

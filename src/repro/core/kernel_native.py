@@ -12,7 +12,9 @@ compiler into a cached shared library and driven via ``ctypes``.
 The compiled loop never sees Python objects: predictor keys and blocks
 are numbered into dense entry indices, and bitmaps travel as bit-packed
 64-bit word rows in the trace's :class:`~repro.util.bitmaps.BitmapLayout`
-sense.
+sense; the loop reads a trace's bitmap columns where they lie, widening
+the 32-bit words of machines up to 32 nodes as it goes, so a resident
+trace's columns cross uncopied.
 Entry state is flat arrays (:class:`NativeState`) in that word layout,
 shared where the members allow it:
 
@@ -30,7 +32,16 @@ shared where the members allow it:
   splits the nodes, level by level, into the non-empty classes that agree
   on their low history bits (at most min(2^d, 64) at level *d*, shared by
   every member); a member of depth *d* steps, or reads, the plane pair of
-  each level-*d* class's pattern with a few bitwise operations;
+  each level-*d* class's pattern with a few bitwise operations.  An entry's
+  history is split once per event: after a delivery a node's new low *d*
+  bits are the feedback bit followed by its old low *d - 1* bits, so each
+  new level-*d* class is an old level-*(d - 1)* class cut by the feedback
+  word, its pattern the old one shifted up with the feedback bit as bit 0.
+  A delivery to the entry about to predict steps the old level-*d*
+  classes and then reads the new row from the old level-*(d - 1)* ones;
+  ordered update reads the rows and then steps the same classes toward
+  the event's truth.  Only a forwarded delivery to another entry splits
+  that entry's history too;
 * each ``cunion``/``cinter`` member keeps one such plane pair of
   confidence counters per word.  A delivery first steps them toward the
   bits where the member's base prediction agreed with the feedback, and
@@ -71,7 +82,11 @@ calls, numbers keys and blocks with ids that stay stable across chunks
 appending when new ids appear, so feeding a trace as N chunks runs
 exactly the loop iterations one whole-trace call would.  Each entry
 point's argument types are declared once when the library loads, and
-arrays cross as bare addresses.
+arrays cross as bare addresses.  A ``ctypes`` call releases the GIL, so
+the planner's lanes run group passes side by side; the key numbering
+keeps one table per thread, its addresses read once, reset to each
+stream's size instead of allocated afresh (a table some stream grew past
+the start cap is not kept).
 
 Semantics are *defined elsewhere*: the pure-Python
 :class:`~repro.core.kernel.PredictorKernel` remains the normative oracle,
@@ -98,6 +113,7 @@ import logging
 import os
 import subprocess
 import tempfile
+import threading
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -261,12 +277,13 @@ static inline void split_word(const group_t *g, const uint64_t *hist, int64_t w,
     }
 }
 
-/* Deliver one feedback row to an entry: gates score their base first,
-   then the ring and the PAs history and counters absorb it. */
+/* Deliver one feedback row to an entry's ring and confidence counters:
+   gates score their base first, then the ring absorbs it.  PAs state
+   absorbs feedback in pas_pass. */
 static inline void deliver(const group_t *g, int64_t entry, const uint64_t *fb)
 {
     int64_t n_words = g->n_words, w;
-    int32_t j, k;
+    int32_t j;
     if (g->n_conf) {
         int32_t len = build_prefixes(g, entry);
         for (j = 0; j < g->n_conf; j++) {
@@ -287,42 +304,55 @@ static inline void deliver(const group_t *g, int64_t entry, const uint64_t *fb)
         if (g->ring_len[entry] < g->window)
             g->ring_len[entry] += 1;
     }
-    if (g->depth) {
-        uint64_t *hist = g->pas_hist + entry * g->depth * n_words;
-        uint64_t *counters = g->pas_counters + entry * g->pas_stride;
-        int32_t start[MAX_PAS_DEPTH + 2];
-        for (w = 0; w < n_words; w++) {
-            split_word(g, hist, w, start);
-            for (j = 0; j < g->n_pas; j++) {
-                int32_t m = g->pas_members[j], d = g->params[m];
-                uint64_t *c = counters + g->offsets[m] + (w << d) * 2;
-                for (k = start[d]; k < start[d + 1]; k++)
-                    step(c + 2 * g->classes[k].pattern, fb[w], g->classes[k].nodes);
-            }
-            for (k = g->depth - 1; k > 0; k--)
-                hist[k * n_words + w] = hist[(k - 1) * n_words + w];
-            hist[w] = fb[w];
-        }
-    }
 }
 
-/* Every PAs member's prediction row for an entry: per class, the high
-   counter bits its pattern selects. */
-static inline void predict_pas(const group_t *g, int64_t entry)
+/* what one pas_pass does per word, in this order */
+#define PAS_READ 1      /* each member's row, from the history as it is */
+#define PAS_DELIVER 2   /* step each member's counters toward fb, shift fb in */
+#define PAS_READ_NEXT 4 /* each member's row, from the history PAS_DELIVER left */
+
+/* Every PAs member's work on one entry, from one split of its history per
+   word: a member of depth d reads, or steps, the plane pair of each
+   level-d class's pattern.  After a delivery a node's new low d history
+   bits are the feedback bit followed by its old low d - 1 bits, so each
+   new level-d class is an old level-(d - 1) class cut by the feedback
+   word, its pattern the old one shifted up with the feedback bit as bit
+   0: PAS_READ_NEXT reads those, from the counters as the step left them,
+   instead of splitting the new history again. */
+static inline void pas_pass(const group_t *g, int64_t entry, const uint64_t *fb,
+                            int32_t flags)
 {
     int64_t n_words = g->n_words, w;
-    const uint64_t *hist = g->pas_hist + entry * g->depth * n_words;
-    const uint64_t *counters = g->pas_counters + entry * g->pas_stride;
+    uint64_t *hist = g->pas_hist + entry * g->depth * n_words;
+    uint64_t *counters = g->pas_counters + entry * g->pas_stride;
+    const class_t *cls = g->classes;
     int32_t start[MAX_PAS_DEPTH + 2], j, k;
     for (w = 0; w < n_words; w++) {
+        uint64_t f = fb[w];
         split_word(g, hist, w, start);
         for (j = 0; j < g->n_pas; j++) {
             int32_t m = g->pas_members[j], d = g->params[m];
-            const uint64_t *c = counters + g->offsets[m] + (w << d) * 2;
+            uint64_t *c = counters + g->offsets[m] + (w << d) * 2;
             uint64_t row = 0;
-            for (k = start[d]; k < start[d + 1]; k++)
-                row |= c[2 * g->classes[k].pattern] & g->classes[k].nodes;
-            g->rows[m * n_words + w] = row;
+            if (flags & PAS_READ)
+                for (k = start[d]; k < start[d + 1]; k++)
+                    row |= c[2 * cls[k].pattern] & cls[k].nodes;
+            if (flags & PAS_DELIVER)
+                for (k = start[d]; k < start[d + 1]; k++)
+                    step(c + 2 * cls[k].pattern, f, cls[k].nodes);
+            if (flags & PAS_READ_NEXT)
+                for (k = start[d - 1]; k < start[d]; k++) {
+                    /* the high planes of patterns 2p and 2p + 1 */
+                    const uint64_t *hi = c + 4 * cls[k].pattern;
+                    row |= ((hi[2] & f) | (hi[0] & ~f)) & cls[k].nodes;
+                }
+            if (flags & (PAS_READ | PAS_READ_NEXT))
+                g->rows[m * n_words + w] = row;
+        }
+        if (flags & PAS_DELIVER) {
+            for (k = g->depth - 1; k > 0; k--)
+                hist[k * n_words + w] = hist[(k - 1) * n_words + w];
+            hist[w] = fb[w];
         }
     }
 }
@@ -366,22 +396,35 @@ static inline int group_loop(const group_t *g, int64_t n_events, int32_t mode,
                              int32_t n_members,
                              const int32_t *entries, const int32_t *blocks,
                              const uint8_t *has_inval,
-                             const uint64_t *inval, const uint64_t *truth,
+                             const void *inval, const void *truth, int32_t narrow,
                              const int64_t *writers,
                              int32_t exclude_writer, int32_t *pending,
                              int64_t *counts, uint64_t *pred)
 {
     int64_t n_words = g->n_words, i, w, truth_bits = 0;
     const uint64_t *mask_words = g->valid;
+    uint64_t t_word, f_word;
     int32_t m, status = 0;
     for (i = 0; i < n_events; i++) {
         int64_t entry = entries[i];
-        const uint64_t *t_row = truth + i * n_words;
+        const uint64_t *t_row, *fb;
         int64_t writer = writers[i];
-        int32_t len = 0;
+        int32_t len = 0, pas = PAS_READ;
+        if (narrow) {
+            /* a 32-bit bitmap column, widened to the one word in place */
+            t_word = ((const uint32_t *)truth)[i];
+            f_word = ((const uint32_t *)inval)[i];
+            t_row = &t_word;
+            fb = &f_word;
+        } else {
+            t_row = (const uint64_t *)truth + i * n_words;
+            fb = (const uint64_t *)inval + i * n_words;
+        }
         if (mode == MODE_DIRECT) {
-            if (has_inval[i])
-                deliver(g, entry, inval + i * n_words);
+            if (has_inval[i]) {
+                deliver(g, entry, fb);
+                pas = PAS_DELIVER | PAS_READ_NEXT;
+            }
         } else if (mode == MODE_FORWARDED) {
             int32_t block = blocks[i];
             if (has_inval[i]) {
@@ -392,14 +435,22 @@ static inline int group_loop(const group_t *g, int64_t n_events, int32_t mode,
                     status = 1; /* inval with no open epoch */
                     break;
                 }
-                deliver(g, predictor, inval + i * n_words);
+                deliver(g, predictor, fb);
+                if (predictor == entry)
+                    pas = PAS_DELIVER | PAS_READ_NEXT;
+                else if (g->depth)
+                    pas_pass(g, predictor, fb, PAS_DELIVER);
             }
             pending[block] = (int32_t)entry;
+        } else {
+            /* ordered: the truth is delivered once the rows are read */
+            fb = t_row;
+            pas = PAS_READ | PAS_DELIVER;
         }
         if (g->window)
             len = build_prefixes(g, entry);
         if (g->depth)
-            predict_pas(g, entry);
+            pas_pass(g, entry, fb, pas);
         /* sharing is sparse: words with nothing to count are skipped */
         for (w = 0; w < n_words; w++)
             if (t_row[w])
@@ -429,7 +480,9 @@ static inline int group_loop(const group_t *g, int64_t n_events, int32_t mode,
     return status;
 }
 
-/* counts gets, per member m, the true positives at 2m and the predicted
+/* inval and truth are rows of n_words 64-bit words, or with narrow set
+   one 32-bit word per event (the layout of machines up to 32 nodes).
+   counts gets, per member m, the true positives at 2m and the predicted
    positives at 2m + 1, and the chunk's truth bits at 2 * n_members.  pred,
    when not NULL, gets member m's raw row of event i at row
    i * n_members + m.  Returns 1 on an inconsistent trace, 2 when out of
@@ -441,7 +494,7 @@ int repro_group_run(int64_t n_events, int64_t n_words,
                     const int64_t *offsets,
                     const int32_t *entries, const int32_t *blocks,
                     const uint8_t *has_inval,
-                    const uint64_t *inval, const uint64_t *truth,
+                    const void *inval, const void *truth, int32_t narrow,
                     const int64_t *writers, const uint64_t *mask_words,
                     int32_t exclude_writer,
                     int32_t window, uint64_t *ring, uint8_t *ring_len,
@@ -504,7 +557,7 @@ int repro_group_run(int64_t n_events, int64_t n_words,
     g.classes = classes;
 
     status = group_loop(&g, n_events, mode, n_members, entries, blocks,
-                        has_inval, inval, truth, writers,
+                        has_inval, inval, truth, narrow, writers,
                         exclude_writer, pending, counts, pred);
     free(members);
     free(buffers);
@@ -526,14 +579,14 @@ static inline uint64_t mix64(uint64_t x)
 }
 
 /* ids[i] gets the id of keys[i]: the id an earlier key equal to it got
-   (this call or an earlier one), else the next id, *count.  The table is
-   open addressing with linear probing over mask + 1 slots; slot_ids < 0
-   marks a free slot.  Stops before handing out id `limit` and returns
-   how many keys it numbered, so the caller can grow the table and go
-   on. */
+   (this call or an earlier one), else the next id, *count, whose slot
+   goes to filled[id].  The table is open addressing with linear probing
+   over mask + 1 slots; slot_ids < 0 marks a free slot.  Stops before
+   handing out id `limit` and returns how many keys it numbered, so the
+   caller can grow the table and go on. */
 int64_t repro_number_keys(int64_t n, const int64_t *keys, int32_t *ids,
-                          int64_t *slot_keys, int32_t *slot_ids, int64_t mask,
-                          int64_t *count, int64_t limit)
+                          int64_t *slot_keys, int32_t *slot_ids, int64_t *filled,
+                          int64_t mask, int64_t *count, int64_t limit)
 {
     int64_t i, next = *count;
     for (i = 0; i < n; i++) {
@@ -545,6 +598,7 @@ int64_t repro_number_keys(int64_t n, const int64_t *keys, int32_t *ids,
             if (next >= limit)
                 break;
             slot_keys[s] = key;
+            filled[next] = (int64_t)s;
             slot_ids[s] = (int32_t)next++;
         }
         ids[i] = slot_ids[s];
@@ -613,7 +667,7 @@ _SIGNATURES = {
         _I64, _I64, _I32, _I32,        # events, words, mode, members
         _PTR, _PTR, _PTR,              # functions, params, offsets
         _PTR, _PTR, _PTR,              # entries, blocks, has_inval
-        _PTR, _PTR, _PTR,              # inval, truth, writers
+        _PTR, _PTR, _I32, _PTR,        # inval, truth, narrow, writers
         _PTR, _I32,                    # mask_words, exclude_writer
         _I32, _PTR, _PTR, _PTR,        # window, ring, ring_len, ring_pos
         _I32, _I64, _PTR, _PTR,        # depth, pas_stride, pas_hist, pas_counters
@@ -622,7 +676,7 @@ _SIGNATURES = {
     )),
     "repro_number_keys": (_I64, (
         _I64, _PTR, _PTR,              # n, keys, ids
-        _PTR, _PTR, _I64,              # slot_keys, slot_ids, mask
+        _PTR, _PTR, _PTR, _I64,        # slot_keys, slot_ids, filled, mask
         _PTR, _I64,                    # count, limit
     )),
 }
@@ -664,10 +718,13 @@ class KeyNumbering:
     exactly when their ids are equal.  One compiled hash pass per call; the
     open-addressing table lives in numpy arrays, starts at ``slots`` (a
     power of two) and doubles once half its slots are taken, re-inserting
-    the known keys in id order so every id stays put.
+    the known keys in id order so every id stays put.  The pass records
+    the slot each id took, so :meth:`reset` frees exactly those and one
+    table can number stream after stream.
     """
 
-    __slots__ = ("_library", "_slot_keys", "_slot_ids", "_count")
+    __slots__ = ("_library", "_slot_keys", "_slot_ids", "_filled", "_slots",
+                 "_count", "_table")
 
     def __init__(self, library: ctypes.CDLL, slots: int = 1024) -> None:
         self._library = library
@@ -677,23 +734,39 @@ class KeyNumbering:
     def __len__(self) -> int:
         return self._count.value
 
+    @property
+    def capacity(self) -> int:
+        """The slots the table holds (:meth:`reset` may number in fewer)."""
+        return len(self._slot_ids)
+
     def _allocate(self, slots: int) -> None:
         self._slot_keys = np.zeros(slots, dtype=np.int64)
         self._slot_ids = np.full(slots, -1, dtype=np.int32)
+        #: the slot id ``i`` took, at ``i``
+        self._filled = np.empty(slots // 2, dtype=np.int64)
+        self._slots = slots
+        self._table = (
+            _address(self._slot_keys), _address(self._slot_ids),
+            _address(self._filled),
+        )
+
+    def reset(self, slots: int) -> None:
+        """Forget every key, and number on from the table's first ``slots``
+        slots (a power of two it holds)."""
+        self._slot_ids[self._filled[:len(self)]] = -1
+        self._count.value = 0
+        self._slots = slots
 
     def _number(self, keys: np.ndarray, ids: np.ndarray) -> int:
-        slots = len(self._slot_ids)
+        slots = self._slots
         return self._library.repro_number_keys(
-            len(keys), _address(keys), _address(ids), _address(self._slot_keys),
-            _address(self._slot_ids), slots - 1, ctypes.addressof(self._count),
-            slots // 2,
+            len(keys), _address(keys), _address(ids), *self._table, slots - 1,
+            ctypes.addressof(self._count), slots // 2,
         )
 
     def _grow(self) -> None:
-        used = self._slot_ids >= 0
-        by_id = np.empty(len(self), dtype=np.int64)
-        by_id[self._slot_ids[used]] = self._slot_keys[used]
-        self._allocate(2 * len(self._slot_ids))
+        by_id = self._slot_keys[self._filled[:len(self)]]
+        self._allocate(2 * self._slots)
         self._count.value = 0
         self._number(by_id, np.empty(len(by_id), dtype=np.int32))
 
@@ -708,9 +781,15 @@ class KeyNumbering:
         return ids
 
 
-#: the largest table a whole-stream numbering starts with (768 KiB); a
-#: stream with more than half as many distinct keys grows it
+#: the largest table a whole-stream numbering starts with (1 MiB with its
+#: record of filled slots); a stream with more than half as many distinct
+#: keys grows it
 _MAX_START_SLOTS = 1 << 16
+
+
+#: the zero-length state arrays of a family a group lacks (never written:
+#: growing one replaces it)
+_EMPTY = {dtype: np.zeros(0, dtype=dtype) for dtype in (np.uint64, np.uint8, np.int32)}
 
 
 class NativeState:
@@ -746,9 +825,9 @@ class NativeState:
             ("conf_counters", np.uint64, conf_stride),
         )
         for attribute, dtype, _ in layout:
-            setattr(self, attribute, np.zeros(0, dtype=dtype))
+            setattr(self, attribute, _EMPTY[dtype])
         self._per_entry = tuple(spec for spec in layout if spec[2])
-        self.pending = np.zeros(0, dtype=np.int32)
+        self.pending = _EMPTY[np.int32]
         self._entries = 0
 
     def grow(self, n_entries: int, n_blocks: int) -> None:
@@ -770,12 +849,22 @@ def _append(array: np.ndarray, fresh: np.ndarray) -> np.ndarray:
     return np.concatenate([array, fresh]) if len(array) else fresh
 
 
-def _to_word_rows(column: np.ndarray, layout: BitmapLayout) -> np.ndarray:
-    """A bitmap column as an aligned, C-contiguous ``(events, n_words)``
-    uint64 array (columns read from an ``.rtrace`` image may be unaligned)."""
-    if not layout.packed:
-        column = column.reshape(-1, 1)
-    return np.require(column, dtype=np.uint64, requirements="CA")
+def _columns(chunk, layout: BitmapLayout) -> Tuple[np.ndarray, ...]:
+    """``chunk``'s has_inval, inval, truth and writers as the C loop reads
+    them: aligned and C-contiguous, has_inval as bytes, the bitmaps in the
+    layout's own words (32-bit up to 32 nodes, else rows of 64-bit words)
+    and writers as int64.  A resident trace's columns already are, so
+    nothing is copied; columns read from an ``.rtrace`` image may be
+    unaligned and are."""
+    has_inval = np.ascontiguousarray(chunk.has_inval)
+    if has_inval.dtype == np.bool_:
+        has_inval = has_inval.view(np.uint8)  # the same bytes
+    return (
+        np.ascontiguousarray(has_inval, dtype=np.uint8),
+        np.require(chunk.inval, dtype=layout.dtype, requirements="CA"),
+        np.require(chunk.truth, dtype=layout.dtype, requirements="CA"),
+        np.require(chunk.writer, dtype=np.int64, requirements="CA"),
+    )
 
 
 def _param(scheme: Scheme) -> int:
@@ -869,16 +958,14 @@ class NativeGroupStream:
         counts = np.zeros(2 * size + 1, dtype=np.int64)
         layout = self.layout
         state = self.state
-        # converted columns stay bound until the call returns
-        has_inval = np.ascontiguousarray(chunk.has_inval, dtype=np.uint8)
-        inval = _to_word_rows(chunk.inval, layout)
-        truth = _to_word_rows(chunk.truth, layout)
-        writers = np.require(chunk.writer, dtype=np.int64, requirements="CA")
+        # the columns stay bound until the call returns
+        has_inval, inval, truth, writers = _columns(chunk, layout)
         status = self._library.repro_group_run(
             len(entries), layout.n_words, self.mode, size,
             _address(self.functions), _address(self.params), _address(self.offsets),
             _address(entries), _address(entries if blocks is None else blocks),
-            _address(has_inval), _address(inval), _address(truth), _address(writers),
+            _address(has_inval), _address(inval), _address(truth),
+            1 if layout.word_bits == 32 else 0, _address(writers),
             _address(self.mask_words), 1 if exclude_writer else 0,
             state.window, _address(state.ring), _address(state.ring_len),
             _address(state.ring_pos),
@@ -974,6 +1061,8 @@ class NativeKernelBackend:
     def __init__(self) -> None:
         self._library: Optional[ctypes.CDLL] = None
         self._checked = False
+        #: per thread, the table :meth:`first_appearance_ids` numbers in
+        self._tables = threading.local()
 
     def available(self) -> bool:
         """Build the C library and gate it behind the oracle self-check.
@@ -1023,7 +1112,17 @@ class NativeKernelBackend:
         # at most 6,377 distinct keys) take 0.38 s so against 0.96 s from
         # the default 1,024 slots, whose doublings cost more than the fill
         slots = min(1 << (2 * len(keys)).bit_length(), _MAX_START_SLOTS)
-        return KeyNumbering(self._ready_library(), slots)(keys)
+        # one table per numbering thread, reset to the stream's size: a
+        # fresh table per stream cost as much again in allocation
+        numbering = getattr(self._tables, "numbering", None)
+        if numbering is None:
+            numbering = KeyNumbering(self._ready_library(), _MAX_START_SLOTS)
+            self._tables.numbering = numbering
+        numbering.reset(slots)
+        ids = numbering(keys)
+        if numbering.capacity > _MAX_START_SLOTS:
+            del self._tables.numbering  # a stream outgrew the cap: keep none
+        return ids
 
     def group_stream(
         self, schemes: Sequence[Scheme], num_nodes: int

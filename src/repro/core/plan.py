@@ -44,18 +44,35 @@ trace's blocks once per call.  The memo applies to a trace that arrives as
 one chunk (every resident trace); a multi-chunk source runs every member,
 its streams numbering keys across chunks themselves.
 
-Grouping and the memo are pure scheduling: :func:`evaluate_plan` is
-bit-identical to evaluating each scheme independently (frozen against the
-golden fixtures on every backend), so planner changes can never move a
-published number.
+The one-chunk group passes run in lanes (:class:`_Lanes`): a pool of
+``lanes - 1`` threads plus the calling thread, which runs a pass itself
+whenever the pool holds all it may.  The compiled pass releases the GIL,
+so two passes run at once on two CPUs.  Every planning decision stays on
+the calling thread, in the one-lane order: keys, numbering, the memo,
+telemetry and ``on_result``; a pool thread only runs a pass.  A pass
+allocates its predictor state when it starts, so at most one state per
+lane is live, and the memo holds settled quads only.  The vectorized
+engine runs one lane per usable CPU (the affinity mask), or one under the
+pure-Python kernel, whose passes hold the GIL; the socket workers, which
+already split the CPUs between them, run one, and one lane starts no
+thread.  A multi-chunk source keeps the sequential loop.
+
+Grouping, the memo and the lanes are pure scheduling:
+:func:`evaluate_plan` is bit-identical to evaluating each scheme
+independently (frozen against the golden fixtures on every backend), so
+planner changes can never move a published number.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
+import time
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -73,6 +90,13 @@ Quad = Tuple[int, int, int, int]
 
 #: a member's (function, depth, update mode)
 MemberKey = Tuple[str, int, UpdateMode]
+
+#: passes a pool thread holds at most: the one it runs and the planned ones
+#: queued behind it, whose predictor state is allocated only when they
+#: start.  With none queued the calling thread ran nearly half the passes
+#: itself and the two-lane sweeps gained nothing; with three they ran
+#: about 1.5x faster than one lane
+PASSES_PER_THREAD = 4
 
 
 @dataclass(frozen=True)
@@ -185,10 +209,92 @@ def _partition_digest(ids: np.ndarray) -> bytes:
 @dataclass
 class _Partition:
     """One distinct key partition of one trace: the index spec it was first
-    met under, and every member quad computed on it so far."""
+    met under, every member quad computed on it so far, and the members
+    whose pass is handed out (settled or still running)."""
 
     spec: IndexSpec
     quads: Dict[MemberKey, Quad] = field(default_factory=dict)
+    handed: Set[MemberKey] = field(default_factory=set)
+
+
+class _Lanes:
+    """Where one :func:`evaluate_plan` call runs its one-chunk group passes.
+
+    A lane is one of ``lanes - 1`` pool threads, or the calling thread.  A
+    planned pass queues for the pool while each pool thread holds fewer
+    than :data:`PASSES_PER_THREAD`; otherwise the calling thread runs it
+    itself.  A pass allocates its predictor state when it starts, so at
+    most ``lanes`` pass states are live at once.  A pool thread runs only
+    the pass; everything else, telemetry included, stays on the calling
+    thread, where results settle in the order passes were handed out.
+    One lane starts no thread: every pass runs inline.  Closing waits for
+    every running pass, so no thread outlives the call.
+    """
+
+    def __init__(self, lanes: int) -> None:
+        self.lanes = max(1, lanes)
+        self._pool = (
+            ThreadPoolExecutor(self.lanes - 1, thread_name_prefix="repro-lane")
+            if self.lanes > 1
+            else None
+        )
+        #: pool passes not yet known to be finished
+        self._held: List[Future] = []
+        #: handed-out passes not yet settled: (result, what settles it)
+        self._queue: Deque[Tuple[Future, Callable]] = deque()
+        self.handed = self.settled = 0
+        self.pool_passes = self.inline_passes = 0
+        self.wait_seconds = 0.0
+
+    def run(self, task: Callable[[], List[Quad]], settle: Callable) -> None:
+        """Run ``task`` on a lane; ``settle(result)`` follows on the calling
+        thread, after every pass handed out before it has settled."""
+        self.handed += 1
+        if self._pool is not None:
+            self._held = [future for future in self._held if not future.done()]
+            if len(self._held) < (self.lanes - 1) * PASSES_PER_THREAD:
+                future = self._pool.submit(task)
+                self._held.append(future)
+                self._queue.append((future, settle))
+                self.pool_passes += 1
+                return
+        self.inline_passes += 1
+        future = Future()
+        future.set_result(task())
+        self._queue.append((future, settle))
+
+    def poll(self) -> None:
+        """Settle the passes at the head of the queue that have finished."""
+        while self._queue and self._queue[0][0].done():
+            self._settle_head()
+
+    def drain(self) -> None:
+        """Settle every pass handed out, waiting for the pool threads; the
+        first failed pass, in hand-out order, raises."""
+        while self._queue:
+            future = self._queue[0][0]
+            if not future.done():
+                started = time.perf_counter()
+                wait([future])
+                self.wait_seconds += time.perf_counter() - started
+            self._settle_head()
+
+    def _settle_head(self) -> None:
+        future, settle = self._queue.popleft()
+        settle(future.result())
+        self.settled += 1
+
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+
+    def record_telemetry(self, telemetry) -> None:
+        """``plan.lanes`` and where the passes ran; the two pass counters sum
+        to ``plan.trace_passes``."""
+        telemetry.gauge("plan.lanes", self.lanes)
+        telemetry.count("plan.lane_passes", self.pool_passes)
+        telemetry.count("plan.inline_passes", self.inline_passes)
+        telemetry.timer_add("plan.lane_wait_seconds", self.wait_seconds)
 
 
 class _PartitionMemo:
@@ -201,11 +307,13 @@ class _PartitionMemo:
     repeat is found by the numbering's digest and confirmed by numbering
     the first spec's keys on the same chunk again and comparing the
     arrays, so no numbering outlives its group and a digest collision can
-    never answer a member wrongly.
+    never answer a member wrongly.  The memo holds settled quads only; a
+    member whose pass is still running is promised, not run again.
     """
 
-    def __init__(self, exclude_writer: bool) -> None:
+    def __init__(self, exclude_writer: bool, lanes: _Lanes) -> None:
         self.exclude_writer = exclude_writer
+        self.lanes = lanes
         self._number = resolve_kernel_backend().first_appearance_ids
         self._partitions: Dict[Tuple[int, bytes], List[_Partition]] = {}
         #: per trace position: its blocks numbered once, for forwarded update
@@ -228,18 +336,20 @@ class _PartitionMemo:
 
     def quads(
         self, position: int, spec: IndexSpec, chunk, members: Sequence[Scheme]
-    ) -> List[Quad]:
-        """Every member's quad over a trace that is the one ``chunk``.
+    ) -> Callable[[], List[Quad]]:
+        """Every member's quad over a trace that is the one ``chunk``, read
+        once the passes handed out so far have settled.
 
         Members the memo lacks run in one group stream per update mode, fed
-        the same ids; the rest count under ``plan.partition_hits``.
+        the same ids, each pass on a lane; the rest count under
+        ``plan.partition_hits``.
         """
         ids = self._number(compute_keys(spec, chunk))
-        known = self._partition(position, spec, chunk, ids).quads
+        partition = self._partition(position, spec, chunk, ids)
         missing: Dict[UpdateMode, Dict[MemberKey, Scheme]] = {}
         for scheme in members:
             key = _member_key(scheme)
-            if key not in known:
+            if key not in partition.handed:
                 missing.setdefault(scheme.update, {}).setdefault(key, scheme)
         telemetry = get_telemetry()
         telemetry.count("plan.trace_passes", len(missing))
@@ -254,9 +364,20 @@ class _PartitionMemo:
                 if mode is UpdateMode.FORWARDED
                 else None
             )
-            quads = stream.evaluate_ids(chunk, ids, blocks, self.exclude_writer)
-            known.update(zip(by_key, quads))
-        return [known[_member_key(scheme)] for scheme in members]
+            keys = list(by_key)
+            partition.handed.update(keys)
+            self.lanes.run(
+                functools.partial(
+                    stream.evaluate_ids, chunk, ids, blocks, self.exclude_writer
+                ),
+                functools.partial(_settle, partition.quads, keys),
+            )
+        known = partition.quads
+        return lambda: [known[_member_key(scheme)] for scheme in members]
+
+
+def _settle(known: Dict[MemberKey, Quad], keys: List[MemberKey], quads) -> None:
+    known.update(zip(keys, quads))
 
 
 def _evaluate_group(
@@ -264,26 +385,26 @@ def _evaluate_group(
     position: int,
     trace: Union[SharingTrace, TraceSource],
     memo: _PartitionMemo,
-) -> List[ConfusionCounts]:
-    """Counts for every member of one index group over one trace.
+) -> Callable[[], List[ConfusionCounts]]:
+    """Counts for every member of one index group over one trace, read once
+    the passes handed out so far have settled.
 
     A trace that arrives as one chunk goes through the memo.  Any other is
-    read once: keys once per chunk, one group stream per update mode
+    read once, here: keys once per chunk, one group stream per update mode
     present, each running every member of that mode and numbering the keys
     itself.  ``plan.trace_passes`` counts the group streams run -- the
     saving relative to one pass per scheme is the planner's point.
     Counts are returned in ``group.members`` order.
     """
     members = [member.scheme for member in group.members]
-    counts = [ConfusionCounts() for _ in members]
     if len(trace) == 0:
-        return counts
+        return lambda: [ConfusionCounts() for _ in members]
     chunks = iter(trace_chunks(trace))
     first = next(chunks)
     if len(first) == len(trace):
-        for total, quad in zip(counts, memo.quads(position, group.spec, first, members)):
-            _merge_quad(total, quad)
-        return counts
+        quads = memo.quads(position, group.spec, first, members)
+        return lambda: [ConfusionCounts(*quad) for quad in quads()]
+    counts = [ConfusionCounts() for _ in members]
     by_mode: Dict[UpdateMode, List[int]] = {}
     for offset, scheme in enumerate(members):
         by_mode.setdefault(scheme.update, []).append(offset)
@@ -293,13 +414,14 @@ def _evaluate_group(
         for offsets in by_mode.values()
     ]
     get_telemetry().count("plan.trace_passes", len(streams))
+    memo.lanes.inline_passes += len(streams)
     for chunk in itertools.chain([first], chunks):
         keys = compute_keys(group.spec, chunk)
         for stream, offsets in streams:
             quads = stream.evaluate(chunk, keys, memo.exclude_writer)
             for offset, quad in zip(offsets, quads):
                 _merge_quad(counts[offset], quad)
-    return counts
+    return lambda: counts
 
 
 def evaluate_plan(
@@ -308,6 +430,7 @@ def evaluate_plan(
     *,
     exclude_writer: bool = True,
     on_result: Optional[Callable[[int, List[ConfusionCounts]], None]] = None,
+    lanes: int = 1,
 ) -> List[List[ConfusionCounts]]:
     """Execute a plan: per-trace confusion counts for every scheme.
 
@@ -317,18 +440,48 @@ def evaluate_plan(
     :class:`ConfusionCounts` per trace -- and fires ``on_result`` once per
     scheme as its index group finishes the suite (group-ordered, so
     possibly out of the caller's order; journaling already handles that).
+
+    ``lanes`` is how many one-chunk group passes may run at once (see
+    :class:`_Lanes`); every planning decision, and ``on_result``, stays on
+    the calling thread, so the results, the callback order and the
+    ``plan.*`` counts are the same at any lane count.
     """
     results: List[Optional[List[ConfusionCounts]]] = [None] * plan.num_schemes
-    memo = _PartitionMemo(exclude_writer)
-    for group in plan.groups:
-        per_trace = [
-            _evaluate_group(group, position, trace, memo)
-            for position, trace in enumerate(traces)
-        ]
-        for offset, member in enumerate(group.members):
-            counts = [column[offset] for column in per_trace]
-            results[member.position] = counts
-            if on_result is not None:
-                on_result(member.position, counts)
+    pool = _Lanes(lanes)
+    memo = _PartitionMemo(exclude_writer, pool)
+    #: planned groups not yet reported: (group, per-trace counts, passes
+    #: handed out once it was planned)
+    planned: Deque[Tuple[IndexGroup, list, int]] = deque()
+
+    def report() -> None:
+        while planned and planned[0][2] <= pool.settled:
+            group, per_trace, _ = planned.popleft()
+            columns = [counts() for counts in per_trace]
+            for offset, member in enumerate(group.members):
+                counts = [column[offset] for column in columns]
+                results[member.position] = counts
+                if on_result is not None:
+                    on_result(member.position, counts)
+
+    try:
+        for group in plan.groups:
+            try:
+                per_trace = [
+                    _evaluate_group(group, position, trace, memo)
+                    for position, trace in enumerate(traces)
+                ]
+            except Exception:
+                pool.drain()  # a pass handed out earlier may have failed first
+                raise
+            planned.append((group, per_trace, pool.handed))
+            pool.poll()
+            report()
+        pool.drain()
+        report()
+    finally:
+        pool.close()
+    telemetry = get_telemetry()
+    if telemetry.enabled:
+        pool.record_telemetry(telemetry)
     assert all(entry is not None for entry in results)
     return results  # type: ignore[return-value]

@@ -10,6 +10,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.core.evaluator import evaluate_scheme, predict_scheme
+from repro.core.kernel_backends import resolve_kernel_backend
 from repro.core.plan import SweepPlan, evaluate_plan
 from repro.core.schemes import Scheme
 from repro.core.vectorized import evaluate_scheme_fast
@@ -19,6 +20,7 @@ from repro.metrics.confusion import ConfusionCounts
 from repro.metrics.traffic import TrafficReport
 from repro.telemetry import get_telemetry
 from repro.trace.events import SharingTrace
+from repro.util import usable_cpus
 
 
 class ReferenceEngine(EvaluationEngine):
@@ -70,6 +72,10 @@ class VectorizedEngine(EvaluationEngine):
     :class:`~repro.trace.source.TraceSource` chunk by chunk (never
     materialized) and a resident trace as one chunk, with bit-identical
     results either way.
+
+    A batch's one-chunk group passes run on one lane per usable CPU (the
+    affinity mask, so ``taskset`` limits them), read per batch.  Under the
+    pure-Python kernel a pass holds the GIL, so the batch runs one lane.
     """
 
     name = "vectorized"
@@ -92,6 +98,11 @@ class VectorizedEngine(EvaluationEngine):
         telemetry = get_telemetry()
         if telemetry.enabled:
             plan.record_telemetry(telemetry)
+        python = resolve_kernel_backend().name == "python"
         return evaluate_plan(
-            plan, traces, exclude_writer=exclude_writer, on_result=on_result
+            plan,
+            traces,
+            exclude_writer=exclude_writer,
+            on_result=on_result,
+            lanes=1 if python else usable_cpus(),
         )

@@ -41,6 +41,7 @@ from repro.metrics.confusion import ConfusionCounts
 from repro.telemetry import get_telemetry
 from repro.trace.events import SharingTrace
 from repro.trace.io import load_trace, save_trace
+from repro.util import usable_cpus
 from repro.util.persist import (
     CACHE_SCHEMA,
     CacheCorruptionError,
@@ -281,7 +282,7 @@ class TraceSet:
         for name in self.benchmarks:
             if name not in missing and self._cached(name) is None:
                 missing.append(name)
-        workers = min(len(missing), _usable_cpus()) - 1
+        workers = min(len(missing), usable_cpus()) - 1
         if workers > 0:
             _SuiteGeneration(self, missing).run(workers)
         for name in missing:
@@ -300,14 +301,6 @@ class TraceSet:
 # ----------------------------------------------------------------------
 # Concurrent suite generation
 # ----------------------------------------------------------------------
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 class _SuiteGeneration:

@@ -415,59 +415,106 @@ class StreamingConsistencyChecker:
     truth, close indices are patched exactly once, and open epochs close
     at end of trace, checked as chunks arrive with O(distinct blocks)
     state.  :meth:`SharingTrace.check_consistency` feeds it a resident
-    trace's windows.  Raises ``ValueError`` on the first violation.
+    trace's windows.  Each window is one numpy pass: a stable sort on
+    block links every event to its predecessor on the block, the first
+    event of a block in the window to the block's last event carried from
+    earlier windows.  Raises ``ValueError`` on the first violation in
+    event order.
     """
 
     def __init__(self, num_nodes: int):
         self.num_nodes = num_nodes
         self.layout = bitmap_layout(num_nodes)
-        #: block -> (last event index, its close, its truth as int)
-        self._last: dict = {}
+        # per block met so far, sorted by block: its last event's index,
+        # close and truth (word rows), and the index of its first event
+        self._blocks = np.zeros(0, dtype=np.int64)
+        self._index = np.zeros(0, dtype=np.int64)
+        self._close = np.zeros(0, dtype=np.int64)
+        self._truth = np.zeros((0, self.layout.n_words), dtype=np.uint64)
+        self._first = np.zeros(0, dtype=np.int64)
         self._events = 0
 
     def feed(self, chunk: TraceChunk) -> None:
-        layout = self.layout
-        blocks = chunk.block.tolist()
-        closes = chunk.close.tolist()
-        has_invals = chunk.has_inval.tolist()
-        truths = layout.to_int_list(chunk.truth)
-        invals = layout.to_int_list(chunk.inval)
-        last = self._last
         base = chunk.start
         if base != self._events:
             raise ValueError(
                 f"chunk starts at {base}, expected {self._events} (gap or overlap)"
             )
-        for offset in range(len(blocks)):
-            index = base + offset
-            block = blocks[offset]
-            previous = last.get(block)
-            if previous is None:
-                if has_invals[offset]:
-                    raise ValueError(
-                        f"event {index}: first on block but has_inval set"
-                    )
-            else:
-                prev_index, prev_close, prev_truth = previous
-                if prev_close != index:
-                    raise ValueError(
-                        f"event {prev_index}: close={prev_close}, expected {index}"
-                    )
-                if not has_invals[offset]:
-                    raise ValueError(
-                        f"event {index}: closes an epoch but has_inval unset"
-                    )
-                if invals[offset] != prev_truth:
-                    raise ValueError(
-                        f"event {index}: inval != truth of closed epoch {prev_index}"
-                    )
-            last[block] = (index, closes[offset], truths[offset])
-        self._events += len(blocks)
+        length = len(chunk)
+        if not length:
+            return
+        block = np.asarray(chunk.block, dtype=np.int64)
+        close = np.asarray(chunk.close, dtype=np.int64)
+        truth = np.asarray(chunk.truth).reshape(length, -1)
+        inval = np.asarray(chunk.inval).reshape(length, -1)
+        has_inval = np.asarray(chunk.has_inval, dtype=bool)
+        order = np.argsort(block, kind="stable")
+        ordered = block[order]
+        opens = np.ones(length, dtype=bool)
+        opens[1:] = ordered[1:] != ordered[:-1]
+        firsts = order[opens]
+        lasts = order[np.append(opens[1:], True)]
+        blocks = ordered[opens]
+        # each event's predecessor on its block: within the window, or for a
+        # block's first event here, the block's last event carried over
+        previous = np.empty(length, dtype=np.int64)
+        previous[order[1:]] = order[:-1]
+        previous[firsts] = 0
+        prev_index = base + previous
+        prev_close = close[previous]
+        linked = (inval == truth[previous]).all(axis=1)
+        at = np.searchsorted(self._blocks, blocks)
+        carried = at < len(self._blocks)
+        carried[carried] = self._blocks[at[carried]] == blocks[carried]
+        linked_firsts, kept = firsts[carried], at[carried]
+        prev_index[linked_firsts] = self._index[kept]
+        prev_close[linked_firsts] = self._close[kept]
+        linked[linked_firsts] = (inval[linked_firsts] == self._truth[kept]).all(axis=1)
+        has_prev = np.ones(length, dtype=bool)
+        has_prev[firsts[~carried]] = False
+
+        index = base + np.arange(length)
+        first_with_inval = ~has_prev & has_inval
+        wrong_close = has_prev & (prev_close != index)
+        unset = has_prev & ~has_inval
+        unlinked = has_prev & ~linked
+        bad = first_with_inval | wrong_close | unset | unlinked
+        if bad.any():
+            at_bad = int(np.argmax(bad))
+            event, closed = base + at_bad, int(prev_index[at_bad])
+            if first_with_inval[at_bad]:
+                raise ValueError(f"event {event}: first on block but has_inval set")
+            if wrong_close[at_bad]:
+                raise ValueError(
+                    f"event {closed}: close={int(prev_close[at_bad])}, expected {event}"
+                )
+            if unset[at_bad]:
+                raise ValueError(
+                    f"event {event}: closes an epoch but has_inval unset"
+                )
+            raise ValueError(
+                f"event {event}: inval != truth of closed epoch {closed}"
+            )
+
+        self._index[kept] = base + lasts[carried]
+        self._close[kept] = close[lasts[carried]]
+        self._truth[kept] = truth[lasts[carried]]
+        fresh = ~carried
+        where = at[fresh]
+        self._blocks = np.insert(self._blocks, where, blocks[fresh])
+        self._index = np.insert(self._index, where, base + lasts[fresh])
+        self._close = np.insert(self._close, where, close[lasts[fresh]])
+        self._truth = np.insert(self._truth, where, truth[lasts[fresh]], axis=0)
+        self._first = np.insert(self._first, where, base + firsts[fresh])
+        self._events += length
 
     def finish(self) -> None:
-        """Verify end-of-trace invariants (open epochs close at ``len``)."""
-        for block, (index, close, _truth) in self._last.items():
-            if close != self._events:
-                raise ValueError(
-                    f"event {index}: last on block {block} but close != len(trace)"
-                )
+        """Verify end-of-trace invariants (open epochs close at ``len``);
+        the first block met whose last epoch stays open raises."""
+        open_blocks = np.flatnonzero(self._close != self._events)
+        if len(open_blocks):
+            k = open_blocks[np.argmin(self._first[open_blocks])]
+            raise ValueError(
+                f"event {int(self._index[k])}: last on block {int(self._blocks[k])} "
+                "but close != len(trace)"
+            )

@@ -5,6 +5,8 @@ layer (memory substrate, predictor core, harness) can build on them without
 import cycles.
 """
 
+import os
+
 from repro.util.bitmaps import (
     POPCOUNT16,
     bitmap_from_nodes,
@@ -15,6 +17,16 @@ from repro.util.bitmaps import (
 )
 from repro.util.rng import DeterministicRng
 
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one
+    (so ``taskset`` limits it), else the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 __all__ = [
     "POPCOUNT16",
     "bitmap_from_nodes",
@@ -23,4 +35,5 @@ __all__ = [
     "iter_set_bits",
     "popcount",
     "DeterministicRng",
+    "usable_cpus",
 ]

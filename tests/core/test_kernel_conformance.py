@@ -21,12 +21,14 @@ Coverage axes:
   boundaries) and 256 / 1024 (packed multi-word layouts);
 * arbitrary Hypothesis-generated traces and schemes on top of the
   structured deterministic ones;
-* chunked feeds: each backend's resumable ``stream`` and
+* chunked feeds: each fast backend's resumable ``stream`` and
   ``group_stream`` fed the same trace cut at Hypothesis-drawn points
   (always with a one-event first chunk and a cut inside an open FORWARDED
   epoch) must reproduce the oracle's one-chunk predictions and confusion
   quads, at 8, 16, 64, 65 and 80 nodes and with PAs members up to the
-  native depth cap;
+  native depth cap.  The oracle's own group stream is checked directly:
+  across a chunk cut, every member scores as a fresh one-member oracle
+  stream;
 * the bits past the last node: the native bit-plane families (PAs and
   the confidence-gated ones) never predict one, even when the feedback
   sets them.
@@ -298,6 +300,21 @@ def backend(request):
     return instance
 
 
+@pytest.fixture(
+    scope="module",
+    params=[name for name in kernel_backend_names() if name != "python"],
+)
+def fast_backend(request):
+    """Every registered backend but the normative one, for the checks that
+    would only compare the oracle with itself (the python group stream is
+    one oracle stream per member: :class:`TestPythonGroupStream` checks that
+    directly)."""
+    instance = get_kernel_backend(request.param)
+    if not instance.available():
+        pytest.skip(f"kernel backend {request.param!r} unavailable here")
+    return instance
+
+
 class TestBackendConformance:
     @pytest.mark.parametrize("num_nodes", WIDTHS)
     def test_all_widths_all_families_all_modes(self, backend, num_nodes):
@@ -422,13 +439,13 @@ _CHUNKED_TRACES = {
 class TestChunkedConformance:
     @pytest.mark.parametrize("num_nodes", sorted(_CHUNKED_TRACES))
     @given(data=st.data())
-    def test_chunked_stream_matches_one_chunk(self, backend, num_nodes, data):
+    def test_chunked_stream_matches_one_chunk(self, fast_backend, num_nodes, data):
         trace = _CHUNKED_TRACES[num_nodes]
         drawn = data.draw(
             st.sets(st.integers(1, len(trace) - 1), max_size=6), label="cuts"
         )
         cuts = sorted({1, _open_epoch_cut(trace), *drawn})
-        assert_stream_conforms(backend, trace, cuts)
+        assert_stream_conforms(fast_backend, trace, cuts)
 
 
 _GROUP_ORACLE_CACHE = {num_nodes: {} for num_nodes in _CHUNKED_TRACES}
@@ -463,26 +480,26 @@ class TestGroupConformance:
     @pytest.mark.parametrize("num_nodes", sorted(_CHUNKED_TRACES))
     @settings(max_examples=25)
     @given(data=st.data())
-    def test_group_stream_matches_oracle(self, backend, num_nodes, data):
+    def test_group_stream_matches_oracle(self, fast_backend, num_nodes, data):
         trace = _CHUNKED_TRACES[num_nodes]
         drawn = data.draw(
             st.sets(st.integers(1, len(trace) - 1), max_size=6), label="cuts"
         )
         assert_group_conforms(
-            backend, trace, _cuts(trace, drawn), _GROUP_ORACLE_CACHE[num_nodes]
+            fast_backend, trace, _cuts(trace, drawn), _GROUP_ORACLE_CACHE[num_nodes]
         )
 
     @pytest.mark.parametrize("num_nodes", sorted(_CHUNKED_TRACES))
     @settings(max_examples=25)
     @given(data=st.data())
     def test_group_stream_matches_oracle_on_arbitrary_traces(
-        self, backend, num_nodes, data
+        self, fast_backend, num_nodes, data
     ):
         trace = data.draw(wide_trace_strategy(num_nodes), label="trace")
         drawn = data.draw(
             st.sets(st.integers(1, len(trace) - 1), max_size=4), label="cuts"
         )
-        assert_group_conforms(backend, trace, _cuts(trace, drawn))
+        assert_group_conforms(fast_backend, trace, _cuts(trace, drawn))
 
     def test_empty_chunk_scores_nothing(self, backend):
         trace = make_random_trace(num_nodes=16, num_events=0, seed="group-empty")
@@ -490,6 +507,52 @@ class TestGroupConformance:
         stream = backend.group_stream(schemes, trace.num_nodes)
         keys = compute_keys(schemes[0].index, trace)
         assert stream.evaluate(trace, keys, True) == [(0, 0, 0, 0)] * len(schemes)
+
+
+class TestPythonGroupStream:
+    """The oracle's group stream is one oracle stream per member; the
+    conformance rows above would only compare the oracle with itself."""
+
+    @pytest.mark.parametrize("num_nodes", sorted(_CHUNKED_TRACES))
+    @pytest.mark.parametrize("exclude_writer", [False, True], ids=["incl", "excl"])
+    @pytest.mark.parametrize("mode", list(UpdateMode), ids=lambda mode: mode.value)
+    def test_chunked_members_score_as_one_chunk_streams(
+        self, mode, exclude_writer, num_nodes
+    ):
+        """Fed the trace cut into chunks, through raw keys and through ids,
+        every member's summed quads equal a fresh one-member oracle
+        stream's over the whole trace as one chunk."""
+        trace = _CHUNKED_TRACES[num_nodes]
+        schemes = group_schemes(mode)
+        keys = compute_keys(schemes[0].index, trace)
+        entries = kb.first_appearance_ids(keys)
+        blocks = kb.first_appearance_ids(trace.block)
+        python = get_kernel_backend("python")
+        by_keys = python.group_stream(schemes, trace.num_nodes)
+        by_ids = python.group_stream(schemes, trace.num_nodes)
+        summed = {"keys": [(0, 0, 0, 0)] * len(schemes)}
+        summed["ids"] = summed["keys"]
+        # a one-event chunk, then a cut inside an open forwarded epoch
+        for chunk in _chunks_at(trace, _cuts(trace, ())):
+            window = slice(chunk.start, chunk.end)
+            fed = {
+                "keys": by_keys.evaluate(chunk, keys[window], exclude_writer),
+                "ids": by_ids.evaluate_ids(
+                    chunk, entries[window], blocks[window], exclude_writer
+                ),
+            }
+            for via, quads in fed.items():
+                summed[via] = [
+                    tuple(a + b for a, b in zip(total, quad))
+                    for total, quad in zip(summed[via], quads)
+                ]
+        want = [
+            kb.PythonKernelStream(scheme, trace.num_nodes).evaluate(
+                trace, keys, exclude_writer
+            )
+            for scheme in schemes
+        ]
+        assert summed == {"keys": want, "ids": want}
 
 
 # ----------------------------------------------------------------------
@@ -660,6 +723,16 @@ class TestKeyNumbering:
         got = backend.first_appearance_ids(keys)
         assert got.dtype == np.int32
         assert np.array_equal(got, kb.first_appearance_ids(keys))
+
+    def test_backend_numbers_stream_after_stream(self, backend):
+        """One backend numbers many streams, the native one in one reused
+        table: each from scratch, also around a stream with more distinct
+        keys than the largest table a stream starts with."""
+        outgrows = np.random.default_rng(7).integers(0, 1 << 40, size=70_000)
+        streams = [ADVERSARIAL_KEYS[name] for name in sorted(ADVERSARIAL_KEYS)]
+        for keys in [*streams, outgrows, *streams]:
+            got = backend.first_appearance_ids(keys)
+            assert np.array_equal(got, kb.first_appearance_ids(keys))
 
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL_KEYS))
     def test_carried_numbering_at_cuts(self, library, name):

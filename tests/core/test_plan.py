@@ -17,9 +17,17 @@ The planner's load-bearing promises, each pinned here:
   partitions repeat give every member the quad of its one-scheme plan and
   of the oracle fed raw keys, under both kernels, on resident traces
   (where the memo answers) and multi-chunk sources (where it stays off),
-  even when every digest collides.
+  even when every digest collides;
+* the lanes change wall-clock only: at 1, 2 and 3 lanes a call gives the
+  same results, ``on_result`` sequence and ``plan.*`` counts, raises what
+  one lane raises, and leaves no thread behind; one lane starts none.
 """
 
+import sys
+import threading
+import time
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -505,3 +513,209 @@ class TestPartitionMemo:
         ]
         planned = evaluate_plan(SweepPlan([parse_scheme(t) for t in texts]), traces)
         assert planned == [memo_expected[text] for text in texts]
+
+
+# ----------------------------------------------------------------------
+# Lanes: group passes run side by side, every result as at one lane
+# ----------------------------------------------------------------------
+
+#: the lane counts every lanes test compares
+LANES = (1, 2, 3)
+
+
+def _run_lanes(schemes, traces, lanes):
+    """One call's results, ``on_result`` sequence and ``plan.*`` telemetry."""
+    sink = Telemetry()
+    previous = set_telemetry(sink)
+    calls = []
+    try:
+        results = evaluate_plan(
+            SweepPlan(schemes), traces,
+            on_result=lambda position, counts: calls.append((position, counts)),
+            lanes=lanes,
+        )
+    finally:
+        set_telemetry(previous)
+    return results, calls, sink
+
+
+@pytest.fixture(scope="module")
+def seed0_pair(tmp_path_factory):
+    """Two committed seed-0 traces, loaded from a copy of ``data/traces``."""
+    import shutil
+    from pathlib import Path
+
+    from repro.harness.runner import TraceSet
+
+    cache = tmp_path_factory.mktemp("traces")
+    data = Path(__file__).resolve().parents[2] / "data" / "traces"
+    for path in data.iterdir():
+        shutil.copy(path, cache / path.name)
+    return TraceSet(seed=0, benchmarks=["ocean", "water"], cache_dir=cache).traces()
+
+
+def _stratified(schemes, size):
+    """``size`` schemes spread evenly over ``schemes``, in order."""
+    return [schemes[index * len(schemes) // size] for index in range(size)]
+
+
+class TestLanes:
+    def _assert_lanes_agree(self, schemes, traces):
+        base_results, base_calls, base_sink = _run_lanes(schemes, traces, 1)
+        for lanes in LANES[1:]:
+            results, calls, sink = _run_lanes(schemes, traces, lanes)
+            assert results == base_results, lanes
+            assert calls == base_calls, lanes
+            for name in ("plan.trace_passes", "plan.partition_hits"):
+                assert sink.counters.get(name) == base_sink.counters.get(name), name
+            assert sink.gauges["plan.lanes"] == lanes
+        return base_results
+
+    def test_memo_traces_agree_at_every_lane_count(self, memo_traces, memo_expected):
+        schemes = [parse_scheme(text) for text in REPEATING_SCHEMES]
+        results = self._assert_lanes_agree(schemes, memo_traces)
+        assert results == [memo_expected[text] for text in REPEATING_SCHEMES]
+
+    @pytest.mark.parametrize("update", ["direct", "forwarded"])
+    def test_sweep_slices_agree_at_every_lane_count(self, seed0_pair, update):
+        from repro.core.update import UpdateMode
+        from repro.harness.experiments import sweep_schemes
+
+        schemes = _stratified(sweep_schemes(UpdateMode(update), 16), 200)
+        self._assert_lanes_agree(schemes, seed0_pair)
+
+    def test_memo_repeats_are_answered_exactly_at_two_lanes(
+        self, memo_traces, memo_expected, kernel, monkeypatch
+    ):
+        """The partition memo's checks, with passes running side by side:
+        every member of the repeating batch gets the oracle's quad, also
+        when every digest collides."""
+        schemes = [parse_scheme(text) for text in REPEATING_SCHEMES]
+        expected = [memo_expected[text] for text in REPEATING_SCHEMES]
+        results, _, sink = _run_lanes(schemes, memo_traces, 2)
+        assert results == expected
+        assert sink.counters["plan.partition_hits"] > 0
+        for text, scheme in zip(REPEATING_SCHEMES, schemes):
+            assert [
+                evaluate_plan(SweepPlan([scheme]), [trace], lanes=2)[0][0]
+                for trace in memo_traces
+            ] == memo_expected[text], text
+        monkeypatch.setattr(plan_module, "_partition_digest", lambda ids: bytes(16))
+        results, _, sink = _run_lanes(schemes, memo_traces, 2)
+        assert results == expected
+        assert sink.counters["plan.partition_hits"] > 0
+
+    def test_a_failing_pass_raises_as_at_one_lane(self, memo_traces, kernel):
+        """A forwarded trace with has_inval on a block that has no open
+        epoch, among consistent traces: every lane count raises what one
+        lane raises, and no thread outlives the call."""
+        good = memo_traces[0]
+        broken = SharingTrace(
+            num_nodes=good.num_nodes, writer=good.writer, pc=good.pc, home=good.home,
+            block=good.block, truth=good.truth, inval=good.inval,
+            has_inval=np.ones(len(good), dtype=bool), close=good.close,
+        )
+        schemes = [parse_scheme(text) for text in REPEATING_SCHEMES]
+        raised = []
+        for lanes in LANES:
+            threads = threading.active_count()
+            with pytest.raises(Exception) as info:
+                evaluate_plan(SweepPlan(schemes), [good, broken, good], lanes=lanes)
+            assert threading.active_count() == threads
+            raised.append((type(info.value), str(info.value)))
+        assert raised == [raised[0]] * len(LANES)
+        if kernel == "native":
+            assert raised[0][0] is ValueError
+            assert "no open epoch" in raised[0][1]
+
+    def test_the_first_failure_in_hand_out_order_raises(self, memo_traces, monkeypatch):
+        """A pool pass that fails late still wins over a later pass that
+        fails at once on the calling thread, as at one lane."""
+
+        class Failing:
+            def __init__(self, message, delay):
+                self.message, self.delay = message, delay
+
+            def evaluate_ids(self, *args):
+                time.sleep(self.delay)
+                raise ValueError(self.message)
+
+        monkeypatch.setattr(plan_module, "PASSES_PER_THREAD", 1)
+        scheme = parse_scheme("union(add6)2[direct]")
+        for lanes in (1, 2):
+            streams = iter([Failing("first", 0.2), Failing("second", 0.0)])
+            monkeypatch.setattr(
+                plan_module, "kernel_group_stream", lambda schemes, nodes: next(streams)
+            )
+            with pytest.raises(ValueError, match="first"):
+                evaluate_plan(SweepPlan([scheme]), memo_traces, lanes=lanes)
+
+    def test_more_lanes_than_cpus_under_fast_switching(
+        self, memo_traces, memo_expected, kernel
+    ):
+        """Eight lanes, the interpreter switching threads every microsecond:
+        a quad settled into the wrong member, or lost, changes a result."""
+        schemes = [parse_scheme(text) for text in REPEATING_SCHEMES]
+        expected = [memo_expected[text] for text in REPEATING_SCHEMES]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert evaluate_plan(SweepPlan(schemes), memo_traces, lanes=8) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_no_thread_outlives_a_call(self, memo_traces):
+        schemes = [parse_scheme(text) for text in REPEATING_SCHEMES]
+        threads = threading.active_count()
+        for lanes in LANES:
+            evaluate_plan(SweepPlan(schemes), memo_traces, lanes=lanes)
+            assert threading.active_count() == threads, lanes
+
+    def test_one_lane_starts_no_thread(self, memo_traces, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool started at one lane")
+
+        monkeypatch.setattr(plan_module, "ThreadPoolExecutor", no_pool)
+        schemes = [parse_scheme(text) for text in REPEATING_SCHEMES]
+        evaluate_plan(SweepPlan(schemes), memo_traces)
+        evaluate_plan(SweepPlan(schemes), memo_traces, lanes=1)
+
+    def test_lane_counters_sum_to_the_passes(self, memo_traces):
+        schemes = [parse_scheme(text) for text in REPEATING_SCHEMES]
+        sources = [ResidentTraceSource(memo_traces[0], chunk_events=37), memo_traces[1]]
+        for lanes in LANES:
+            _, _, sink = _run_lanes(schemes, sources, lanes)
+            counters = sink.counters
+            assert (counters["plan.lane_passes"] + counters["plan.inline_passes"]
+                    == counters["plan.trace_passes"])
+            assert "plan.lane_wait_seconds" in sink.timers
+            if lanes == 1:
+                assert counters["plan.lane_passes"] == 0
+
+    def test_engines_choose_their_lanes(self, memo_traces, monkeypatch, sink, kernel):
+        """The vectorized engine, also as the parallel engine's in-process
+        path, runs one lane per usable CPU on the native kernel and one on
+        the pure-Python kernel, whose passes hold the GIL; the socket
+        workers run one and start no thread."""
+        import repro.engine.backends as engine_backends
+        import repro.engine.transport as transport
+        from repro.engine import ParallelEngine, VectorizedEngine
+
+        lanes = 3 if kernel == "native" else 1
+        schemes = [parse_scheme(text) for text in REPEATING_SCHEMES]
+        monkeypatch.setattr(engine_backends, "usable_cpus", lambda: 3)
+        VectorizedEngine().evaluate_batch(schemes, memo_traces)
+        assert sink.gauges["plan.lanes"] == lanes
+        del sink.gauges["plan.lanes"]
+        ParallelEngine(jobs=1).evaluate_batch(schemes, memo_traces)
+        assert sink.gauges["plan.lanes"] == lanes
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool started in an engine worker")
+
+        monkeypatch.setattr(plan_module, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(transport, "_WORKER_TRACES", list(memo_traces))
+        del sink.gauges["plan.lanes"]
+        transport._evaluate_payloads(schemes, True)
+        assert sink.gauges["plan.lanes"] == 1

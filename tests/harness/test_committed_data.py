@@ -110,7 +110,7 @@ def test_seed0_suite_regenerates_equal(how, tmp_path, sink, monkeypatch):
     fresh = TraceSet(seed=0, cache_dir=tmp_path)
     committed = TraceSet(seed=0, cache_dir=DATA / "traces")
     if how == "suite":
-        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
         traces = fresh.traces()
     else:
         traces = [fresh.trace(benchmark) for benchmark in fresh.benchmarks]

@@ -101,7 +101,7 @@ TINY_PARAMS = {
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Make ``traces()`` use one worker beside the caller, even on one CPU."""
-    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(runner, "usable_cpus", lambda: 2)
 
 
 @pytest.fixture

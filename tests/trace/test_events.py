@@ -8,7 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.trace.events import SharingEvent, SharingTrace
-from repro.trace.source import DEFAULT_CHUNK_EVENTS
+from repro.trace.source import (
+    DEFAULT_CHUNK_EVENTS,
+    StreamingConsistencyChecker,
+    TraceChunk,
+)
 
 
 class TestFromEpochs:
@@ -176,6 +180,87 @@ class TestLinkageErrors:
             match=f"^event {length - 3}: inval != truth of closed epoch {length - 5}$",
         ):
             broken_trace(**columns).check_consistency()
+
+
+def _loop_linkage_error(columns):
+    """The first linkage violation's text by the per-event loop the numpy
+    checker replaced (None for a clean trace)."""
+    block, close, has_inval = (
+        columns[name].tolist() for name in ("block", "close", "has_inval")
+    )
+    truth, inval = (columns[name].tolist() for name in ("truth", "inval"))
+    last = {}
+    for index, (b, c, flag, t, v) in enumerate(zip(block, close, has_inval, truth, inval)):
+        if b not in last:
+            if flag:
+                return f"event {index}: first on block but has_inval set"
+        else:
+            prev_index, prev_close, prev_truth = last[b]
+            if prev_close != index:
+                return f"event {prev_index}: close={prev_close}, expected {index}"
+            if not flag:
+                return f"event {index}: closes an epoch but has_inval unset"
+            if v != prev_truth:
+                return f"event {index}: inval != truth of closed epoch {prev_index}"
+        last[b] = (index, c, t)
+    for b, (index, c, _) in last.items():
+        if c != len(block):
+            return f"event {index}: last on block {b} but close != len(trace)"
+    return None
+
+
+@st.composite
+def linkage_cases(draw):
+    """A valid 8-node epoch linkage with a few fields broken, and window cuts."""
+    length = draw(st.integers(1, 40))
+    block = draw(st.lists(st.integers(0, 5), min_size=length, max_size=length))
+    truth = draw(st.lists(st.integers(0, 0xFF), min_size=length, max_size=length))
+    close, inval, has_inval, last = [length] * length, [0] * length, [False] * length, {}
+    for index, b in enumerate(block):
+        if b in last:
+            close[last[b]], inval[index], has_inval[index] = index, truth[last[b]], True
+        last[b] = index
+    columns = dict(block=block, truth=truth, inval=inval, has_inval=has_inval, close=close)
+    breaks = {
+        "block": st.integers(0, 6),
+        "truth": st.integers(0, 0xFF),
+        "inval": st.integers(0, 0xFF),
+        "has_inval": st.booleans(),
+        "close": st.integers(0, length),
+    }
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(sorted(breaks)))
+        columns[name][draw(st.integers(0, length - 1))] = draw(breaks[name])
+    cuts = sorted(draw(st.sets(st.integers(1, max(1, length - 1)), max_size=3)))
+    return columns, [cut for cut in cuts if cut < length]
+
+
+@given(case=linkage_cases())
+def test_numpy_checker_raises_the_loops_first_violation(case):
+    columns, cuts = case
+    arrays = {
+        name: np.array(values, dtype=bool if name == "has_inval" else np.int64)
+        for name, values in columns.items()
+    }
+    arrays["truth"] = arrays["truth"].astype(np.uint32)
+    arrays["inval"] = arrays["inval"].astype(np.uint32)
+    length = len(arrays["block"])
+    checker = StreamingConsistencyChecker(8)
+    bounds = [0, *cuts, length]
+    got = None
+    try:
+        for start, stop in zip(bounds, bounds[1:]):
+            checker.feed(TraceChunk(
+                num_nodes=8, start=start,
+                writer=np.zeros(stop - start, dtype=np.int64),
+                pc=np.zeros(stop - start, dtype=np.int64),
+                home=np.zeros(stop - start, dtype=np.int64),
+                **{name: values[start:stop] for name, values in arrays.items()},
+            ))
+        checker.finish()
+    except ValueError as error:
+        got = str(error)
+    assert got == _loop_linkage_error(arrays)
 
 
 class TestSequenceProtocol:
